@@ -5,10 +5,10 @@ __version__ = "0.1.0"
 from .config import (
     GinibreProductSpec,
     HaarProductSpec,
+    ProductSpec,
     ScalingPlan,
     SignPattern,
     resolve_gamma,
-    validate,
 )
 from .limit_laws import (
     GinibreLimit,
@@ -34,7 +34,6 @@ from .limit_laws import (
 )
 from .matrix_model import (
     ConditioningError,
-    EigenSample,
     product_eigenvalues,
     sample_ginibre,
     sample_haar_unitary,
@@ -47,8 +46,6 @@ from .numerics import (
     invert_monotone,
     log_beta,
     log_gamma,
-    sample_beta,
-    sample_gamma,
 )
 from .scalar_model import (
     LogSpectrum,

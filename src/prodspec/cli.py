@@ -22,13 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import (
-    GinibreProductSpec,
-    HaarProductSpec,
-    ScalingPlan,
-    SignPattern,
-    resolve_gamma,
-)
+from .config import ProductSpec, ScalingPlan, SignPattern, resolve_gamma
 from .limit_laws import (
     GinibreLimit,
     HaarLimit,
@@ -36,10 +30,16 @@ from .limit_laws import (
     haar_limit_cdf,
     haar_limit_from_spec,
 )
-from .matrix_model import ConditioningError, sample_product_eigenvalues
+from .matrix_model import (
+    MAX_FACTORS,
+    MAX_PRODUCT_SIZE,
+    ConditioningError,
+    sample_product_eigenvalues,
+)
 from .numerics import RngStream
 from .scalar_model import sample_radial_spectrum
 from .stats import (
+    TWO_PI,
     EmpiricalCdf,
     angle_uniformity,
     build_ecdf,
@@ -47,8 +47,6 @@ from .stats import (
     ks_threshold,
     ks_two_sample,
 )
-
-TWO_PI = 2.0 * np.pi
 
 # below this value of (first coefficient)/gamma_n the limit is treated as
 # the point mass at 1 and concentration replaces the KS comparison
@@ -82,17 +80,15 @@ class ExperimentConfig:
     out: str | None = None
     preset: str | None = None
 
-    def build_spec(self):
+    def build_spec(self) -> ProductSpec:
         signs = SignPattern.parse(self.signs)
-        if self.ensemble == "ginibre":
-            if self.dims is not None:
-                raise ConfigError("dims: only truncated-unitary ensembles take dims")
-            return GinibreProductSpec(self.n, signs)
-        if self.ensemble == "haar":
-            if self.dims is None:
-                raise ConfigError("dims: required for the haar ensemble")
-            return HaarProductSpec(self.n, signs, tuple(self.dims))
-        raise ConfigError(f"ensemble: expected 'ginibre' or 'haar' (got {self.ensemble!r})")
+        if self.ensemble not in ("ginibre", "haar"):
+            raise ConfigError(f"ensemble: expected 'ginibre' or 'haar' (got {self.ensemble!r})")
+        if self.ensemble == "ginibre" and self.dims is not None:
+            raise ConfigError("dims: only truncated-unitary ensembles take dims")
+        if self.ensemble == "haar" and self.dims is None:
+            raise ConfigError("dims: required for the haar ensemble")
+        return ProductSpec(self.n, signs, self.dims)
 
     def validated(self) -> "ExperimentConfig":
         if self.n < 2:
@@ -107,10 +103,14 @@ class ExperimentConfig:
             raise ConfigError(f"seed: must be >= 0 (got {self.seed})")
         spec = self.build_spec()  # surfaces spec-level problems early
         if self.mode in ("matrix", "both"):
-            if self.n > 200:
-                raise ConfigError(f"n: matrix mode is capped at n <= 200 (got {self.n})")
-            if spec.m > 8:
-                raise ConfigError(f"signs: matrix mode is capped at 8 factors (got {spec.m})")
+            if self.n > MAX_PRODUCT_SIZE:
+                raise ConfigError(
+                    f"n: matrix mode is capped at n <= {MAX_PRODUCT_SIZE} (got {self.n})"
+                )
+            if spec.m > MAX_FACTORS:
+                raise ConfigError(
+                    f"signs: matrix mode is capped at {MAX_FACTORS} factors (got {spec.m})"
+                )
         return self
 
 
@@ -195,7 +195,7 @@ class ExperimentReport:
         return bad
 
 
-def resolve_limit(cfg: ExperimentConfig, spec, plan: ScalingPlan):
+def resolve_limit(cfg: ExperimentConfig, spec: ProductSpec, plan: ScalingPlan):
     """Pick the reference law: (kind, limit object or None)."""
     token = cfg.limit.strip()
     if token == "degenerate":
@@ -205,12 +205,15 @@ def resolve_limit(cfg: ExperimentConfig, spec, plan: ScalingPlan):
             a, b = (float(v) for v in token[len("ginibre:"):].split(","))
         except ValueError:
             raise ConfigError(f"limit: expected ginibre:alpha,beta (got {token!r})") from None
-        return "ginibre", GinibreLimit(alpha=a, beta=b)
+        try:
+            return "ginibre", GinibreLimit(alpha=a, beta=b)
+        except ValueError as exc:
+            raise ConfigError(f"limit: {exc}") from None
     if token.startswith("betas:"):
         return "haar", _read_betas_file(token[len("betas:"):])
     if token != "auto":
         raise ConfigError(f"limit: expected auto|degenerate|ginibre:a,b|betas:PATH (got {token!r})")
-    if isinstance(spec, GinibreProductSpec):
+    if spec.dims is None:
         beta = spec.m / plan.gamma_n
         if beta < DEGENERATE_THRESHOLD:
             return "degenerate", None
@@ -227,22 +230,31 @@ def _read_betas_file(path: str) -> HaarLimit:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"limit: cannot read betas file: {exc}") from None
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" in line:
-            key, _, val = line.partition("=")
-            if key.strip() != "bound":
-                raise ConfigError(f"limit: unknown betas-file key {key.strip()!r}")
-            bound = float(val)
-            continue
-        betas.append(float(line))
+        key, sep, val = line.partition("=")
+        if sep and key.strip() != "bound":
+            raise ConfigError(f"limit: unknown betas-file key {key.strip()!r}")
+        try:
+            value = float(val if sep else line)
+        except ValueError:
+            raise ConfigError(
+                f"limit: betas file line {lineno}: expected a number (got {line!r})"
+            ) from None
+        if sep:
+            bound = value
+        else:
+            betas.append(value)
     if not betas:
         raise ConfigError("limit: betas file holds no coefficients")
     if bound is None:
         bound = max(abs(b) for b in betas)
-    return HaarLimit(betas=tuple(betas), tail_bound=bound)
+    try:
+        return HaarLimit(betas=tuple(betas), tail_bound=bound)
+    except ValueError as exc:
+        raise ConfigError(f"limit: {exc}") from None
 
 
 def _mass_in_window(values) -> float:
@@ -547,8 +559,9 @@ def _cmd_run(args) -> int:
         return 2
     try:
         report = run_experiment(cfg)
-    except ConfigError as exc:
-        # limit tokens and betas files are resolved during the run
+    except (ConfigError, OverflowError) as exc:
+        # limit tokens, betas files and the rescaled range are only
+        # known during the run
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConditioningError as exc:

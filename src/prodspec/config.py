@@ -53,45 +53,24 @@ class SignPattern:
 
 
 @dataclass(frozen=True)
-class GinibreProductSpec:
-    """Product of n x n complex Gaussian factors and/or their inverses."""
+class ProductSpec:
+    """Product of n x n random factors and/or their inverses.
 
-    n: int
-    signs: SignPattern
-
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"n: must be a positive integer (got {self.n!r})")
-
-    @property
-    def m(self) -> int:
-        return self.signs.m
-
-    @property
-    def plus_count(self) -> int:
-        return self.signs.plus_count
-
-    def log_scale(self) -> float:
-        """log of the normalizing scale n^(2p - m), kept in log form."""
-        return (2 * self.plus_count - self.m) * math.log(self.n)
-
-
-@dataclass(frozen=True)
-class HaarProductSpec:
-    """Product of n x n truncations of Haar unitaries and/or their inverses.
-
-    dims[k] is the source dimension of the k-th unitary; every dims[k]
-    must exceed n, otherwise the truncation has unit singular values and
-    the radial surrogates below are undefined.
+    With dims None every factor is a complex Gaussian matrix. Otherwise
+    factor k is the top-left corner of a Haar unitary of size dims[k];
+    every dims[k] must exceed n, otherwise the truncation has unit
+    singular values and the radial surrogates are undefined.
     """
 
     n: int
     signs: SignPattern
-    dims: tuple[int, ...]
+    dims: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"n: must be a positive integer (got {self.n!r})")
+        if self.dims is None:
+            return
         if len(self.dims) != self.signs.m:
             raise ValueError(
                 f"dims: length {len(self.dims)} does not match {self.signs.m} signs"
@@ -110,14 +89,27 @@ class HaarProductSpec:
         return self.signs.plus_count
 
     def log_scale(self) -> float:
-        """log of prod_k (n / (2 dims[k] - n))^(sign_k), kept in log form."""
+        """log of the normalizing scale, kept in log form.
+
+        The scale is n^(2p - m) for Gaussian factors and
+        prod_k (n / (2 dims[k] - n))^(sign_k) for truncations.
+        """
         n = self.n
+        if self.dims is None:
+            return sum(self.signs) * math.log(n)
         return sum(
             s * math.log(n / (2 * d - n)) for s, d in zip(self.signs, self.dims)
         )
 
 
-ProductSpec = GinibreProductSpec | HaarProductSpec
+def GinibreProductSpec(n: int, signs: SignPattern) -> ProductSpec:
+    """Product of n x n complex Gaussian factors and/or their inverses."""
+    return ProductSpec(n, signs)
+
+
+def HaarProductSpec(n: int, signs: SignPattern, dims) -> ProductSpec:
+    """Product of n x n truncations of Haar unitaries and/or their inverses."""
+    return ProductSpec(n, signs, tuple(dims))
 
 
 @dataclass(frozen=True)
@@ -139,15 +131,6 @@ class ScalingPlan:
 
     def to_dict(self) -> dict:
         return {"gamma_n": self.gamma_n, "log_scale": self.log_scale}
-
-
-def validate(spec: ProductSpec) -> ProductSpec:
-    """Re-check a spec's invariants; returns the spec unchanged if sound."""
-    if isinstance(spec, GinibreProductSpec):
-        return GinibreProductSpec(spec.n, SignPattern(spec.signs.entries))
-    if isinstance(spec, HaarProductSpec):
-        return HaarProductSpec(spec.n, SignPattern(spec.signs.entries), spec.dims)
-    raise ValueError(f"spec: unsupported type {type(spec).__name__}")
 
 
 def resolve_gamma(token, m: int) -> float:

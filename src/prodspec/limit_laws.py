@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import HaarProductSpec
-from .numerics import invert_monotone
+from .config import ProductSpec
 
 
 class SeriesAccuracyError(RuntimeError):
@@ -160,7 +159,7 @@ def spherical_product_density(k: int, r):
 # ---------------------------------------------------------------------------
 # finite-n log-mean curve for truncated-unitary products
 
-def series_coeff(spec: HaarProductSpec, j: int) -> float:
+def series_coeff(spec: ProductSpec, j: int) -> float:
     """j-th series coefficient of the centered log-mean curve."""
     if not (isinstance(j, (int, np.integer)) and j >= 1):
         raise ValueError(f"j: must be a positive integer (got {j!r})")
@@ -172,13 +171,13 @@ def series_coeff(spec: HaarProductSpec, j: int) -> float:
     return total / j
 
 
-def series_coeff_bound(spec: HaarProductSpec) -> float:
+def series_coeff_bound(spec: ProductSpec) -> float:
     """First coefficient; it dominates every |series_coeff(spec, j)|."""
     n = spec.n
     return sum(2.0 * (d - n) / (2.0 * (d - n) + n) for d in spec.dims)
 
 
-def series_tail_bound(spec: HaarProductSpec, x, terms: int):
+def series_tail_bound(spec: ProductSpec, x, terms: int):
     """Certified bound on the dropped tail after `terms` series terms."""
     u = np.abs(2.0 * np.asarray(x, dtype=float) - 1.0)
     bound = series_coeff_bound(spec)
@@ -187,7 +186,7 @@ def series_tail_bound(spec: HaarProductSpec, x, terms: int):
     return float(out) if out.ndim == 0 else out
 
 
-def log_mean_curve(spec: HaarProductSpec, x, mode: str = "closed", terms: int = 60):
+def log_mean_curve(spec: ProductSpec, x, mode: str = "closed", terms: int = 60):
     """Centered log-mean curve on 0 < x < 1.
 
     The closed form is a signed sum of log ratios, one per factor; the
@@ -248,7 +247,7 @@ class HaarLimit:
         return len(self.betas)
 
 
-def haar_limit_from_spec(spec: HaarProductSpec, gamma_n: float, terms: int = 80) -> HaarLimit:
+def haar_limit_from_spec(spec: ProductSpec, gamma_n: float, terms: int = 80) -> HaarLimit:
     """Finite-n limit curve: series coefficients over gamma_n, bound included."""
     if not (gamma_n > 0 and math.isfinite(gamma_n)):
         raise ValueError(f"gamma_n: must be finite and > 0 (got {gamma_n!r})")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack, lu_factor, lu_solve
 
-from .config import GinibreProductSpec, HaarProductSpec
+from .config import ProductSpec
 from .numerics import RngStream
 
 # refuse solves beyond this estimated condition number
@@ -117,14 +117,12 @@ def product_eigenvalues(factors, signs) -> EigenSample:
     )
 
 
-def sample_product_eigenvalues(spec, rng: RngStream) -> EigenSample:
+def sample_product_eigenvalues(spec: ProductSpec, rng: RngStream) -> EigenSample:
     """Draw the factors described by a spec and return the product's eigenvalues."""
-    if isinstance(spec, GinibreProductSpec):
+    if spec.dims is None:
         factors = [sample_ginibre(spec.n, rng) for _ in range(spec.m)]
-    elif isinstance(spec, HaarProductSpec):
+    else:
         factors = [
             truncate(sample_haar_unitary(d, rng), spec.n) for d in spec.dims
         ]
-    else:
-        raise ValueError(f"spec: unsupported type {type(spec).__name__}")
     return product_eigenvalues(factors, spec.signs)

@@ -76,21 +76,8 @@ class RngStream:
     def uniform(self, low=0.0, high=1.0, size=None):
         return self._gen.uniform(low, high, size=size)
 
-    def integers(self, low, high=None, size=None):
-        return self._gen.integers(low, high, size=size)
-
     def __repr__(self):
         return f"RngStream(seed={self.seed}, path={self.path})"
-
-
-def sample_gamma(shape, rng: RngStream, size=None):
-    """Gamma(shape, 1) draws from the given stream."""
-    return rng.gamma(shape, size=size)
-
-
-def sample_beta(a, b, rng: RngStream, size=None):
-    """Beta(a, b) draws from the given stream."""
-    return rng.beta(a, b, size=size)
 
 
 def invert_monotone(f, target, lo, hi, tol=1e-12, max_iter=200):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import GinibreProductSpec, HaarProductSpec
+from .config import ProductSpec
 from .numerics import RngStream, log_beta, log_gamma
 
 
@@ -47,47 +47,54 @@ def _check_index(spec, j):
         raise ValueError(f"j: must be an integer in 1..{spec.n} (got {j!r})")
 
 
-def sample_log_radius_ginibre(spec: GinibreProductSpec, j: int, rng: RngStream, size=None):
-    """Draw log of the j-th surrogate: half the signed sum of log-gamma draws."""
-    _check_index(spec, j)
+def _factors(spec: ProductSpec):
+    """(sign, b) per factor: b = dims[k] - n, or None for a Gaussian factor."""
+    if spec.dims is None:
+        return [(sign, None) for sign in spec.signs]
+    return [(sign, float(d - spec.n)) for sign, d in zip(spec.signs, spec.dims)]
+
+
+def _log_norm(shape, b):
+    """log of the surrogate draw's normalizer: Gamma(shape), or B(shape, b)."""
+    return log_gamma(shape) if b is None else log_beta(shape, b)
+
+
+def _log_radius_draws(spec: ProductSpec, up, down, rng: RngStream, size=None):
+    """Half the signed sum of one log draw per factor.
+
+    Each draw is Gamma(shape) for a Gaussian factor and Beta(shape, b) for a
+    truncation, with shape `up` for a direct factor and `down` for an
+    inverted one.
+    """
     out = 0.0
-    for sign in spec.signs:
-        shape = factor_shape(spec.n, j, sign)
-        out = out + 0.5 * sign * np.log(rng.gamma(float(shape), size=size))
+    for sign, b in _factors(spec):
+        shape = up if sign == 1 else down
+        draw = rng.gamma(shape, size=size) if b is None else rng.beta(shape, b, size=size)
+        out = out + 0.5 * sign * np.log(draw)
     return out
 
 
-def sample_log_radius_haar(spec: HaarProductSpec, j: int, rng: RngStream, size=None):
-    """Same as the gamma version with Beta(shape, dims[k] - n) draws."""
+def sample_log_radius_ginibre(spec: ProductSpec, j: int, rng: RngStream, size=None):
+    """Draw log of the j-th surrogate: half the signed sum of log draws.
+
+    The spec's dims pick gamma or beta draws, so the same function is
+    exported as sample_log_radius_haar.
+    """
     _check_index(spec, j)
-    out = 0.0
-    for sign, d in zip(spec.signs, spec.dims):
-        shape = factor_shape(spec.n, j, sign)
-        out = out + 0.5 * sign * np.log(rng.beta(float(shape), float(d - spec.n), size=size))
-    return out
+    return _log_radius_draws(spec, float(j), float(spec.n + 1 - j), rng, size)
 
 
-def sample_radial_spectrum(spec, rng: RngStream) -> LogSpectrum:
+sample_log_radius_haar = sample_log_radius_ginibre
+
+
+def sample_radial_spectrum(spec: ProductSpec, rng: RngStream) -> LogSpectrum:
     """Draw all n surrogate logs of one replicate.
 
     Draws are vectorized over j one factor at a time, so a single stream
     per replicate fixes every value regardless of scheduling.
     """
-    n = spec.n
-    up = np.arange(1, n + 1, dtype=float)
-    down = up[::-1].copy()
-    total = np.zeros(n)
-    if isinstance(spec, GinibreProductSpec):
-        for sign in spec.signs:
-            shapes = up if sign == 1 else down
-            total += 0.5 * sign * np.log(rng.gamma(shapes))
-    elif isinstance(spec, HaarProductSpec):
-        for sign, d in zip(spec.signs, spec.dims):
-            shapes = up if sign == 1 else down
-            total += 0.5 * sign * np.log(rng.beta(shapes, float(d - n)))
-    else:
-        raise ValueError(f"spec: unsupported type {type(spec).__name__}")
-    return LogSpectrum(log_radii=total)
+    up = np.arange(1, spec.n + 1, dtype=float)
+    return LogSpectrum(log_radii=_log_radius_draws(spec, up, up[::-1].copy(), rng))
 
 
 def _check_t_domain(spec, j, t):
@@ -98,48 +105,29 @@ def _check_t_domain(spec, j, t):
         raise ValueError(f"t: must lie in ({lo}, {hi}) for j={j} (got {t})")
 
 
-def log_mgf_ginibre(spec: GinibreProductSpec, j: int, t: float) -> float:
-    """log E[radius^t] for the j-th surrogate of a Gaussian-factor product.
+def log_mgf_ginibre(spec: ProductSpec, j: int, t: float) -> float:
+    """log E[radius^t] for the j-th surrogate.
 
-    Equals p * (log_gamma(j + t/2) - log_gamma(j))
-         + (m-p) * (log_gamma(n+1-j - t/2) - log_gamma(n+1-j)),
-    finite exactly on -2j < t < 2(n+1-j).
+    One log-gamma ratio per Gaussian factor or log-beta ratio per
+    truncation; for Gaussian factors this equals
+        p * (log_gamma(j + t/2) - log_gamma(j))
+      + (m-p) * (log_gamma(n+1-j - t/2) - log_gamma(n+1-j)),
+    finite exactly on -2j < t < 2(n+1-j). The same function is exported
+    as log_mgf_haar.
     """
     _check_index(spec, j)
     _check_t_domain(spec, j, t)
-    n, p, m = spec.n, spec.plus_count, spec.m
     out = 0.0
-    if p > 0:
-        out += p * (log_gamma(j + t / 2.0) - log_gamma(float(j)))
-    if m - p > 0:
-        out += (m - p) * (
-            log_gamma(n + 1 - j - t / 2.0) - log_gamma(float(n + 1 - j))
-        )
+    for sign, b in _factors(spec):
+        shape = factor_shape(spec.n, j, sign)
+        out += _log_norm(shape + sign * t / 2.0, b) - _log_norm(float(shape), b)
     return float(out)
 
 
-def log_mgf_haar(spec: HaarProductSpec, j: int, t: float) -> float:
-    """log E[radius^t] for the j-th surrogate of a truncated-unitary product.
-
-    One log-beta ratio per factor; the shared t-interval is intersected
-    with positivity of every shifted beta argument.
-    """
-    _check_index(spec, j)
-    _check_t_domain(spec, j, t)
-    n = spec.n
-    out = 0.0
-    for sign, d in zip(spec.signs, spec.dims):
-        shape = factor_shape(n, j, sign)
-        shifted = shape + sign * t / 2.0
-        if not (shifted > 0):
-            raise ValueError(
-                f"t: shifted beta argument {shifted} not positive for j={j}, t={t}"
-            )
-        out += log_beta(shifted, float(d - n)) - log_beta(float(shape), float(d - n))
-    return float(out)
+log_mgf_haar = log_mgf_ginibre
 
 
-def log_weight_moment(spec, t: float) -> float:
+def log_weight_moment(spec: ProductSpec, t: float) -> float:
     """log of the t-th moment of the shared radial weight, t > 0.
 
     The surrogate densities are proportional to y^(2j-1) times a common
@@ -151,20 +139,15 @@ def log_weight_moment(spec, t: float) -> float:
         raise ValueError(f"t: must be > 0 (got {t})")
     n, m = spec.n, spec.m
     out = (m - 1) * np.log(np.pi) - np.log(2.0)
-    for idx, sign in enumerate(spec.signs):
+    for sign, b in _factors(spec):
         arg = 0.5 * (n + 1 + sign * (t - n))
         if not (arg > 0):
             raise ValueError(f"t: factor argument {arg} not positive (t={t})")
-        if isinstance(spec, GinibreProductSpec):
-            out += log_gamma(arg)
-        elif isinstance(spec, HaarProductSpec):
-            out += log_beta(arg, float(spec.dims[idx] - n))
-        else:
-            raise ValueError(f"spec: unsupported type {type(spec).__name__}")
+        out += _log_norm(arg, b)
     return float(out)
 
 
-def scaled_mean_ginibre(spec: GinibreProductSpec, j: int) -> float:
+def scaled_mean_ginibre(spec: ProductSpec, j: int) -> float:
     """Exact mean of (radius^2 / scale)^(1/m) for the j-th surrogate."""
     t = 2.0 / spec.m
     return float(np.exp(log_mgf_ginibre(spec, j, t) - spec.log_scale() / spec.m))

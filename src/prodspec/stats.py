@@ -69,8 +69,15 @@ def build_ecdf(log_moduli_sets, plan: ScalingPlan) -> EmpiricalCdf:
     parts = [np.asarray(s, dtype=float).ravel() for s in log_moduli_sets]
     if not parts:
         raise ValueError("log_moduli_sets: need at least one replicate")
-    pooled = np.concatenate(parts)
-    return EmpiricalCdf(values=rescale_moduli(pooled, plan))
+    with np.errstate(over="ignore", under="ignore"):
+        values = rescale_moduli(np.concatenate(parts), plan)
+    # a modulus rounded to 0 or inf has lost its order against the others
+    if np.any((values == 0.0) | np.isinf(values)):
+        raise OverflowError(
+            f"gamma: rescaled moduli leave the floating-point range at "
+            f"gamma_n={plan.gamma_n!r}; a larger gamma is needed"
+        )
+    return EmpiricalCdf(values=values)
 
 
 def ks_one_sample(ecdf: EmpiricalCdf, cdf, label: str = "one-sample") -> KsReport:

@@ -310,6 +310,32 @@ def test_cli_bad_limit_token_is_exit_2(capsys):
     assert "limit:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, needle",
+    [
+        (["--limit", "ginibre:0.5,0"], "beta:"),
+        (["--limit", "ginibre:2,1"], "alpha:"),
+        (["--limit", "betas:{tmp}/word.txt"], "line 2"),
+        (["--limit", "betas:{tmp}/negative.txt"], "betas[0]:"),
+        (["--gamma", "1e-300"], "gamma"),
+        (["--gamma", "0.003"], "gamma"),
+    ],
+    ids=[
+        "ginibre-beta-zero", "ginibre-alpha-above-one", "betas-file-word",
+        "betas-file-negative-first", "gamma-overflow", "gamma-underflow",
+    ],
+)
+def test_cli_values_rejected_mid_run_are_exit_2(tmp_path, capsys, flags, needle):
+    # limit objects and the rescaled range only exist once the run starts
+    (tmp_path / "word.txt").write_text("0.5\nhalf\n")
+    (tmp_path / "negative.txt").write_text("-0.5\n0.25\n")
+    argv = ["run", "--n", "10", "--signs", "+", "--replicates", "4"]
+    code = main(argv + [f.format(tmp=tmp_path) for f in flags])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and needle in err
+
+
 def test_cli_conditioning_abort_is_exit_3(monkeypatch, capsys):
     def explode(spec, rng):
         raise ConditioningError("synthetic refusal")

@@ -10,7 +10,6 @@ from prodspec.config import (
     ScalingPlan,
     SignPattern,
     resolve_gamma,
-    validate,
 )
 
 
@@ -77,11 +76,6 @@ def test_n_must_be_positive_integer():
         GinibreProductSpec(0, SignPattern.parse("+"))
     with pytest.raises(ValueError, match="n:"):
         GinibreProductSpec(3.5, SignPattern.parse("+"))
-
-
-def test_validate_passthrough():
-    spec = HaarProductSpec(3, SignPattern.parse("+-"), (5, 7))
-    assert validate(spec) == spec
 
 
 def test_scaling_plan_requires_positive_gamma():

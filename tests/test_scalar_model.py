@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import polygamma
 
-from prodspec.config import GinibreProductSpec, HaarProductSpec, SignPattern
+from prodspec.config import GinibreProductSpec, HaarProductSpec, ProductSpec, SignPattern
 from prodspec.numerics import RngStream, digamma
 from prodspec.scalar_model import (
     LogSpectrum,
@@ -128,21 +130,27 @@ def test_log_weight_moment_rejects_bad_t():
         log_weight_moment(ginibre(5, "-"), 20.0)  # factor argument crosses 0
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        ginibre(9, "+"),
-        ginibre(9, "-+"),
-        ginibre(14, "+-+"),
-        haar(7, "+-", (12, 9)),
-        haar(5, "--", (8, 11)),
-    ],
-    ids=str,
-)
+@st.composite
+def product_specs(draw):
+    """Gaussian or truncated-unitary specs with n <= 30 and at most 4 factors."""
+    n = draw(st.integers(1, 30))
+    signs = SignPattern(tuple(draw(st.lists(st.sampled_from((1, -1)), min_size=1, max_size=4))))
+    if draw(st.booleans()):
+        return ProductSpec(n, signs)
+    dims = draw(st.lists(st.integers(n + 1, 3 * n), min_size=signs.m, max_size=signs.m))
+    return ProductSpec(n, signs, tuple(dims))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(spec=product_specs())
+@example(spec=ginibre(9, "+"))
+@example(spec=ginibre(9, "-+"))
+@example(spec=ginibre(14, "+-+"))
+@example(spec=haar(7, "+-", (12, 9)))
+@example(spec=haar(5, "--", (8, 11)))
 def test_weight_moment_ratio_reproduces_mgf(spec):
     # the weight's moment ratio at 2j-1 offsets must equal the mgf
-    is_g = isinstance(spec, GinibreProductSpec)
-    mgf = log_mgf_ginibre if is_g else log_mgf_haar
+    mgf = log_mgf_ginibre if spec.dims is None else log_mgf_haar
     for j in (1, spec.n // 2 + 1, spec.n):
         for t in (0.5, 1.0, 1.9):
             lhs = log_weight_moment(spec, 2 * j - 1 + t) - log_weight_moment(
