@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import polygamma
 
@@ -141,14 +141,14 @@ def product_specs(draw):
     return ProductSpec(n, signs, tuple(dims))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(spec=product_specs())
-@example(spec=ginibre(9, "+"))
-@example(spec=ginibre(9, "-+"))
-@example(spec=ginibre(14, "+-+"))
-@example(spec=haar(7, "+-", (12, 9)))
-@example(spec=haar(5, "--", (8, 11)))
-def test_weight_moment_ratio_reproduces_mgf(spec):
+def spec_case_id(spec):
+    # case names keep the per-kind form they had before the two spec kinds merged
+    if spec.dims is None:
+        return f"GinibreProductSpec(n={spec.n}, signs={spec.signs!r})"
+    return f"HaarProductSpec(n={spec.n}, signs={spec.signs!r}, dims={spec.dims})"
+
+
+def assert_weight_moment_ratio_is_mgf(spec):
     # the weight's moment ratio at 2j-1 offsets must equal the mgf
     mgf = log_mgf_ginibre if spec.dims is None else log_mgf_haar
     for j in (1, spec.n // 2 + 1, spec.n):
@@ -157,6 +157,27 @@ def test_weight_moment_ratio_reproduces_mgf(spec):
                 spec, 2 * j - 1
             )
             assert lhs == pytest.approx(mgf(spec, j, t), rel=1e-10, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ginibre(9, "+"),
+        ginibre(9, "-+"),
+        ginibre(14, "+-+"),
+        haar(7, "+-", (12, 9)),
+        haar(5, "--", (8, 11)),
+    ],
+    ids=spec_case_id,
+)
+def test_weight_moment_ratio_reproduces_mgf(spec):
+    assert_weight_moment_ratio_is_mgf(spec)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(spec=product_specs())
+def test_weight_moment_ratio_reproduces_mgf_on_drawn_specs(spec):
+    assert_weight_moment_ratio_is_mgf(spec)
 
 
 def test_scaled_mean_single_factor_is_exactly_linear():
