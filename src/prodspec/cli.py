@@ -102,6 +102,7 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ConfigError(f"seed: must be >= 0 (got {self.seed})")
         spec = self.build_spec()  # surfaces spec-level problems early
+        resolve_gamma(self.gamma, spec.m)
         if self.mode in ("matrix", "both"):
             if self.n > MAX_PRODUCT_SIZE:
                 raise ConfigError(

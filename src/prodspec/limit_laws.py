@@ -32,7 +32,7 @@ def radial_profile(alpha: float, x: float):
     x = np.asarray(x, dtype=float)
     if np.any(~((x > 0) & (x < 1))):
         raise ValueError(f"x: must lie in (0, 1) (got {x!r})")
-    out = np.exp(alpha * np.log(x) + (alpha - 1.0) * np.log1p(-x))
+    out = np.exp(_profile_log(alpha, x))
     return float(out) if out.ndim == 0 else out
 
 
@@ -48,31 +48,33 @@ def _profile_log(alpha, x):
 _EDGE = 1e-16  # evaluation guard; roots beyond it are indistinguishable from 0/1
 
 
-def _profile_inverse_many(alpha, y):
-    """Vector generalized inverse for 0 < alpha < 1 (bisection in log space)."""
-    y = np.asarray(y, dtype=float)
-    out = np.zeros(y.shape)
-    pos = y > 0
-    if not np.any(pos):
-        return out
-    target = np.full(y.shape, -np.inf)
-    target[pos] = np.log(y[pos])
-    lo = np.full(y.shape, _EDGE)
-    hi = np.full(y.shape, 1.0 - _EDGE)
-    below = target <= _profile_log(alpha, lo[0])
-    above = target >= _profile_log(alpha, hi[0])
-    out[above] = 1.0
-    active = pos & ~below & ~above
+def _invert_increasing(f, target, edge):
+    """Generalized inverse of an increasing f on [edge, 1 - edge].
+
+    1 where target >= f(1 - edge), 0 where target <= f(edge) or is NaN,
+    otherwise the midpoint of the bisected bracket around the root.
+    """
+    f_lo, f_hi = f(edge), f(1.0 - edge)
+    out = np.where(target >= f_hi, 1.0, 0.0)
+    active = (target > f_lo) & (target < f_hi)
     if np.any(active):
-        lo, hi, tgt = lo[active], hi[active], target[active]
-        # 60 halvings take the bracket well under the 1e-12 tolerance
+        tgt = target[active]
+        lo = np.full(tgt.shape, edge)
+        hi = np.full(tgt.shape, 1.0 - edge)
+        # 60 halvings shrink the bracket below 1e-18, under both callers' tolerances
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            go_up = _profile_log(alpha, mid) < tgt
+            go_up = f(mid) < tgt
             lo = np.where(go_up, mid, lo)
             hi = np.where(go_up, hi, mid)
         out[active] = 0.5 * (lo + hi)
     return out
+
+
+def _log_or_neg_inf(y):
+    """log y where y > 0 and -inf elsewhere, so an inverse maps y <= 0 to 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(y > 0, np.log(y), -np.inf)
 
 
 def radial_profile_inverse(alpha: float, y):
@@ -92,7 +94,9 @@ def radial_profile_inverse(alpha: float, y):
     elif alpha == 1.0:
         out = np.clip(y_arr, 0.0, 1.0)
     else:
-        out = _profile_inverse_many(alpha, y_arr)
+        out = _invert_increasing(
+            lambda x: _profile_log(alpha, x), _log_or_neg_inf(y_arr), _EDGE
+        )
     return float(out[0]) if scalar else out
 
 
@@ -109,35 +113,32 @@ class GinibreLimit:
             raise ValueError(f"beta: must be finite and > 0 (got {self.beta!r})")
 
 
-def ginibre_limit_cdf(lim: GinibreLimit, y):
-    """Limiting CDF of the rescaled moduli at y > 0."""
+def _powered(lim: GinibreLimit, y):
+    """y^(1/beta) at y > 0 through logs; overflow is a genuine "beyond the support" inf."""
     y_arr = np.asarray(y, dtype=float)
     if np.any(~(y_arr > 0)):
         raise ValueError(f"y: must be > 0 (got {y!r})")
-    # y^(1/beta) through logs; overflow is a genuine "beyond the support" inf
     with np.errstate(over="ignore"):
-        powered = np.exp(np.log(y_arr) / lim.beta)
-    return radial_profile_inverse(lim.alpha, powered)
+        return np.exp(np.log(y_arr) / lim.beta)
+
+
+def ginibre_limit_cdf(lim: GinibreLimit, y):
+    """Limiting CDF of the rescaled moduli at y > 0."""
+    return radial_profile_inverse(lim.alpha, _powered(lim, y))
 
 
 def ginibre_limit_density(lim: GinibreLimit, y):
     """Density of the limiting CDF at y > 0; 0 outside the support."""
-    y_arr = np.asarray(y, dtype=float)
-    scalar = y_arr.ndim == 0
-    y_arr = np.atleast_1d(y_arr)
-    if np.any(~(y_arr > 0)):
-        raise ValueError(f"y: must be > 0 (got {y!r})")
-    with np.errstate(over="ignore"):
-        powered = np.exp(np.log(y_arr) / lim.beta)
-    x = np.atleast_1d(radial_profile_inverse(lim.alpha, powered))
+    y_arr = np.atleast_1d(np.asarray(y, dtype=float))
+    powered = np.atleast_1d(_powered(lim, y))
+    x = radial_profile_inverse(lim.alpha, powered)
     out = np.zeros(y_arr.shape)
     inside = (x > _EDGE) & (x < 1.0 - _EDGE) & np.isfinite(powered)
-    if np.any(inside):
-        xi, yi, ui = x[inside], y_arr[inside], powered[inside]
-        # d profile / dx = profile * (alpha/x + (1-alpha)/(1-x)); profile(x*) = u
-        dprofile = ui * (lim.alpha / xi + (1.0 - lim.alpha) / (1.0 - xi))
-        out[inside] = (ui / yi) / (lim.beta * dprofile)
-    return float(out[0]) if scalar else out
+    xi, yi, ui = x[inside], y_arr[inside], powered[inside]
+    # d profile / dx = profile * (alpha/x + (1-alpha)/(1-x)); profile(x*) = u
+    dprofile = ui * (lim.alpha / xi + (1.0 - lim.alpha) / (1.0 - xi))
+    out[inside] = (ui / yi) / (lim.beta * dprofile)
+    return float(out[0]) if np.ndim(y) == 0 else out
 
 
 def spherical_product_density(k: int, r):
@@ -159,31 +160,53 @@ def spherical_product_density(k: int, r):
 # ---------------------------------------------------------------------------
 # finite-n log-mean curve for truncated-unitary products
 
+def _ratios(spec: ProductSpec) -> list[float]:
+    """Per-factor q_k = n / (2 dims[k] - n); only truncations have a series."""
+    if spec.dims is None:
+        raise ValueError("dims: the series needs truncated-unitary factors (got none)")
+    return [spec.n / (2.0 * d - spec.n) for d in spec.dims]
+
+
+def _signed_sum(signs, ratios, j: int) -> float:
+    """sum_k (-s_k)^(j-1) (1 - q_k^j), the j-th coefficient times j."""
+    total = 0.0
+    for s, q in zip(signs, ratios):
+        total += (-s) ** (j - 1) * (1.0 - q**j)
+    return total
+
+
+def _power_series(coeffs, t):
+    """sum_j coeffs[j-1] t^j: a power series with no constant term."""
+    return np.polyval(np.append(np.asarray(coeffs)[::-1], 0.0), t)
+
+
+def _geometric_tail(bound: float, terms: int, x):
+    """Tail past `terms` coefficients of size <= bound at u = |2x - 1|; 0 if bound is 0."""
+    u = np.abs(2.0 * np.asarray(x, dtype=float) - 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(
+            u < 1.0, bound * u ** (terms + 1) / (1.0 - u), np.inf if bound else 0.0
+        )
+    return float(out) if out.ndim == 0 else out
+
+
 def series_coeff(spec: ProductSpec, j: int) -> float:
     """j-th series coefficient of the centered log-mean curve."""
     if not (isinstance(j, (int, np.integer)) and j >= 1):
         raise ValueError(f"j: must be a positive integer (got {j!r})")
-    n = spec.n
-    total = 0.0
-    for sign, d in zip(spec.signs, spec.dims):
-        q = n / (2.0 * d - n)
-        total += (-sign) ** (j - 1) * (1.0 - q**j)
-    return total / j
+    return _signed_sum(spec.signs, _ratios(spec), j) / j
 
 
 def series_coeff_bound(spec: ProductSpec) -> float:
     """First coefficient; it dominates every |series_coeff(spec, j)|."""
+    _ratios(spec)  # rejects Gaussian factors
     n = spec.n
     return sum(2.0 * (d - n) / (2.0 * (d - n) + n) for d in spec.dims)
 
 
 def series_tail_bound(spec: ProductSpec, x, terms: int):
     """Certified bound on the dropped tail after `terms` series terms."""
-    u = np.abs(2.0 * np.asarray(x, dtype=float) - 1.0)
-    bound = series_coeff_bound(spec)
-    with np.errstate(divide="ignore"):
-        out = np.where(u < 1.0, bound * u ** (terms + 1) / (1.0 - u), np.inf)
-    return float(out) if out.ndim == 0 else out
+    return _geometric_tail(series_coeff_bound(spec), terms, x)
 
 
 def log_mean_curve(spec: ProductSpec, x, mode: str = "closed", terms: int = 60):
@@ -196,21 +219,17 @@ def log_mean_curve(spec: ProductSpec, x, mode: str = "closed", terms: int = 60):
     x_arr = np.asarray(x, dtype=float)
     if np.any(~((x_arr > 0) & (x_arr < 1))):
         raise ValueError(f"x: must lie in (0, 1) (got {x!r})")
-    n = spec.n
     c = x_arr - 0.5
     if mode == "closed":
         out = np.zeros(x_arr.shape)
-        for sign, d in zip(spec.signs, spec.dims):
-            out = out + sign * (
-                np.log1p(2.0 * sign * c) - np.log1p((2.0 * n / (2.0 * d - n)) * sign * c)
-            )
+        for sign, q in zip(spec.signs, _ratios(spec)):
+            out = out + sign * (np.log1p(2.0 * sign * c) - np.log1p(2.0 * q * sign * c))
         return float(out) if out.ndim == 0 else out
     if mode == "series":
         if not (isinstance(terms, (int, np.integer)) and terms >= 1):
             raise ValueError(f"terms: must be a positive integer (got {terms!r})")
-        coeffs = np.array([series_coeff(spec, j) for j in range(1, terms + 1)])
-        t = 2.0 * c
-        out = np.polyval(np.append(coeffs[::-1], 0.0), t)
+        coeffs = [series_coeff(spec, j) for j in range(1, terms + 1)]
+        out = _power_series(coeffs, 2.0 * c)
         return float(out) if np.ndim(out) == 0 else out
     raise ValueError(f"mode: expected 'closed' or 'series' (got {mode!r})")
 
@@ -269,13 +288,8 @@ def haar_limit_from_ratios(signs, ratios, terms: int = 80) -> HaarLimit:
         if not (0.0 < a <= 1.0):
             raise ValueError(f"ratios[{k}]: must lie in (0, 1] (got {a!r})")
     q = [a / (2.0 - a) for a in ratios]
-    betas = []
-    for j in range(1, terms + 1):
-        total = sum(
-            (-s) ** (j - 1) * (1.0 - qq**j) for s, qq in zip(signs, q)
-        )
-        betas.append(total / (2.0 * j))
-    return HaarLimit(betas=tuple(betas), tail_bound=betas[0])
+    betas = tuple(_signed_sum(signs, q, j) / (2.0 * j) for j in range(1, terms + 1))
+    return HaarLimit(betas=betas, tail_bound=betas[0])
 
 
 def haar_limit_growing(plus_fraction: float, ratio: float, terms: int = 80) -> HaarLimit:
@@ -296,22 +310,13 @@ def haar_limit_growing(plus_fraction: float, ratio: float, terms: int = 80) -> H
     return HaarLimit(betas=tuple(betas), tail_bound=1.0 - q)
 
 
-def _curve_partial(lim: HaarLimit, t):
-    coeffs = np.asarray(lim.betas)
-    return np.polyval(np.append(coeffs[::-1], 0.0), t)
+def _curve_partial(lim: HaarLimit, x):
+    return _power_series(lim.betas, 2.0 * x - 1.0)
 
 
 def limit_curve_tail(lim: HaarLimit, x):
     """Certified bound on the curve's dropped tail at x in [0, 1]."""
-    u = np.abs(2.0 * np.asarray(x, dtype=float) - 1.0)
-    if lim.tail_bound == 0.0:
-        out = np.zeros(u.shape)
-    else:
-        with np.errstate(divide="ignore"):
-            out = np.where(
-                u < 1.0, lim.tail_bound * u ** (lim.terms + 1) / (1.0 - u), np.inf
-            )
-    return float(out) if out.ndim == 0 else out
+    return _geometric_tail(lim.tail_bound, lim.terms, x)
 
 
 def limit_curve(lim: HaarLimit, x, max_error: float | None = None):
@@ -332,7 +337,7 @@ def limit_curve(lim: HaarLimit, x, max_error: float | None = None):
                 f"tail bound {worst:.3e} exceeds max_error {max_error:.3e}; "
                 f"more terms or a narrower x range needed"
             )
-    out = _curve_partial(lim, 2.0 * x_arr - 1.0)
+    out = _curve_partial(lim, x_arr)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -346,51 +351,24 @@ def curve_inverse_cdf(lim: HaarLimit, value):
     otherwise the bisected preimage of the partial sum to 1e-10.
     """
     v = np.asarray(value, dtype=float)
-    scalar = v.ndim == 0
-    v = np.atleast_1d(v).astype(float)
-    x_lo, x_hi = _CURVE_EDGE, 1.0 - _CURVE_EDGE
-    f_lo = float(_curve_partial(lim, 2.0 * x_lo - 1.0))
-    f_hi = float(_curve_partial(lim, 2.0 * x_hi - 1.0))
-    out = np.zeros(v.shape)
-    out[v >= f_hi] = 1.0
-    active = (v > f_lo) & (v < f_hi)
-    if np.any(active):
-        tgt = v[active]
-        lo = np.full(tgt.shape, x_lo)
-        hi = np.full(tgt.shape, x_hi)
-        # 60 halvings push the bracket below the 1e-10 tolerance
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            go_up = _curve_partial(lim, 2.0 * mid - 1.0) < tgt
-            lo = np.where(go_up, mid, lo)
-            hi = np.where(go_up, hi, mid)
-        out[active] = 0.5 * (lo + hi)
-    return float(out[0]) if scalar else out
+    out = _invert_increasing(
+        lambda x: _curve_partial(lim, x), np.atleast_1d(v), _CURVE_EDGE
+    )
+    return float(out[0]) if v.ndim == 0 else out
 
 
 def curve_inverse_density(lim: HaarLimit, value):
     """Density of the curve's value under a uniform argument; 0 outside."""
     v = np.asarray(value, dtype=float)
-    scalar = v.ndim == 0
-    v = np.atleast_1d(v).astype(float)
-    x = np.atleast_1d(curve_inverse_cdf(lim, v))
-    out = np.zeros(v.shape)
+    x = curve_inverse_cdf(lim, np.atleast_1d(v))
+    out = np.zeros(x.shape)
     inside = (x > _CURVE_EDGE) & (x < 1.0 - _CURVE_EDGE)
-    if np.any(inside):
-        coeffs = np.asarray(lim.betas)
-        dcoeffs = coeffs * np.arange(1, lim.terms + 1)
-        slope = 2.0 * np.polyval(dcoeffs[::-1], 2.0 * x[inside] - 1.0)
-        out[inside] = np.where(slope > 0, 1.0 / np.maximum(slope, 1e-300), 0.0)
-    return float(out[0]) if scalar else out
+    dcoeffs = np.asarray(lim.betas) * np.arange(1, lim.terms + 1)
+    slope = 2.0 * np.polyval(dcoeffs[::-1], 2.0 * x[inside] - 1.0)
+    out[inside] = np.where(slope > 0, 1.0 / np.maximum(slope, 1e-300), 0.0)
+    return float(out[0]) if v.ndim == 0 else out
 
 
 def haar_limit_cdf(lim: HaarLimit, y):
-    """Limiting CDF of the rescaled moduli: the curve CDF at log y."""
-    y_arr = np.asarray(y, dtype=float)
-    scalar = y_arr.ndim == 0
-    y_arr = np.atleast_1d(y_arr).astype(float)
-    out = np.zeros(y_arr.shape)
-    pos = y_arr > 0
-    if np.any(pos):
-        out[pos] = np.atleast_1d(curve_inverse_cdf(lim, np.log(y_arr[pos])))
-    return float(out[0]) if scalar else out
+    """Limiting CDF of the rescaled moduli: the curve CDF at log y, 0 for y <= 0."""
+    return curve_inverse_cdf(lim, _log_or_neg_inf(np.asarray(y, dtype=float)))

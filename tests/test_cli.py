@@ -295,9 +295,19 @@ def test_cli_presets_listing(capsys):
         assert name in text
 
 
-def test_cli_invalid_config_is_exit_2(capsys):
-    assert main(["run", "--ensemble", "ginibre", "--signs", "+"]) == 2
-    assert "error:" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "argv, needle",
+    [(["run", "--ensemble", "ginibre", "--signs", "+"], "error: n:")]
+    + [
+        (["run", "--n", "10", "--signs", "+", "--replicates", "4", f"--gamma={g}"],
+         "error: gamma:")
+        for g in ("-1", "0", "nan", "inf", "abc")
+    ],
+    ids=["no-n", "gamma-negative", "gamma-zero", "gamma-nan", "gamma-inf", "gamma-word"],
+)
+def test_cli_invalid_config_is_exit_2(capsys, argv, needle):
+    assert main(argv) == 2
+    assert needle in capsys.readouterr().err
 
 
 def test_cli_bad_limit_token_is_exit_2(capsys):

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from prodspec.config import HaarProductSpec, SignPattern
+from prodspec.config import GinibreProductSpec, HaarProductSpec, SignPattern
 from prodspec.limit_laws import (
     GinibreLimit,
     HaarLimit,
@@ -300,6 +302,26 @@ def test_log_mean_curve_input_validation():
         log_mean_curve(spec, 0.5, mode="series", terms=0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda spec: series_coeff(spec, 1),
+        series_coeff_bound,
+        lambda spec: series_tail_bound(spec, 0.3, 10),
+        lambda spec: log_mean_curve(spec, 0.3),
+        lambda spec: haar_limit_from_spec(spec, 2.0),
+    ],
+    ids=[
+        "series_coeff", "series_coeff_bound", "series_tail_bound",
+        "log_mean_curve", "haar_limit_from_spec",
+    ],
+)
+def test_series_functions_reject_gaussian_specs(call):
+    # only truncated-unitary factors have the log-mean series
+    with pytest.raises(ValueError, match="dims:"):
+        call(GinibreProductSpec(5, SignPattern.parse("+-")))
+
+
 # --- limit curves from coefficient prefixes ------------------------------
 
 def test_haar_limit_validation():
@@ -436,3 +458,37 @@ def test_haar_limit_cdf_composes_with_log():
     assert np.allclose(haar_limit_cdf(lim, y), curve_inverse_cdf(lim, np.log(y)))
     assert haar_limit_cdf(lim, 0.0) == 0.0
     assert haar_limit_cdf(lim, -2.0) == 0.0
+
+
+# --- properties over drawn laws ------------------------------------------
+
+# sorted, with nonpositive points first and both saturated tails included
+CDF_GRID = np.concatenate([[-np.inf, -1.0, 0.0], np.logspace(-12.0, 12.0, 241)])
+
+
+@st.composite
+def truncated_specs(draw):
+    n = draw(st.integers(2, 30))
+    factors = draw(
+        st.lists(
+            st.tuples(st.sampled_from("+-"), st.integers(n + 1, 3 * n)),
+            min_size=1, max_size=4,
+        )
+    )
+    return haar(n, "".join(s for s, _ in factors), tuple(d for _, d in factors))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    alpha=st.floats(0.0, 1.0),
+    beta=st.floats(0.05, 10.0),
+    spec=truncated_specs(),
+    gamma_n=st.floats(0.5, 8.0),
+)
+def test_limit_cdfs_are_monotone_in_unit_interval_on_drawn_laws(alpha, beta, spec, gamma_n):
+    gin = ginibre_limit_cdf(GinibreLimit(alpha, beta), CDF_GRID[3:])
+    haar_cdf = haar_limit_cdf(haar_limit_from_spec(spec, gamma_n), CDF_GRID)
+    for cdf in (gin, haar_cdf):
+        assert np.all((cdf >= 0.0) & (cdf <= 1.0))
+        assert np.all(np.diff(cdf) >= 0.0)
+    assert np.all(haar_cdf[:3] == 0.0)
