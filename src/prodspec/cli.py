@@ -5,8 +5,8 @@ surrogates and/or the matrix path, compares pooled empirical CDFs with
 the resolved limit law, and writes cdf.csv, angles.csv, and report.json
 into --out. prodspec presets lists the named scenarios.
 
-Exit codes: 0 success, 2 invalid configuration, 3 conditioning abort,
-4 threshold failure under --assert.
+Exit codes: 0 success, 2 invalid configuration or an unwritable --out,
+3 conditioning abort, 4 threshold failure under --assert.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -63,11 +63,12 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    """Everything one run needs; built from flags, file, and preset."""
+    """Everything one run needs; the fields are the settings that flags,
+    config files and presets set, and a field without a default is required."""
 
-    ensemble: str
+    ensemble: str = "ginibre"
     n: int
     signs: str
     gamma: str = "m"
@@ -130,7 +131,6 @@ class ExperimentReport:
     mass_scalar: float | None = None
     mass_matrix: float | None = None
     runtimes: dict = field(default_factory=dict)
-    conditioning_error: str | None = None
 
     def limit_cdf(self):
         """Reference CDF callable for the resolved limit, or None."""
@@ -158,7 +158,6 @@ class ExperimentReport:
             "workers": cfg.workers,
             "preset": cfg.preset or "",
             "limit_kind": self.limit_kind,
-            "conditioning_aborted": self.conditioning_error is not None,
         }
         if isinstance(self.limit, GinibreLimit):
             out["limit_alpha"] = self.limit.alpha
@@ -225,19 +224,24 @@ def resolve_limit(cfg: ExperimentConfig, spec: ProductSpec, plan: ScalingPlan):
     return "haar", lim
 
 
-def _read_betas_file(path: str) -> HaarLimit:
-    betas, bound = [], None
+def _key_value_lines(path: str, cannot_read: str):
+    """Yield (lineno, line, key, sep, value) per non-blank line; '#' starts a comment."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise ConfigError(f"limit: cannot read betas file: {exc}") from None
+        raise ConfigError(f"{cannot_read}: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, val = line.partition("=")
-        if sep and key.strip() != "bound":
-            raise ConfigError(f"limit: unknown betas-file key {key.strip()!r}")
+        if line:
+            key, sep, val = line.partition("=")
+            yield lineno, line, key.strip(), sep, val.strip()
+
+
+def _read_betas_file(path: str) -> HaarLimit:
+    betas, bound = [], None
+    for lineno, line, key, sep, val in _key_value_lines(path, "limit: cannot read betas file"):
+        if sep and key != "bound":
+            raise ConfigError(f"limit: unknown betas-file key {key!r}")
         try:
             value = float(val if sep else line)
         except ValueError:
@@ -281,37 +285,29 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     root = RngStream(cfg.seed)
     cdf = report.limit_cdf()
 
-    if cfg.mode in ("scalar", "both"):
+    # stream key (key, r): this path, replicate r; the samplers are looked
+    # up at call time so that they can be patched on this module
+    for key, path, draw in (
+        (0, "scalar", lambda rng: sample_radial_spectrum(spec, rng).log_radii),
+        (1, "matrix", lambda rng: sample_product_eigenvalues(spec, rng)),
+    ):
+        if cfg.mode not in (path, "both"):
+            continue
         t0 = time.perf_counter()
-        # stream key (0, r): scalar path, replicate r
-        draws = _map_replicates(
-            lambda r: sample_radial_spectrum(spec, root.substream(0, r)).log_radii,
-            cfg.replicates,
-            cfg.workers,
-        )
-        ecdf = build_ecdf(draws, plan)
-        report.scalar_ecdf = ecdf
-        report.mass_scalar = _mass_in_window(ecdf.values)
-        if kind != "degenerate":
-            report.ks_results["scalar"] = ks_one_sample(ecdf, cdf, label="scalar vs limit")
-        report.runtimes["scalar"] = time.perf_counter() - t0
-
-    if cfg.mode in ("matrix", "both"):
-        t0 = time.perf_counter()
-        # stream key (1, r): matrix path, replicate r
         samples = _map_replicates(
-            lambda r: sample_product_eigenvalues(spec, root.substream(1, r)),
-            cfg.replicates,
-            cfg.workers,
+            lambda r: draw(root.substream(key, r)), cfg.replicates, cfg.workers
         )
-        ecdf = build_ecdf([s.log_moduli for s in samples], plan)
-        report.matrix_ecdf = ecdf
-        report.mass_matrix = _mass_in_window(ecdf.values)
-        report.pooled_angles = np.concatenate([s.angles for s in samples])
+        ecdf = build_ecdf(
+            samples if path == "scalar" else [s.log_moduli for s in samples], plan
+        )
+        setattr(report, f"{path}_ecdf", ecdf)
+        setattr(report, f"mass_{path}", _mass_in_window(ecdf.values))
         if kind != "degenerate":
-            report.ks_results["matrix"] = ks_one_sample(ecdf, cdf, label="matrix vs limit")
-        report.ks_results["angles"] = angle_uniformity(report.pooled_angles)
-        report.runtimes["matrix"] = time.perf_counter() - t0
+            report.ks_results[path] = ks_one_sample(ecdf, cdf, label=f"{path} vs limit")
+        if path == "matrix":
+            report.pooled_angles = np.concatenate([s.angles for s in samples])
+            report.ks_results["angles"] = angle_uniformity(report.pooled_angles)
+        report.runtimes[path] = time.perf_counter() - t0
 
     if report.scalar_ecdf is not None and report.matrix_ecdf is not None:
         report.ks_results["paths"] = ks_two_sample(
@@ -323,14 +319,18 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 # output files
 
-def _fmt(value) -> str:
-    return repr(float(value))
-
-
 def _quantile_grid(values: np.ndarray, points: int = 1001) -> np.ndarray:
     # deterministic order-statistic grid; repr of the same doubles is stable
     idx = np.round(np.linspace(0, len(values) - 1, points)).astype(int)
     return np.unique(values[idx])
+
+
+def _write_cdf_csv(path: Path, header: str, ecdf: EmpiricalCdf, reference) -> None:
+    """One row per quantile-grid point: the point, the ECDF, reference(grid)."""
+    grid = _quantile_grid(ecdf.values)
+    rows = zip(grid, ecdf.evaluate(grid), np.asarray(reference(grid), dtype=float))
+    lines = [header] + [",".join(repr(float(v)) for v in row) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
 
 
 def write_outputs(report: ExperimentReport, out_dir) -> None:
@@ -338,26 +338,13 @@ def write_outputs(report: ExperimentReport, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ecdf = report.scalar_ecdf if report.scalar_ecdf is not None else report.matrix_ecdf
-    cdf = report.limit_cdf()
     if ecdf is not None:
-        grid = _quantile_grid(ecdf.values)
-        ref = np.asarray(cdf(grid), dtype=float)
-        emp = ecdf.evaluate(grid)
-        lines = ["y,empirical,limit"]
-        lines += [
-            f"{_fmt(y)},{_fmt(e)},{_fmt(f)}" for y, e, f in zip(grid, emp, ref)
-        ]
-        (out / "cdf.csv").write_text("\n".join(lines) + "\n")
+        _write_cdf_csv(out / "cdf.csv", "y,empirical,limit", ecdf, report.limit_cdf())
     if report.pooled_angles is not None:
-        th = np.sort(report.pooled_angles)
-        grid = _quantile_grid(th)
-        ecdf_th = EmpiricalCdf(values=th)
-        lines = ["theta,empirical,uniform"]
-        lines += [
-            f"{_fmt(t)},{_fmt(e)},{_fmt(t / TWO_PI)}"
-            for t, e in zip(grid, ecdf_th.evaluate(grid))
-        ]
-        (out / "angles.csv").write_text("\n".join(lines) + "\n")
+        _write_cdf_csv(
+            out / "angles.csv", "theta,empirical,uniform",
+            EmpiricalCdf(values=report.pooled_angles), lambda t: t / TWO_PI,
+        )
     record = report.record()
     record["wall_clock_s"] = sum(report.runtimes.values())
     (out / "report.json").write_text(json.dumps(record, sort_keys=True, indent=2) + "\n")
@@ -366,54 +353,26 @@ def write_outputs(report: ExperimentReport, out_dir) -> None:
 # ---------------------------------------------------------------------------
 # presets
 
-def _preset_ginibre_allplus(n):
-    return {"ensemble": "ginibre", "signs": "++++", "gamma": "m"}
-
-
-def _preset_spherical(n):
-    return {"ensemble": "ginibre", "signs": "-+", "gamma": "2"}
-
-
-def _preset_haar_remark4i(n):
-    return {
-        "ensemble": "haar", "signs": "++", "gamma": "2",
-        "dims": (n + 1, n + 1),
-    }
-
-
-def _preset_haar_remark4ii(n):
-    return {
-        "ensemble": "haar", "signs": "+-", "gamma": "2",
-        "dims": (2 * n, 2 * n),
-    }
-
-
-def _preset_haar_remark5(n):
-    return {
-        "ensemble": "haar", "signs": "+" * 8, "gamma": "m",
-        "dims": (2 * n,) * 8,
-    }
-
-
+# name -> (settings template as a function of n, description)
 PRESETS = {
     "ginibre-allplus": (
-        _preset_ginibre_allplus,
+        lambda n: {"ensemble": "ginibre", "signs": "++++", "gamma": "m"},
         "four direct Gaussian factors; rescaled moduli approach Unif[0,1]",
     ),
     "spherical": (
-        _preset_spherical,
+        lambda n: {"ensemble": "ginibre", "signs": "-+", "gamma": "2"},
         "inverse Gaussian times Gaussian; radial limit CDF y^2/(1+y^2)",
     ),
     "haar-remark4i": (
-        _preset_haar_remark4i,
+        lambda n: {"ensemble": "haar", "signs": "++", "gamma": "2", "dims": (n + 1,) * 2},
         "two near-square truncations; rescaled moduli concentrate at 1",
     ),
     "haar-remark4ii": (
-        _preset_haar_remark4ii,
+        lambda n: {"ensemble": "haar", "signs": "+-", "gamma": "2", "dims": (2 * n,) * 2},
         "half-size truncation times an inverted one; series limit curve",
     ),
     "haar-remark5": (
-        _preset_haar_remark5,
+        lambda n: {"ensemble": "haar", "signs": "+" * 8, "gamma": "m", "dims": (2 * n,) * 8},
         "eight direct half-size truncations with the power tied to the count",
     ),
 }
@@ -428,31 +387,22 @@ def apply_preset(name: str, n: int) -> dict:
 # ---------------------------------------------------------------------------
 # argument handling
 
-_FILE_KEYS = {
-    "ensemble", "n", "signs", "dims", "gamma", "replicates", "mode",
-    "seed", "workers", "limit", "out", "preset",
-}
-_INT_KEYS = {"n", "replicates", "seed", "workers"}
-
-
 def parse_config_file(path: str) -> dict:
-    """Read flat key = value lines; '#' starts a comment."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"config: cannot read {path}: {exc}") from None
+    """Read flat key = value lines, one ExperimentConfig field each; '#' starts a comment.
+
+    Integer fields come back as int; every other value stays a string.
+    """
+    types = {f.name: f.type for f in fields(ExperimentConfig)}
     out = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, val = line.partition("=")
-        key, val = key.strip(), val.strip()
+    for lineno, _, key, sep, val in _key_value_lines(path, f"config: cannot read {path}"):
         if not sep or not key or not val:
             raise ConfigError(f"config: line {lineno}: expected 'key = value'")
-        if key not in _FILE_KEYS:
+        if key not in types:
             raise ConfigError(f"config: line {lineno}: unknown key {key!r}")
-        out[key] = val
+        try:
+            out[key] = int(val) if types[key] == "int" else val
+        except ValueError:
+            raise ConfigError(f"{key}: expected an integer (got {val!r})") from None
     return out
 
 
@@ -464,52 +414,30 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 
 
 def build_config(args) -> ExperimentConfig:
-    """Layer defaults, config file, preset, then explicit flags."""
+    """Layer field defaults, config file, preset, then explicit flags.
+
+    args holds config and one attribute per ExperimentConfig field, None when unset.
+    """
     settings = {
-        "ensemble": "ginibre", "n": None, "signs": None, "gamma": "m",
-        "dims": None, "replicates": 200, "mode": "scalar", "seed": 0,
-        "workers": 1, "limit": "auto", "out": None, "preset": None,
+        f.name: None if f.default is MISSING else f.default
+        for f in fields(ExperimentConfig)
     }
     if args.config:
-        file_settings = parse_config_file(args.config)
-        for key, val in file_settings.items():
-            settings[key] = int(val) if key in _INT_KEYS else val
-    if args.preset:
-        settings["preset"] = args.preset
-    flag_items = {
-        "ensemble": args.ensemble, "n": args.n, "signs": args.signs,
-        "gamma": args.gamma, "dims": args.dims, "replicates": args.replicates,
-        "mode": args.mode, "seed": args.seed, "workers": args.workers,
-        "limit": args.limit, "out": args.out,
-    }
-    if settings["preset"]:
-        if settings["n"] is None and flag_items["n"] is None:
+        settings.update(parse_config_file(args.config))
+    flags = {k: getattr(args, k) for k in settings if getattr(args, k) is not None}
+    preset = flags.get("preset", settings["preset"])
+    if preset:
+        n = flags.get("n", settings["n"])
+        if n is None:
             raise ConfigError("n: presets still need --n")
-        n_for_preset = flag_items["n"] if flag_items["n"] is not None else settings["n"]
-        settings.update(apply_preset(settings["preset"], int(n_for_preset)))
-    for key, val in flag_items.items():
-        if val is not None:
-            settings[key] = val
-    if settings["n"] is None:
-        raise ConfigError("n: required")
-    if settings["signs"] is None:
-        raise ConfigError("signs: required")
+        settings.update(apply_preset(preset, n))
+    settings.update(flags)
+    for f in fields(ExperimentConfig):
+        if f.default is MISSING and settings[f.name] is None:
+            raise ConfigError(f"{f.name}: required")
     if isinstance(settings["dims"], str):
         settings["dims"] = _parse_dims(settings["dims"])
-    return ExperimentConfig(
-        ensemble=str(settings["ensemble"]),
-        n=int(settings["n"]),
-        signs=str(settings["signs"]),
-        gamma=str(settings["gamma"]),
-        dims=settings["dims"],
-        replicates=int(settings["replicates"]),
-        mode=str(settings["mode"]),
-        seed=int(settings["seed"]),
-        workers=int(settings["workers"]),
-        limit=str(settings["limit"]),
-        out=settings["out"],
-        preset=settings["preset"],
-    )
+    return ExperimentConfig(**settings)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -542,8 +470,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_presets() -> int:
     width = max(len(name) for name in PRESETS)
-    for name, (builder, desc) in PRESETS.items():
-        template = builder(100)
+    for name, (template_of, desc) in PRESETS.items():
+        template = template_of(100)
         parts = [f"signs={template['signs']}", f"gamma={template['gamma']}"]
         if "dims" in template:
             parts.append("dims=" + ",".join(str(d) for d in template["dims"]))
@@ -569,7 +497,11 @@ def _cmd_run(args) -> int:
         print(f"error: conditioning abort: {exc}", file=sys.stderr)
         return 3
     if cfg.out:
-        write_outputs(report, cfg.out)
+        try:
+            write_outputs(report, cfg.out)
+        except OSError as exc:
+            print(f"error: out: {exc}", file=sys.stderr)
+            return 2
     for key, val in sorted(report.record().items()):
         print(f"{key} = {val}")
     if args.assert_mode:

@@ -260,6 +260,10 @@ class HaarLimit:
             raise ValueError(f"tail_bound: must be finite and >= 0 (got {self.tail_bound!r})")
         object.__setattr__(self, "betas", betas)
         object.__setattr__(self, "tail_bound", float(self.tail_bound))
+        # the inverter brackets its targets between the curve's two ends
+        lo, hi = (float(_curve_partial(self, x)) for x in (_CURVE_EDGE, 1.0 - _CURVE_EDGE))
+        if not hi > lo:
+            raise ValueError(f"betas: partial sum must rise from x=0 to x=1 (got {lo!r} to {hi!r})")
 
     @property
     def terms(self) -> int:

@@ -1,6 +1,9 @@
 """CLI layer: config layering, limit resolution, runs, files, exit codes."""
 
+import argparse
 import json
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +33,19 @@ def parse_run(*argv):
 
 def config_from(*argv) -> ExperimentConfig:
     return build_config(parse_run(*argv))
+
+
+def test_run_flags_match_config_fields_and_readme():
+    # the ExperimentConfig fields are the one list of run settings: each
+    # needs its flag, and each flag its row in the README flag table
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    actions = [a for a in sub.choices["run"]._actions if a.dest != "help"]
+    assert {a.dest for a in actions} == (
+        {f.name for f in fields(ExperimentConfig)} | {"config", "assert_mode"}
+    )
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for flag in (s for a in actions for s in a.option_strings):
+        assert f"| `{flag}` |" in readme, flag
 
 
 def test_flags_alone_build_a_config():
@@ -218,7 +234,6 @@ def test_run_experiment_scalar_report():
     assert "scalar" in report.runtimes
     rec = report.record()
     assert rec["limit_alpha"] == 0.5 and rec["ks_scalar_n"] == 240
-    assert rec["conditioning_aborted"] is False
 
 
 def test_run_experiment_deterministic_across_workers():
@@ -302,11 +317,21 @@ def test_cli_presets_listing(capsys):
         (["run", "--n", "10", "--signs", "+", "--replicates", "4", f"--gamma={g}"],
          "error: gamma:")
         for g in ("-1", "0", "nan", "inf", "abc")
+    ]
+    + [
+        (["run", "--config", "{tmp}/word-n.cfg"], "error: n: expected an integer (got 'abc')"),
+        (["run", "--config", "{tmp}/float-workers.cfg"],
+         "error: workers: expected an integer (got '2.5')"),
     ],
-    ids=["no-n", "gamma-negative", "gamma-zero", "gamma-nan", "gamma-inf", "gamma-word"],
+    ids=[
+        "no-n", "gamma-negative", "gamma-zero", "gamma-nan", "gamma-inf", "gamma-word",
+        "config-n-word", "config-workers-float",
+    ],
 )
-def test_cli_invalid_config_is_exit_2(capsys, argv, needle):
-    assert main(argv) == 2
+def test_cli_invalid_config_is_exit_2(tmp_path, capsys, argv, needle):
+    (tmp_path / "word-n.cfg").write_text("n = abc\nsigns = +\n")
+    (tmp_path / "float-workers.cfg").write_text("n = 10\nsigns = +\nworkers = 2.5\n")
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 2
     assert needle in capsys.readouterr().err
 
 
@@ -327,23 +352,39 @@ def test_cli_bad_limit_token_is_exit_2(capsys):
         (["--limit", "ginibre:2,1"], "alpha:"),
         (["--limit", "betas:{tmp}/word.txt"], "line 2"),
         (["--limit", "betas:{tmp}/negative.txt"], "betas[0]:"),
+        (["--limit", "betas:{tmp}/falling.txt"], "limit: betas: partial sum must rise"),
         (["--gamma", "1e-300"], "gamma"),
         (["--gamma", "0.003"], "gamma"),
     ],
     ids=[
         "ginibre-beta-zero", "ginibre-alpha-above-one", "betas-file-word",
-        "betas-file-negative-first", "gamma-overflow", "gamma-underflow",
+        "betas-file-negative-first", "betas-file-falling", "gamma-overflow",
+        "gamma-underflow",
     ],
 )
 def test_cli_values_rejected_mid_run_are_exit_2(tmp_path, capsys, flags, needle):
     # limit objects and the rescaled range only exist once the run starts
     (tmp_path / "word.txt").write_text("0.5\nhalf\n")
     (tmp_path / "negative.txt").write_text("-0.5\n0.25\n")
+    (tmp_path / "falling.txt").write_text("1\n0\n-2\n")
     argv = ["run", "--n", "10", "--signs", "+", "--replicates", "4"]
     code = main(argv + [f.format(tmp=tmp_path) for f in flags])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and needle in err
+
+
+@pytest.mark.parametrize(
+    "out", ["{tmp}/afile", "{tmp}/afile/sub"], ids=["out-is-a-file", "out-under-a-file"]
+)
+def test_cli_unwritable_out_is_exit_2(tmp_path, capsys, out):
+    (tmp_path / "afile").write_text("taken\n")
+    code = main(
+        ["run", "--n", "10", "--signs", "+", "--replicates", "4",
+         "--out", out.format(tmp=tmp_path)]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: out:")
 
 
 def test_cli_conditioning_abort_is_exit_3(monkeypatch, capsys):

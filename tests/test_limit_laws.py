@@ -333,6 +333,9 @@ def test_haar_limit_validation():
         HaarLimit(betas=(1.0, math.nan))
     with pytest.raises(ValueError, match="tail_bound"):
         HaarLimit(betas=(1.0,), tail_bound=-0.5)
+    # u - 2u^3 falls from 1 at x=0 to -1 at x=1: no bracket for the inverter
+    with pytest.raises(ValueError, match="betas: partial sum must rise"):
+        HaarLimit(betas=(1.0, 0.0, -2.0))
 
 
 def test_haar_limit_from_spec_scales_coefficients():
