@@ -35,7 +35,7 @@ def pooled_ecdf(spec, gamma, seed):
     plan = ScalingPlan.for_spec(spec, gamma)
     root = RngStream(seed)
     draws = [
-        sample_radial_spectrum(spec, root.substream(0, r)).log_radii
+        sample_radial_spectrum(spec, root.substream(0, r))
         for r in range(REPLICATES)
     ]
     return build_ecdf(draws, plan)

@@ -41,7 +41,7 @@ def compare(spec, seed):
     t0 = time.perf_counter()
     scalar = np.concatenate(
         [
-            sample_radial_spectrum(spec, root.substream(0, r)).log_radii
+            sample_radial_spectrum(spec, root.substream(0, r))
             for r in range(REPLICATES)
         ]
     )

@@ -48,7 +48,6 @@ from .numerics import (
     log_gamma,
 )
 from .scalar_model import (
-    LogSpectrum,
     factor_shape,
     log_mgf_ginibre,
     log_mgf_haar,
@@ -63,6 +62,7 @@ from .stats import (
     KsReport,
     angle_uniformity,
     build_ecdf,
+    fold_angles,
     ks_one_sample,
     ks_threshold,
     ks_two_sample,

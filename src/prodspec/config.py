@@ -88,18 +88,22 @@ class ProductSpec:
     def plus_count(self) -> int:
         return self.signs.plus_count
 
+    @property
+    def ratios(self) -> list[float] | None:
+        """Per-factor q_k = n / (2 dims[k] - n), or None for Gaussian factors."""
+        if self.dims is None:
+            return None
+        return [self.n / (2.0 * d - self.n) for d in self.dims]
+
     def log_scale(self) -> float:
         """log of the normalizing scale, kept in log form.
 
-        The scale is n^(2p - m) for Gaussian factors and
-        prod_k (n / (2 dims[k] - n))^(sign_k) for truncations.
+        The scale is n^(2p - m) for Gaussian factors and prod_k q_k^(sign_k)
+        for truncations.
         """
-        n = self.n
         if self.dims is None:
-            return sum(self.signs) * math.log(n)
-        return sum(
-            s * math.log(n / (2 * d - n)) for s, d in zip(self.signs, self.dims)
-        )
+            return sum(self.signs) * math.log(self.n)
+        return sum(s * math.log(q) for s, q in zip(self.signs, self.ratios))
 
 
 def GinibreProductSpec(n: int, signs: SignPattern) -> ProductSpec:

@@ -164,7 +164,7 @@ def _ratios(spec: ProductSpec) -> list[float]:
     """Per-factor q_k = n / (2 dims[k] - n); only truncations have a series."""
     if spec.dims is None:
         raise ValueError("dims: the series needs truncated-unitary factors (got none)")
-    return [spec.n / (2.0 * d - spec.n) for d in spec.dims]
+    return spec.ratios
 
 
 def _signed_sum(signs, ratios, j: int) -> float:

@@ -16,6 +16,7 @@ from scipy.linalg import lapack, lu_factor, lu_solve
 
 from .config import ProductSpec
 from .numerics import RngStream
+from .stats import fold_angles
 
 # refuse solves beyond this estimated condition number
 CONDITION_LIMIT = 1e12
@@ -65,13 +66,6 @@ def truncate(u: np.ndarray, n: int) -> np.ndarray:
     return np.ascontiguousarray(u[:n, :n])
 
 
-def _fold_angles(theta: np.ndarray) -> np.ndarray:
-    theta = np.mod(theta, 2.0 * np.pi)
-    # mod of a tiny negative can round up to the period itself
-    theta[theta >= 2.0 * np.pi] = 0.0
-    return theta
-
-
 def product_eigenvalues(factors, signs) -> EigenSample:
     """Eigenvalues of factors[0]^s0 * factors[1]^s1 * ... with s in {+1,-1}.
 
@@ -113,7 +107,7 @@ def product_eigenvalues(factors, signs) -> EigenSample:
     eig = np.linalg.eigvals(prod)
     return EigenSample(
         log_moduli=np.log(np.abs(eig)),
-        angles=_fold_angles(np.angle(eig)),
+        angles=fold_angles(np.angle(eig)),
     )
 
 

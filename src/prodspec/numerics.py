@@ -11,30 +11,31 @@ import numpy as np
 from scipy import special
 
 
+def _positive(name: str, *args):
+    """args as float arrays; raises ValueError naming `name` unless all are > 0."""
+    arrays = [np.asarray(a, dtype=float) for a in args]
+    if any(np.any(~(a > 0)) for a in arrays):
+        raise ValueError(f"{name}: arguments must be > 0 (got {', '.join(map(repr, arrays))})")
+    return arrays
+
+
 def log_gamma(x):
     """log of the gamma function for x > 0."""
-    x = np.asarray(x, dtype=float)
-    if np.any(~(x > 0)):
-        raise ValueError(f"log_gamma: argument must be > 0 (got {x!r})")
+    (x,) = _positive("log_gamma", x)
     out = special.gammaln(x)
     return float(out) if out.ndim == 0 else out
 
 
 def digamma(x):
     """Logarithmic derivative of the gamma function for x > 0."""
-    x = np.asarray(x, dtype=float)
-    if np.any(~(x > 0)):
-        raise ValueError(f"digamma: argument must be > 0 (got {x!r})")
+    (x,) = _positive("digamma", x)
     out = special.psi(x)
     return float(out) if out.ndim == 0 else out
 
 
 def log_beta(a, b):
     """log of the beta function, log_gamma(a) + log_gamma(b) - log_gamma(a+b)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if np.any(~(a > 0)) or np.any(~(b > 0)):
-        raise ValueError(f"log_beta: arguments must be > 0 (got {a!r}, {b!r})")
+    a, b = _positive("log_beta", a, b)
     out = special.betaln(a, b)
     return float(out) if out.ndim == 0 else out
 
@@ -58,17 +59,10 @@ class RngStream:
         return RngStream(self.seed, self.path + tuple(indices))
 
     def gamma(self, shape, size=None):
-        shape = np.asarray(shape, dtype=float)
-        if np.any(~(shape > 0)):
-            raise ValueError(f"gamma: shape must be > 0 (got {shape!r})")
-        return self._gen.gamma(shape, size=size)
+        return self._gen.gamma(*_positive("gamma", shape), size=size)
 
     def beta(self, a, b, size=None):
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if np.any(~(a > 0)) or np.any(~(b > 0)):
-            raise ValueError(f"beta: parameters must be > 0 (got {a!r}, {b!r})")
-        return self._gen.beta(a, b, size=size)
+        return self._gen.beta(*_positive("beta", a, b), size=size)
 
     def standard_normal(self, size=None):
         return self._gen.standard_normal(size=size)

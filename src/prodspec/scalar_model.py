@@ -12,7 +12,6 @@ ratios and are kept in log form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,26 +19,18 @@ from .config import ProductSpec
 from .numerics import RngStream, log_beta, log_gamma
 
 
-@dataclass(frozen=True)
-class LogSpectrum:
-    """Logs of one replicate's n radial surrogates, index j at position j-1."""
-
-    log_radii: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.log_radii)
+def _shape(n, j, sign):
+    """Shape of the j-th surrogate's draw for one factor; j may be an array."""
+    return j if sign == 1 else n + 1 - j
 
 
 def factor_shape(n: int, j: int, sign: int) -> int:
     """First shape parameter of the j-th surrogate's draw for one factor."""
     if not (1 <= j <= n):
         raise ValueError(f"j: must lie in 1..{n} (got {j})")
-    if sign == 1:
-        return j
-    if sign == -1:
-        return n + 1 - j
-    raise ValueError(f"sign: must be +-1 (got {sign!r})")
+    if sign not in (1, -1):
+        raise ValueError(f"sign: must be +-1 (got {sign!r})")
+    return _shape(n, j, sign)
 
 
 def _check_index(spec, j):
@@ -59,16 +50,15 @@ def _log_norm(shape, b):
     return log_gamma(shape) if b is None else log_beta(shape, b)
 
 
-def _log_radius_draws(spec: ProductSpec, up, down, rng: RngStream, size=None):
-    """Half the signed sum of one log draw per factor.
+def _log_radius_draws(spec: ProductSpec, j, rng: RngStream, size=None):
+    """Half the signed sum of one log draw per factor for index (or indices) j.
 
     Each draw is Gamma(shape) for a Gaussian factor and Beta(shape, b) for a
-    truncation, with shape `up` for a direct factor and `down` for an
-    inverted one.
+    truncation, with the factor's _shape.
     """
     out = 0.0
     for sign, b in _factors(spec):
-        shape = up if sign == 1 else down
+        shape = _shape(spec.n, j, sign)
         draw = rng.gamma(shape, size=size) if b is None else rng.beta(shape, b, size=size)
         out = out + 0.5 * sign * np.log(draw)
     return out
@@ -81,26 +71,25 @@ def sample_log_radius_ginibre(spec: ProductSpec, j: int, rng: RngStream, size=No
     exported as sample_log_radius_haar.
     """
     _check_index(spec, j)
-    return _log_radius_draws(spec, float(j), float(spec.n + 1 - j), rng, size)
+    return _log_radius_draws(spec, float(j), rng, size)
 
 
 sample_log_radius_haar = sample_log_radius_ginibre
 
 
-def sample_radial_spectrum(spec: ProductSpec, rng: RngStream) -> LogSpectrum:
-    """Draw all n surrogate logs of one replicate.
+def sample_radial_spectrum(spec: ProductSpec, rng: RngStream) -> np.ndarray:
+    """Draw the logs of one replicate's n surrogates, index j at position j-1.
 
     Draws are vectorized over j one factor at a time, so a single stream
     per replicate fixes every value regardless of scheduling.
     """
-    up = np.arange(1, spec.n + 1, dtype=float)
-    return LogSpectrum(log_radii=_log_radius_draws(spec, up, up[::-1].copy(), rng))
+    return _log_radius_draws(spec, np.arange(1, spec.n + 1, dtype=float), rng)
 
 
 def _check_t_domain(spec, j, t):
     # each bound binds only when a factor of that orientation is present
-    lo = -2.0 * j if spec.plus_count > 0 else -math.inf
-    hi = 2.0 * (spec.n + 1 - j) if spec.plus_count < spec.m else math.inf
+    lo = -2.0 * _shape(spec.n, j, 1) if spec.plus_count > 0 else -math.inf
+    hi = 2.0 * _shape(spec.n, j, -1) if spec.plus_count < spec.m else math.inf
     if not (lo < t < hi):
         raise ValueError(f"t: must lie in ({lo}, {hi}) for j={j} (got {t})")
 
@@ -119,7 +108,7 @@ def log_mgf_ginibre(spec: ProductSpec, j: int, t: float) -> float:
     _check_t_domain(spec, j, t)
     out = 0.0
     for sign, b in _factors(spec):
-        shape = factor_shape(spec.n, j, sign)
+        shape = _shape(spec.n, j, sign)
         out += _log_norm(shape + sign * t / 2.0, b) - _log_norm(float(shape), b)
     return float(out)
 
@@ -140,7 +129,7 @@ def log_weight_moment(spec: ProductSpec, t: float) -> float:
     n, m = spec.n, spec.m
     out = (m - 1) * np.log(np.pi) - np.log(2.0)
     for sign, b in _factors(spec):
-        arg = 0.5 * (n + 1 + sign * (t - n))
+        arg = _shape(n, 0.5 * (t + 1.0), sign)
         if not (arg > 0):
             raise ValueError(f"t: factor argument {arg} not positive (t={t})")
         out += _log_norm(arg, b)

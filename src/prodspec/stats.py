@@ -97,11 +97,17 @@ def ks_two_sample(a: EmpiricalCdf, b: EmpiricalCdf, label: str = "two-sample") -
     """Sup distance between two step CDFs, evaluated over both supports."""
     grid = np.concatenate([a.values, b.values])
     grid.sort(kind="mergesort")
-    fa = np.searchsorted(a.values, grid, side="right") / a.n
-    fb = np.searchsorted(b.values, grid, side="right") / b.n
     return KsReport(
-        statistic=float(np.max(np.abs(fa - fb))), n=a.n, n2=b.n, label=label
+        statistic=float(np.max(np.abs(a.evaluate(grid) - b.evaluate(grid)))),
+        n=a.n, n2=b.n, label=label,
     )
+
+
+def fold_angles(theta):
+    """Angles taken mod 2*pi into [0, 2*pi)."""
+    theta = np.mod(theta, TWO_PI)
+    # mod of a tiny negative can round up to the period itself
+    return np.where(theta >= TWO_PI, 0.0, theta)
 
 
 def angle_uniformity(angles, label: str = "angles") -> KsReport:
@@ -111,8 +117,7 @@ def angle_uniformity(angles, label: str = "angles") -> KsReport:
         raise ValueError("angles: need a nonempty sample")
     if np.any(~np.isfinite(th)) or np.any(th < 0) or np.any(th > TWO_PI):
         raise ValueError("angles: entries must lie in [0, 2*pi]")
-    th = np.where(th >= TWO_PI, 0.0, th)  # the period itself folds to 0
-    ecdf = EmpiricalCdf(values=th)
+    ecdf = EmpiricalCdf(values=fold_angles(th))
     return ks_one_sample(ecdf, lambda t: np.clip(t / TWO_PI, 0.0, 1.0), label=label)
 
 

@@ -1,12 +1,16 @@
 """CLI layer: config layering, limit resolution, runs, files, exit codes."""
 
 import argparse
+import contextlib
+import io
 import json
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prodspec.cli import (
     DEGENERATE_THRESHOLD,
@@ -76,6 +80,15 @@ def test_config_file_layering(tmp_path):
     # explicit flags win over the file
     cfg = config_from("--config", str(p), "--n", "25", "--gamma", "4")
     assert (cfg.n, cfg.gamma) == (25, "4")
+    # a preset, named in the file or by flag, sits under the file's settings
+    p.write_text("preset = haar-remark4ii\ngamma = 5\nmode = both\n")
+    cfg = config_from("--config", str(p), "--n", "9")
+    assert (cfg.preset, cfg.ensemble, cfg.dims) == ("haar-remark4ii", "haar", (18, 18))
+    assert (cfg.gamma, cfg.mode) == ("5", "both")
+    cfg = config_from("--config", str(p), "--n", "9", "--preset", "spherical")
+    assert (cfg.preset, cfg.signs, cfg.gamma) == ("spherical", "-+", "5")
+    cfg = config_from("--config", str(p), "--n", "9", "--gamma", "3")
+    assert cfg.gamma == "3"
 
 
 def test_config_file_rejects_bad_lines(tmp_path):
@@ -377,7 +390,12 @@ def test_cli_values_rejected_mid_run_are_exit_2(tmp_path, capsys, flags, needle)
 @pytest.mark.parametrize(
     "out", ["{tmp}/afile", "{tmp}/afile/sub"], ids=["out-is-a-file", "out-under-a-file"]
 )
-def test_cli_unwritable_out_is_exit_2(tmp_path, capsys, out):
+def test_cli_unwritable_out_is_exit_2(tmp_path, capsys, monkeypatch, out):
+    # the --out check comes before the sampling, so no run is lost to it
+    def never(cfg):
+        raise AssertionError("run_experiment called before --out was checked")
+
+    monkeypatch.setattr("prodspec.cli.run_experiment", never)
     (tmp_path / "afile").write_text("taken\n")
     code = main(
         ["run", "--n", "10", "--signs", "+", "--replicates", "4",
@@ -424,3 +442,49 @@ def test_cli_assert_passes_on_matching_limit(capsys):
     )
     assert code == 0
     capsys.readouterr()
+
+
+_MISSING_BETAS = Path(__file__).with_name("no-such-betas-file.txt")
+
+
+@st.composite
+def run_argvs(draw):
+    """`run` argv lists over small value pools, invalid values included."""
+    pools = {
+        "ensemble": st.sampled_from(["ginibre", "haar"]),
+        "n": st.integers(0, 6).map(str),
+        "signs": st.sampled_from(["", "x", "+", "-", "+-", "-+", "-+-", "+-+-+-+-+"]),
+        "dims": st.one_of(
+            st.just("a"),
+            st.lists(st.integers(1, 9), min_size=1, max_size=3).map(
+                lambda ds: ",".join(map(str, ds))
+            ),
+        ),
+        "gamma": st.sampled_from(["m", "2", "nan", "-1", "1e-300"]),
+        "replicates": st.integers(0, 3).map(str),
+        "mode": st.sampled_from(["scalar", "matrix", "both"]),
+        "workers": st.sampled_from(["0", "1", "2"]),
+        "limit": st.sampled_from(
+            ["auto", "degenerate", "ginibre:0.5,1", "ginibre:0.5,0", "ginibre:a",
+             "bogus", f"betas:{_MISSING_BETAS}"]
+        ),
+    }
+    argv = ["run"]
+    for name, pool in pools.items():
+        # n and signs are required, so always give them to reach the run
+        if name in ("n", "signs") or draw(st.booleans()):
+            argv.append(f"--{name}={draw(pool)}")
+    if draw(st.booleans()):
+        argv.append("--assert")
+    return argv
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(argv=run_argvs())
+def test_cli_contract_on_drawn_run_flags(argv):
+    # coverage of the documented contract: exit 0/2/3/4, never a traceback
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

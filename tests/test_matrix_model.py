@@ -193,7 +193,7 @@ def test_matrix_and_scalar_radii_share_a_law():
     mat, sca = [], []
     for r in range(150):
         mat.append(sample_product_eigenvalues(spec, rng.substream(0, r)).log_moduli)
-        sca.append(sample_radial_spectrum(spec, rng.substream(1, r)).log_radii)
+        sca.append(sample_radial_spectrum(spec, rng.substream(1, r)))
     report = ks_two_sample(
         EmpiricalCdf(np.concatenate(mat)), EmpiricalCdf(np.concatenate(sca))
     )
