@@ -42,8 +42,6 @@ from .matrix_model import (
 )
 from .numerics import (
     RngStream,
-    digamma,
-    invert_monotone,
     log_beta,
     log_gamma,
 )

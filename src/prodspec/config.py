@@ -133,9 +133,6 @@ class ScalingPlan:
     def for_spec(cls, spec: ProductSpec, gamma_n: float) -> "ScalingPlan":
         return cls(gamma_n=float(gamma_n), log_scale=spec.log_scale())
 
-    def to_dict(self) -> dict:
-        return {"gamma_n": self.gamma_n, "log_scale": self.log_scale}
-
 
 def resolve_gamma(token, m: int) -> float:
     """Turn a gamma setting into a number; "m" means the factor count."""

@@ -4,9 +4,12 @@ Two families appear. For Gaussian-factor products the limit CDF is a
 generalized inverse of the increasing bijection
     profile(alpha, x) = x^alpha * (1-x)^(alpha-1)
 composed with a power of the argument. For truncated-unitary products the
-limit is the inverse-function law of an increasing analytic curve given by
-a power series around 1/2; only a finite coefficient prefix is ever known,
-so evaluations carry a certified geometric tail bound.
+limit is the inverse-function law of an increasing analytic curve. Every
+built-in curve is a sum of log ratios s*w*[log1p(s*t) - log1p(q*s*t)] at
+t = 2x - 1, one per (s, w, q) pair, and its series is their Taylor
+expansion at x = 1/2. Limits carry a finite coefficient prefix of that
+series, so evaluations carry a certified geometric tail bound; a prefix
+read from a coefficient file is the only one without a closed form.
 """
 
 from __future__ import annotations
@@ -160,19 +163,23 @@ def spherical_product_density(k: int, r):
 # ---------------------------------------------------------------------------
 # finite-n log-mean curve for truncated-unitary products
 
-def _ratios(spec: ProductSpec) -> list[float]:
-    """Per-factor q_k = n / (2 dims[k] - n); only truncations have a series."""
+def _spec_pairs(spec: ProductSpec) -> list[tuple[int, float, float]]:
+    """One (s_k, 1, q_k) pair per factor; only truncations have a log-mean curve."""
     if spec.dims is None:
         raise ValueError("dims: the series needs truncated-unitary factors (got none)")
-    return spec.ratios
+    return [(s, 1.0, q) for s, q in zip(spec.signs, spec.ratios)]
 
 
-def _signed_sum(signs, ratios, j: int) -> float:
-    """sum_k (-s_k)^(j-1) (1 - q_k^j), the j-th coefficient times j."""
+def _coeff(pairs, j: int) -> float:
+    """j-th Taylor coefficient at t = 0 of sum s*w*[log1p(s*t) - log1p(q*s*t)].
+
+    Summed term by term with Python float powers: numpy's vectorised q**j
+    can differ from them in the last bit, which would move the coefficients.
+    """
     total = 0.0
-    for s, q in zip(signs, ratios):
-        total += (-s) ** (j - 1) * (1.0 - q**j)
-    return total
+    for s, w, q in pairs:
+        total += w * (-s) ** (j - 1) * (1.0 - q**j)
+    return total / j
 
 
 def _power_series(coeffs, t):
@@ -194,14 +201,12 @@ def series_coeff(spec: ProductSpec, j: int) -> float:
     """j-th series coefficient of the centered log-mean curve."""
     if not (isinstance(j, (int, np.integer)) and j >= 1):
         raise ValueError(f"j: must be a positive integer (got {j!r})")
-    return _signed_sum(spec.signs, _ratios(spec), j) / j
+    return _coeff(_spec_pairs(spec), j)
 
 
 def series_coeff_bound(spec: ProductSpec) -> float:
     """First coefficient; it dominates every |series_coeff(spec, j)|."""
-    _ratios(spec)  # rejects Gaussian factors
-    n = spec.n
-    return sum(2.0 * (d - n) / (2.0 * (d - n) + n) for d in spec.dims)
+    return series_coeff(spec, 1)
 
 
 def series_tail_bound(spec: ProductSpec, x, terms: int):
@@ -213,23 +218,23 @@ def log_mean_curve(spec: ProductSpec, x, mode: str = "closed", terms: int = 60):
     """Centered log-mean curve on 0 < x < 1.
 
     The closed form is a signed sum of log ratios, one per factor; the
-    series form sums `terms` coefficients and its truncation error is
-    certified by series_tail_bound.
+    series form sums its first `terms` Taylor coefficients at x = 1/2 and
+    its truncation error is certified by series_tail_bound.
     """
     x_arr = np.asarray(x, dtype=float)
     if np.any(~((x_arr > 0) & (x_arr < 1))):
         raise ValueError(f"x: must lie in (0, 1) (got {x!r})")
-    c = x_arr - 0.5
+    pairs = _spec_pairs(spec)
+    t = 2.0 * (x_arr - 0.5)
     if mode == "closed":
         out = np.zeros(x_arr.shape)
-        for sign, q in zip(spec.signs, _ratios(spec)):
-            out = out + sign * (np.log1p(2.0 * sign * c) - np.log1p(2.0 * q * sign * c))
+        for s, w, q in pairs:
+            out = out + s * w * (np.log1p(s * t) - np.log1p(q * s * t))
         return float(out) if out.ndim == 0 else out
     if mode == "series":
         if not (isinstance(terms, (int, np.integer)) and terms >= 1):
             raise ValueError(f"terms: must be a positive integer (got {terms!r})")
-        coeffs = [series_coeff(spec, j) for j in range(1, terms + 1)]
-        out = _power_series(coeffs, 2.0 * c)
+        out = _power_series([_coeff(pairs, j) for j in range(1, terms + 1)], t)
         return float(out) if np.ndim(out) == 0 else out
     raise ValueError(f"mode: expected 'closed' or 'series' (got {mode!r})")
 
@@ -270,12 +275,17 @@ class HaarLimit:
         return len(self.betas)
 
 
+def _haar_limit(pairs, terms: int, gamma_n: float = 1.0) -> HaarLimit:
+    """Prefix of the pairs' curve over gamma_n; its first coefficient caps the rest."""
+    betas = tuple(_coeff(pairs, j) / gamma_n for j in range(1, terms + 1))
+    return HaarLimit(betas=betas, tail_bound=_coeff(pairs, 1) / gamma_n)
+
+
 def haar_limit_from_spec(spec: ProductSpec, gamma_n: float, terms: int = 80) -> HaarLimit:
     """Finite-n limit curve: series coefficients over gamma_n, bound included."""
     if not (gamma_n > 0 and math.isfinite(gamma_n)):
         raise ValueError(f"gamma_n: must be finite and > 0 (got {gamma_n!r})")
-    betas = tuple(series_coeff(spec, j) / gamma_n for j in range(1, terms + 1))
-    return HaarLimit(betas=betas, tail_bound=series_coeff_bound(spec) / gamma_n)
+    return _haar_limit(_spec_pairs(spec), terms, gamma_n)
 
 
 def haar_limit_from_ratios(signs, ratios, terms: int = 80) -> HaarLimit:
@@ -291,9 +301,7 @@ def haar_limit_from_ratios(signs, ratios, terms: int = 80) -> HaarLimit:
     for k, a in enumerate(ratios):
         if not (0.0 < a <= 1.0):
             raise ValueError(f"ratios[{k}]: must lie in (0, 1] (got {a!r})")
-    q = [a / (2.0 - a) for a in ratios]
-    betas = tuple(_signed_sum(signs, q, j) / (2.0 * j) for j in range(1, terms + 1))
-    return HaarLimit(betas=betas, tail_bound=betas[0])
+    return _haar_limit([(s, 0.5, a / (2.0 - a)) for s, a in zip(signs, ratios)], terms)
 
 
 def haar_limit_growing(plus_fraction: float, ratio: float, terms: int = 80) -> HaarLimit:
@@ -307,11 +315,7 @@ def haar_limit_growing(plus_fraction: float, ratio: float, terms: int = 80) -> H
     if not (0.0 < ratio < 1.0):
         raise ValueError(f"ratio: must lie in (0, 1) (got {ratio!r})")
     q = ratio / (2.0 - ratio)
-    betas = []
-    for j in range(1, terms + 1):
-        scale = 1.0 if j % 2 == 1 else (1.0 - 2.0 * plus_fraction)
-        betas.append(scale * (1.0 - q**j) / j)
-    return HaarLimit(betas=tuple(betas), tail_bound=1.0 - q)
+    return _haar_limit([(1, plus_fraction, q), (-1, 1.0 - plus_fraction, q)], terms)
 
 
 def _curve_partial(lim: HaarLimit, x):

@@ -37,10 +37,6 @@ class EigenSample:
     log_moduli: np.ndarray
     angles: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return len(self.log_moduli)
-
 
 def sample_ginibre(dim: int, rng: RngStream) -> np.ndarray:
     """dim x dim matrix of independent CN(0,1) entries."""

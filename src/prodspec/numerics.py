@@ -1,4 +1,4 @@
-"""Special functions, seeded random streams, and monotone inversion.
+"""Special functions and seeded random streams.
 
 Everything downstream works with log-gamma and log-beta values directly;
 ratios of gamma functions at the sizes we care about overflow long before
@@ -23,13 +23,6 @@ def log_gamma(x):
     """log of the gamma function for x > 0."""
     (x,) = _positive("log_gamma", x)
     out = special.gammaln(x)
-    return float(out) if out.ndim == 0 else out
-
-
-def digamma(x):
-    """Logarithmic derivative of the gamma function for x > 0."""
-    (x,) = _positive("digamma", x)
-    out = special.psi(x)
     return float(out) if out.ndim == 0 else out
 
 
@@ -73,30 +66,3 @@ class RngStream:
     def __repr__(self):
         return f"RngStream(seed={self.seed}, path={self.path})"
 
-
-def invert_monotone(f, target, lo, hi, tol=1e-12, max_iter=200):
-    """Solve f(x) = target for nondecreasing f by bisection on [lo, hi].
-
-    Stops when the bracket width or the residual drops below tol.
-    Requires f(lo) <= target <= f(hi).
-    """
-    if not (lo < hi):
-        raise ValueError(f"invert_monotone: need lo < hi (got {lo}, {hi})")
-    if not (tol > 0):
-        raise ValueError(f"invert_monotone: tol must be > 0 (got {tol})")
-    flo, fhi = f(lo), f(hi)
-    if not (flo <= target <= fhi):
-        raise ValueError(
-            f"invert_monotone: target {target} not bracketed by "
-            f"f({lo})={flo}, f({hi})={fhi}"
-        )
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if abs(fmid - target) <= tol or (hi - lo) <= tol:
-            return mid
-        if fmid < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

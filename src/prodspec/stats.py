@@ -51,12 +51,6 @@ class KsReport:
     label: str
     n2: int | None = None
 
-    def to_dict(self) -> dict:
-        out = {"statistic": self.statistic, "n": self.n, "label": self.label}
-        if self.n2 is not None:
-            out["n2"] = self.n2
-        return out
-
 
 def rescale_moduli(log_moduli, plan: ScalingPlan):
     """Map log-moduli to the comparison variable h via the scaling plan."""

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from prodspec.config import GinibreProductSpec, HaarProductSpec, SignPattern
 from prodspec.limit_laws import (
@@ -30,7 +31,6 @@ from prodspec.limit_laws import (
     series_tail_bound,
     spherical_product_density,
 )
-from prodspec.numerics import invert_monotone
 
 # high-precision references (40-digit arithmetic, rounded to double)
 GIN_CDF_A03_B07_Y2 = 0.78135886436936958
@@ -122,8 +122,8 @@ def test_profile_inverse_ordered_in_power():
 def test_profile_inverse_agrees_with_generic_bisection():
     alpha = 0.37
     for y in (0.2, 0.8, 1.0, 1.7, 9.0):
-        expect = invert_monotone(
-            lambda x: radial_profile(alpha, x), y, 1e-15, 1.0 - 1e-15, tol=1e-13
+        expect = brentq(
+            lambda x: radial_profile(alpha, x) - y, 1e-15, 1.0 - 1e-15, xtol=1e-13
         )
         assert radial_profile_inverse(alpha, y) == pytest.approx(expect, abs=1e-9)
 
@@ -495,3 +495,44 @@ def test_limit_cdfs_are_monotone_in_unit_interval_on_drawn_laws(alpha, beta, spe
         assert np.all((cdf >= 0.0) & (cdf <= 1.0))
         assert np.all(np.diff(cdf) >= 0.0)
     assert np.all(haar_cdf[:3] == 0.0)
+
+
+def _log_ratio_sum(pairs, x):
+    # closed form of a built-in curve: one log-ratio pair per (s, w, q)
+    t = 2.0 * x - 1.0
+    return sum(s * w * (np.log1p(s * t) - np.log1p(q * s * t)) for s, w, q in pairs)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    spec=truncated_specs(),
+    gamma_n=st.floats(0.5, 8.0),
+    factors=st.lists(
+        st.tuples(st.sampled_from((1, -1)), st.floats(0.05, 1.0)), min_size=1, max_size=4
+    ).filter(lambda fs: any(a < 1.0 for _, a in fs)),
+    plus_fraction=st.floats(0.0, 1.0),
+    ratio=st.floats(0.05, 0.95),
+)
+def test_builders_match_their_log_ratio_sums_on_drawn_laws(
+    spec, gamma_n, factors, plus_fraction, ratio
+):
+    signs, ratios = [s for s, _ in factors], [a for _, a in factors]
+    q = ratio / (2.0 - ratio)
+    cases = [
+        (
+            haar_limit_from_spec(spec, gamma_n, terms=400),
+            [(s, 1.0 / gamma_n, n_q) for s, n_q in zip(spec.signs, spec.ratios)],
+        ),
+        (
+            haar_limit_from_ratios(signs, ratios, terms=400),
+            [(s, 0.5, a / (2.0 - a)) for s, a in factors],
+        ),
+        (
+            haar_limit_growing(plus_fraction, ratio, terms=400),
+            [(1, plus_fraction, q), (-1, 1.0 - plus_fraction, q)],
+        ),
+    ]
+    x = np.linspace(0.25, 0.75, 41)
+    for lim, pairs in cases:
+        assert lim.tail_bound == lim.betas[0]
+        assert np.max(np.abs(limit_curve(lim, x) - _log_ratio_sum(pairs, x))) <= 1e-12

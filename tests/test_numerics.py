@@ -1,4 +1,4 @@
-"""Special-function accuracy, stream reproducibility, and bisection."""
+"""Special-function accuracy and stream reproducibility."""
 
 import math
 
@@ -7,8 +7,6 @@ import pytest
 
 from prodspec.numerics import (
     RngStream,
-    digamma,
-    invert_monotone,
     log_beta,
     log_gamma,
 )
@@ -57,21 +55,6 @@ def test_log_gamma_ratio_asymptotic():
     # residuals shrink about tenfold per decade
     assert 5.0 < residual_by_x[10.0] / residual_by_x[100.0] < 20.0
     assert 5.0 < residual_by_x[100.0] / residual_by_x[1000.0] < 20.0
-
-
-def test_digamma_matches_log_asymptotics():
-    # psi(t) = log t - 1/(2t) + O(1/t^2)
-    for t in (10.0, 50.0, 1000.0):
-        assert abs(digamma(t) - math.log(t) + 1.0 / (2 * t)) <= 1.0 / t**2
-
-
-def test_digamma_euler_value():
-    assert digamma(1.0) == pytest.approx(-0.5772156649015329, abs=1e-10)
-
-
-def test_digamma_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        digamma(0.0)
 
 
 def test_log_beta_consistency():
@@ -154,34 +137,3 @@ def test_sampler_rejects_bad_parameters():
     with pytest.raises(ValueError):
         rng.beta(1.0, 0.0)
 
-
-def test_invert_monotone_cubic():
-    root = invert_monotone(lambda x: x**3, target=8.0, lo=0.0, hi=10.0, tol=1e-12)
-    assert root == pytest.approx(2.0, abs=1e-10)
-
-
-def test_invert_monotone_flat_segments():
-    # nondecreasing with a plateau; any point of the preimage is acceptable
-    f = lambda x: 0.0 if x < 1 else (x - 1.0 if x < 2 else 1.0)
-    root = invert_monotone(f, target=0.5, lo=0.0, hi=3.0, tol=1e-9)
-    assert f(root) == pytest.approx(0.5, abs=1e-9)
-
-
-def test_invert_monotone_converges_fast():
-    calls = {"n": 0}
-
-    def f(x):
-        calls["n"] += 1
-        return x
-
-    invert_monotone(f, target=0.3, lo=0.0, hi=1.0, tol=1e-15)
-    assert calls["n"] <= 62  # two bracket probes plus at most 60 halvings
-
-
-def test_invert_monotone_rejects_bad_bracket():
-    with pytest.raises(ValueError, match="bracketed"):
-        invert_monotone(lambda x: x, target=5.0, lo=0.0, hi=1.0)
-    with pytest.raises(ValueError, match="lo < hi"):
-        invert_monotone(lambda x: x, target=0.5, lo=1.0, hi=0.0)
-    with pytest.raises(ValueError, match="tol"):
-        invert_monotone(lambda x: x, target=0.5, lo=0.0, hi=1.0, tol=0.0)

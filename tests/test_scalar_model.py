@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import polygamma
+from scipy.special import digamma, polygamma
 
 from prodspec.config import GinibreProductSpec, HaarProductSpec, ProductSpec, SignPattern
-from prodspec.numerics import RngStream, digamma
+from prodspec.numerics import RngStream
 from prodspec.scalar_model import (
     factor_shape,
     log_mgf_ginibre,
