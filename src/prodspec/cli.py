@@ -166,6 +166,8 @@ class ExperimentReport:
             out["limit_terms"] = self.limit.terms
             out["limit_beta1"] = self.limit.betas[0]
             out["limit_tail_bound"] = self.limit.tail_bound
+            # the run's reference CDF; the limit_* keys above describe the prefix
+            out["limit_reference"] = "closed" if self.limit.pairs else "prefix"
         for name, rep in sorted(self.ks_results.items()):
             out[f"ks_{name}"] = rep.statistic
             out[f"ks_{name}_n"] = rep.n

@@ -10,6 +10,10 @@ t = 2x - 1, one per (s, w, q) pair, and its series is their Taylor
 expansion at x = 1/2. Limits carry a finite coefficient prefix of that
 series, so evaluations carry a certified geometric tail bound; a prefix
 read from a coefficient file is the only one without a closed form.
+The run's reference CDF, haar_limit_cdf, inverts the closed form when a
+limit has one and the prefix otherwise; limit_curve, the curve_inverse_*
+functions and the limit_* report keys describe the prefix. One
+safeguarded Newton loop inverts every increasing curve here.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit, logit
 
 from .config import ProductSpec
 
@@ -35,7 +40,7 @@ def radial_profile(alpha: float, x: float):
     x = np.asarray(x, dtype=float)
     if np.any(~((x > 0) & (x < 1))):
         raise ValueError(f"x: must lie in (0, 1) (got {x!r})")
-    out = np.exp(_profile_log(alpha, x))
+    out = np.exp(_profile_log(alpha, x, 1.0 - x))
     return float(out) if out.ndim == 0 else out
 
 
@@ -44,34 +49,79 @@ def _check_alpha(alpha):
         raise ValueError(f"alpha: must lie in [0, 1] (got {alpha!r})")
 
 
-def _profile_log(alpha, x):
-    return alpha * np.log(x) + (alpha - 1.0) * np.log1p(-x)
+def _profile_log(alpha, x, xc):
+    """log of the profile at x, with xc = 1 - x."""
+    return alpha * np.log(x) + (alpha - 1.0) * np.log(xc)
 
 
 _EDGE = 1e-16  # evaluation guard; roots beyond it are indistinguishable from 0/1
 
+_SEED_POINTS = 2049  # grid in z = logit(x) that seeds and brackets each root
+_BLOCK = 1 << 14  # roots solved together; bounds the loop's working memory
+_NEWTON_STEPS = 8  # Newton budget per root; bisection only after it
+_BISECTIONS = 64  # halvings that shrink any grid cell below _Z_TOL
+_Z_TOL = 1e-13  # converged once a step moves z (x by that relative amount) this little
 
-def _invert_increasing(f, target, edge):
+
+def _invert_increasing(f, fprime, target, edge):
     """Generalized inverse of an increasing f on [edge, 1 - edge].
 
-    1 where target >= f(1 - edge), 0 where target <= f(edge) or is NaN,
-    otherwise the midpoint of the bisected bracket around the root.
+    f and its derivative fprime take (x, 1 - x), each accurate to its own
+    ulp, so roots next to 1 are resolved too. The value is 1 where
+    target >= f(1 - edge), 0 where target <= f(edge) or is NaN, otherwise
+    a root of f = target from Newton steps in z = logit(x); a float for a
+    scalar target.
     """
-    f_lo, f_hi = f(edge), f(1.0 - edge)
-    out = np.where(target >= f_hi, 1.0, 0.0)
-    active = (target > f_lo) & (target < f_hi)
-    if np.any(active):
-        tgt = target[active]
-        lo = np.full(tgt.shape, edge)
-        hi = np.full(tgt.shape, 1.0 - edge)
-        # 60 halvings shrink the bracket below 1e-18, under both callers' tolerances
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            go_up = f(mid) < tgt
-            lo = np.where(go_up, mid, lo)
-            hi = np.where(go_up, hi, mid)
-        out[active] = 0.5 * (lo + hi)
-    return out
+    scalar = np.ndim(target) == 0
+    target = np.atleast_1d(np.asarray(target, dtype=float))
+    z_grid = np.linspace(logit(edge), logit(1.0 - edge), _SEED_POINTS)
+    x, xc = expit(z_grid), expit(-z_grid)
+    x[[0, -1]] = edge, 1.0 - edge
+    xc[[0, -1]] = 1.0 - x[[0, -1]]
+    f_grid = f(x, xc)
+    out = np.where(target >= f_grid[-1], 1.0, 0.0)
+    active = (target > f_grid[0]) & (target < f_grid[-1])
+    tgt = target[active]
+    # a running maximum makes the grid monotone, so that the first cell
+    # where it reaches a target starts below it and ends at or above it
+    f_mono = np.maximum.accumulate(f_grid)
+    z = np.empty(tgt.shape)
+    for start in range(0, tgt.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        z[block] = _newton_roots(f, fprime, tgt[block], z_grid, f_mono)
+    out[active] = expit(z)
+    return float(out[0]) if scalar else out
+
+
+def _newton_roots(f, fprime, tgt, z_grid, f_mono):
+    """Roots in z of f = tgt, each seeded by linear interpolation in its
+    grid cell. The cell brackets a sign change of f - tgt, the bracket
+    narrows at every step, and a Newton step that would leave it bisects
+    instead."""
+    cell = np.searchsorted(f_mono, tgt)
+    lo, hi = z_grid[cell - 1], z_grid[cell]
+    z = lo + (hi - lo) * (tgt - f_mono[cell - 1]) / (f_mono[cell] - f_mono[cell - 1])
+    root = np.empty(tgt.shape)
+    left = np.arange(tgt.size)
+    for k in range(_NEWTON_STEPS + _BISECTIONS):
+        x, xc = expit(z), expit(-z)
+        gap = f(x, xc) - tgt
+        below = gap < 0.0
+        lo = np.where(below, z, lo)
+        hi = np.where(below, hi, z)
+        nxt = 0.5 * (lo + hi)
+        if k < _NEWTON_STEPS:
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                newton = z - gap / (fprime(x, xc) * x * xc)
+            nxt = np.where((newton >= lo) & (newton <= hi), newton, nxt)
+        done = np.abs(nxt - z) <= _Z_TOL
+        root[left[done]] = nxt[done]
+        keep = ~done
+        left, tgt, z, lo, hi = left[keep], tgt[keep], nxt[keep], lo[keep], hi[keep]
+        if left.size == 0:
+            break
+    root[left] = z
+    return root
 
 
 def _log_or_neg_inf(y):
@@ -98,7 +148,10 @@ def radial_profile_inverse(alpha: float, y):
         out = np.clip(y_arr, 0.0, 1.0)
     else:
         out = _invert_increasing(
-            lambda x: _profile_log(alpha, x), _log_or_neg_inf(y_arr), _EDGE
+            lambda x, xc: _profile_log(alpha, x, xc),
+            lambda x, xc: alpha / x + (1.0 - alpha) / xc,
+            _log_or_neg_inf(y_arr),
+            _EDGE,
         )
     return float(out[0]) if scalar else out
 
@@ -187,6 +240,29 @@ def _power_series(coeffs, t):
     return np.polyval(np.append(np.asarray(coeffs)[::-1], 0.0), t)
 
 
+def _closed_curve(pairs, x, xc):
+    """sum s*w*[log1p(s*t) - log1p(q*s*t)] at t = 2x - 1, with xc = 1 - x.
+
+    With u = (1 + s*t)/2, which is x or xc, a term is
+    -s*w*log1p((1 - q)(1 - 2u)/(2u)): no two logs cancel, so it stays
+    accurate next to the end where it diverges and for q near 1.
+    """
+    out = np.zeros(np.shape(x))
+    for s, w, q in pairs:
+        u = x if s > 0 else xc
+        out -= s * w * np.log1p((1.0 - q) * (1.0 - 2.0 * u) / (2.0 * u))
+    return out
+
+
+def _closed_slope(pairs, x, xc):
+    """Derivative of _closed_curve in x: sum 2w*(1 - q)/((1 + s*t)(1 + q*s*t)) > 0."""
+    out = np.zeros(np.shape(x))
+    for s, w, q in pairs:
+        u = x if s > 0 else xc
+        out += w * (1.0 - q) / (u * (2.0 * u + (1.0 - q) * (1.0 - 2.0 * u)))
+    return out
+
+
 def _geometric_tail(bound: float, terms: int, x):
     """Tail past `terms` coefficients of size <= bound at u = |2x - 1|; 0 if bound is 0."""
     u = np.abs(2.0 * np.asarray(x, dtype=float) - 1.0)
@@ -227,9 +303,7 @@ def log_mean_curve(spec: ProductSpec, x, mode: str = "closed", terms: int = 60):
     pairs = _spec_pairs(spec)
     t = 2.0 * (x_arr - 0.5)
     if mode == "closed":
-        out = np.zeros(x_arr.shape)
-        for s, w, q in pairs:
-            out = out + s * w * (np.log1p(s * t) - np.log1p(q * s * t))
+        out = _closed_curve(pairs, x_arr, 1.0 - x_arr)
         return float(out) if out.ndim == 0 else out
     if mode == "series":
         if not (isinstance(terms, (int, np.integer)) and terms >= 1):
@@ -247,11 +321,14 @@ class HaarLimit:
     """Increasing analytic curve known through its first len(betas) coefficients.
 
     tail_bound caps the magnitude of every coefficient past the prefix;
-    0 declares the prefix to be the whole series.
+    0 declares the prefix to be the whole series. pairs, when given, are
+    the (s, w, q) log-ratio pairs of the curve's closed form, w already
+    divided by gamma_n; haar_limit_cdf then inverts the closed form.
     """
 
     betas: tuple[float, ...]
     tail_bound: float = 0.0
+    pairs: tuple[tuple[int, float, float], ...] = ()
 
     def __post_init__(self):
         betas = tuple(float(b) for b in self.betas)
@@ -263,8 +340,19 @@ class HaarLimit:
             raise ValueError("betas: all coefficients must be finite")
         if not (self.tail_bound >= 0 and math.isfinite(self.tail_bound)):
             raise ValueError(f"tail_bound: must be finite and >= 0 (got {self.tail_bound!r})")
+        pairs = tuple((s, float(w), float(q)) for s, w, q in self.pairs)
+        # each pair's slope is w*(1 - q)/(...) >= 0; one must be > 0
+        if pairs and not (
+            all(s in (1, -1) and 0.0 <= w < math.inf and 0.0 <= q <= 1.0 for s, w, q in pairs)
+            and sum(w * (1.0 - q) for _, w, q in pairs) > 0.0
+        ):
+            raise ValueError(
+                f"pairs: need signs +-1, weights >= 0, ratios in [0, 1] and a "
+                f"rising sum (got {pairs!r})"
+            )
         object.__setattr__(self, "betas", betas)
         object.__setattr__(self, "tail_bound", float(self.tail_bound))
+        object.__setattr__(self, "pairs", pairs)
         # the inverter brackets its targets between the curve's two ends
         lo, hi = (float(_curve_partial(self, x)) for x in (_CURVE_EDGE, 1.0 - _CURVE_EDGE))
         if not hi > lo:
@@ -276,9 +364,14 @@ class HaarLimit:
 
 
 def _haar_limit(pairs, terms: int, gamma_n: float = 1.0) -> HaarLimit:
-    """Prefix of the pairs' curve over gamma_n; its first coefficient caps the rest."""
+    """The pairs' curve over gamma_n: its prefix, capped by the first
+    coefficient, and its closed form."""
     betas = tuple(_coeff(pairs, j) / gamma_n for j in range(1, terms + 1))
-    return HaarLimit(betas=betas, tail_bound=_coeff(pairs, 1) / gamma_n)
+    return HaarLimit(
+        betas=betas,
+        tail_bound=_coeff(pairs, 1) / gamma_n,
+        pairs=tuple((s, w / gamma_n, q) for s, w, q in pairs),
+    )
 
 
 def haar_limit_from_spec(spec: ProductSpec, gamma_n: float, terms: int = 80) -> HaarLimit:
@@ -322,6 +415,12 @@ def _curve_partial(lim: HaarLimit, x):
     return _power_series(lim.betas, 2.0 * x - 1.0)
 
 
+def _curve_slope(lim: HaarLimit, x):
+    """Derivative of the partial sum in x."""
+    dcoeffs = np.asarray(lim.betas) * np.arange(1, lim.terms + 1)
+    return 2.0 * np.polyval(dcoeffs[::-1], 2.0 * x - 1.0)
+
+
 def limit_curve_tail(lim: HaarLimit, x):
     """Certified bound on the curve's dropped tail at x in [0, 1]."""
     return _geometric_tail(lim.tail_bound, lim.terms, x)
@@ -353,30 +452,43 @@ _CURVE_EDGE = 1e-8  # endpoint stand-ins for the open unit interval
 
 
 def curve_inverse_cdf(lim: HaarLimit, value):
-    """CDF of the curve's value under a uniform argument, total on the line.
+    """CDF of the partial sum's value under a uniform argument, total on the line.
 
-    0 at and below the curve's low end, 1 at and above its high end,
-    otherwise the bisected preimage of the partial sum to 1e-10.
+    0 at and below the prefix's low end, 1 at and above its high end,
+    otherwise the preimage of the partial sum.
     """
-    v = np.asarray(value, dtype=float)
-    out = _invert_increasing(
-        lambda x: _curve_partial(lim, x), np.atleast_1d(v), _CURVE_EDGE
+    return _invert_increasing(
+        lambda x, xc: _curve_partial(lim, x),
+        lambda x, xc: _curve_slope(lim, x),
+        value,
+        _CURVE_EDGE,
     )
-    return float(out[0]) if v.ndim == 0 else out
 
 
 def curve_inverse_density(lim: HaarLimit, value):
-    """Density of the curve's value under a uniform argument; 0 outside."""
+    """Density of the partial sum's value under a uniform argument; 0 outside."""
     v = np.asarray(value, dtype=float)
     x = curve_inverse_cdf(lim, np.atleast_1d(v))
     out = np.zeros(x.shape)
     inside = (x > _CURVE_EDGE) & (x < 1.0 - _CURVE_EDGE)
-    dcoeffs = np.asarray(lim.betas) * np.arange(1, lim.terms + 1)
-    slope = 2.0 * np.polyval(dcoeffs[::-1], 2.0 * x[inside] - 1.0)
+    slope = _curve_slope(lim, x[inside])
     out[inside] = np.where(slope > 0, 1.0 / np.maximum(slope, 1e-300), 0.0)
     return float(out[0]) if v.ndim == 0 else out
 
 
 def haar_limit_cdf(lim: HaarLimit, y):
-    """Limiting CDF of the rescaled moduli: the curve CDF at log y, 0 for y <= 0."""
-    return curve_inverse_cdf(lim, _log_or_neg_inf(np.asarray(y, dtype=float)))
+    """Limiting CDF of the rescaled moduli at y, 0 for y <= 0.
+
+    The inverse of the closed-form curve at log y when lim has pairs
+    (0 and 1 only beyond a finite end of the curve); otherwise the
+    prefix's curve_inverse_cdf at log y.
+    """
+    target = _log_or_neg_inf(np.asarray(y, dtype=float))
+    if not lim.pairs:
+        return curve_inverse_cdf(lim, target)
+    return _invert_increasing(
+        lambda x, xc: _closed_curve(lim.pairs, x, xc),
+        lambda x, xc: _closed_slope(lim.pairs, x, xc),
+        target,
+        _EDGE,
+    )

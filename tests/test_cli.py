@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prodspec.cli as cli
 from prodspec.cli import (
     DEGENERATE_THRESHOLD,
     PRESETS,
@@ -247,6 +248,25 @@ def test_run_experiment_scalar_report():
     assert "scalar" in report.runtimes
     rec = report.record()
     assert rec["limit_alpha"] == 0.5 and rec["ks_scalar_n"] == 240
+
+
+def test_auto_haar_run_calls_cli_haar_limit_cdf_on_the_closed_curve(monkeypatch):
+    # the benchmark times the reference CDF by patching this module-level name
+    sizes, real = [], cli.haar_limit_cdf
+    monkeypatch.setattr(
+        cli, "haar_limit_cdf", lambda lim, y: sizes.append(np.size(y)) or real(lim, y)
+    )
+    report = run_experiment(small_cfg(ensemble="haar", signs="+-", dims=(24, 24)))
+    assert report.limit_kind == "haar" and sizes == [12 * 20]
+    assert report.record()["limit_reference"] == "closed"
+
+
+def test_betas_file_run_reports_a_prefix_reference(tmp_path):
+    p = tmp_path / "betas.txt"
+    p.write_text("0.5\n-0.25\n")
+    report = run_experiment(small_cfg(limit=f"betas:{p}"))
+    assert report.limit_kind == "haar" and report.limit.pairs == ()
+    assert report.record()["limit_reference"] == "prefix"
 
 
 def test_run_experiment_deterministic_across_workers():

@@ -1,6 +1,7 @@
 """Limit laws: profile algebra, densities, and certified series curves."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from prodspec.limit_laws import (
     series_tail_bound,
     spherical_product_density,
 )
+from prodspec.limit_laws import _closed_curve, _closed_slope
 
 # high-precision references (40-digit arithmetic, rounded to double)
 GIN_CDF_A03_B07_Y2 = 0.78135886436936958
@@ -120,12 +122,15 @@ def test_profile_inverse_ordered_in_power():
 
 
 def test_profile_inverse_agrees_with_generic_bisection():
-    alpha = 0.37
-    for y in (0.2, 0.8, 1.0, 1.7, 9.0):
-        expect = brentq(
-            lambda x: radial_profile(alpha, x) - y, 1e-15, 1.0 - 1e-15, xtol=1e-13
-        )
-        assert radial_profile_inverse(alpha, y) == pytest.approx(expect, abs=1e-9)
+    ys = (0.2, 0.8, 1.0, 1.7, 9.0)
+    for alpha in (0.05, 0.37, 0.5, 0.93):
+        many = radial_profile_inverse(alpha, np.array(ys))
+        for y, got in zip(ys, many):
+            expect = brentq(
+                lambda x: radial_profile(alpha, x) - y, 1e-15, 1.0 - 1e-15, xtol=1e-13
+            )
+            assert radial_profile_inverse(alpha, y) == pytest.approx(expect, abs=1e-9)
+            assert got == radial_profile_inverse(alpha, y)
 
 
 # --- Ginibre-type limits -------------------------------------------------
@@ -438,6 +443,25 @@ def test_curve_inverse_cdf_monotone_with_saturating_tails():
     assert curve_inverse_cdf(lim, 1e10) == 1.0
 
 
+def test_curve_inverse_cdf_on_dipping_prefixes_finds_the_first_root():
+    # u - 0.9u^3 dips below its x=0 value before it rises, and falls back
+    # after its peak; between its end values it crosses each level once
+    lim = HaarLimit(betas=(1.0, 0.0, -0.9))
+    v = np.linspace(-0.099, 0.099, 199)
+    x = curve_inverse_cdf(lim, v)
+    assert np.all(np.diff(x) > 0.0)
+    assert np.max(np.abs(limit_curve(lim, x) - v)) <= 1e-14
+    # u - 3u^3 + 3u^5 rises to 0.239 at u = 0.383, falls to 0.173 at
+    # u = 0.673 and rises again: levels in between are crossed three times,
+    # and the inverse takes the first crossing, so it stays monotone
+    lim = HaarLimit(betas=(1.0, 0.0, -3.0, 0.0, 3.0))
+    v = np.linspace(0.15, 0.26, 221)
+    x = curve_inverse_cdf(lim, v)
+    assert np.all(np.diff(x) >= 0.0)
+    assert np.max(np.abs(limit_curve(lim, x) - v)) <= 1e-14
+    assert np.all(x[v < 0.238] < 0.5 + 0.383 / 2)
+
+
 def test_curve_inverse_density_linear_case():
     lim = HaarLimit(betas=(0.5,))
     assert curve_inverse_density(lim, 0.2) == pytest.approx(1.0, rel=1e-9)
@@ -453,6 +477,57 @@ def test_curve_inverse_density_integrates_to_one():
     hi = limit_curve(lim, 1.0) - 1e-9
     mass, err = quad(lambda v: curve_inverse_density(lim, v), lo, hi, limit=200)
     assert mass == pytest.approx(1.0, abs=1e-6)
+
+
+def test_haar_limit_pairs_validation():
+    with pytest.raises(ValueError, match="pairs"):
+        HaarLimit(betas=(0.5,), pairs=((2, 0.5, 0.3),))
+    with pytest.raises(ValueError, match="pairs"):
+        HaarLimit(betas=(0.5,), pairs=((1, -0.5, 0.3),))
+    with pytest.raises(ValueError, match="pairs"):
+        HaarLimit(betas=(0.5,), pairs=((1, 0.5, 1.5),))
+    # ratio 1 cancels the pair's two logs: the sum would be flat
+    with pytest.raises(ValueError, match="pairs"):
+        HaarLimit(betas=(0.5,), pairs=((1, 0.5, 1.0),))
+
+
+def test_haar_limit_cdf_without_pairs_inverts_the_prefix():
+    lim = haar_limit_from_spec(haar(6, "+-", (9, 11)), 2.0, terms=80)
+    prefix = HaarLimit(betas=lim.betas, tail_bound=lim.tail_bound)
+    y = np.array([0.3, 0.8, 1.0, 1.2, 5.0])
+    assert np.array_equal(haar_limit_cdf(prefix, y), curve_inverse_cdf(prefix, np.log(y)))
+    assert haar_limit_cdf(prefix, 0.0) == 0.0
+
+
+def test_remark5_limit_cdf_rises_to_its_top_end_without_a_jump():
+    # haar-remark5 at n=20: 8 direct factors, dims 40, gamma 8. The curve
+    # ends at C(1) = log 1.5; its 80-term prefix peaks before x = 1, which
+    # made the CDF jump from 0.990 to 1 at y = 1.4908
+    lim = haar_limit_from_spec(haar(20, "+" * 8, (40,) * 8), 8.0)
+    y = np.linspace(1.45, 1.5, 50001)[:-1]
+    cdf = haar_limit_cdf(lim, y)
+    steps = np.diff(cdf)
+    assert np.all(steps >= 0.0) and np.max(steps) <= 1e-3
+    assert np.all(cdf < 1.0)
+    assert haar_limit_cdf(lim, 1.5 * (1.0 + 1e-12)) == 1.0
+
+
+def test_closed_form_keeps_its_accuracy_for_ratios_near_one():
+    # a ratio near 1 gives q near 1, where log1p(s*t) - log1p(q*s*t)
+    # cancels; 40-digit decimal logs of the same doubles are the reference
+    x = np.array([1e-9, 0.01, 0.3, 0.500001, 0.77, 1 - 1e-9])
+    for a in (0.999, 1 - 1e-9, 0.9999999999999999):
+        lim = haar_limit_from_ratios([1, -1], [a, 0.5])
+        got = _closed_curve(lim.pairs, x, 1.0 - x)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            for xv, g in zip(x, got):
+                t = 2 * Decimal(xv) - 1
+                want = sum(
+                    s * Decimal(w) * ((1 + s * t).ln() - (1 + Decimal(q) * s * t).ln())
+                    for s, w, q in lim.pairs
+                )
+                assert g == pytest.approx(float(want), rel=1e-14)
 
 
 def test_haar_limit_cdf_composes_with_log():
@@ -503,8 +578,8 @@ def _log_ratio_sum(pairs, x):
     return sum(s * w * (np.log1p(s * t) - np.log1p(q * s * t)) for s, w, q in pairs)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(
+# a spec with its gamma_n, (signs, ratios) and (plus_fraction, ratio)
+DRAWN_LAWS = dict(
     spec=truncated_specs(),
     gamma_n=st.floats(0.5, 8.0),
     factors=st.lists(
@@ -513,26 +588,56 @@ def _log_ratio_sum(pairs, x):
     plus_fraction=st.floats(0.0, 1.0),
     ratio=st.floats(0.05, 0.95),
 )
-def test_builders_match_their_log_ratio_sums_on_drawn_laws(
-    spec, gamma_n, factors, plus_fraction, ratio
-):
+
+
+def _built_laws(spec, gamma_n, factors, plus_fraction, ratio, terms):
+    """Each builder's limit next to the log-ratio pairs of its closed form."""
     signs, ratios = [s for s, _ in factors], [a for _, a in factors]
     q = ratio / (2.0 - ratio)
-    cases = [
+    return [
         (
-            haar_limit_from_spec(spec, gamma_n, terms=400),
+            haar_limit_from_spec(spec, gamma_n, terms=terms),
             [(s, 1.0 / gamma_n, n_q) for s, n_q in zip(spec.signs, spec.ratios)],
         ),
         (
-            haar_limit_from_ratios(signs, ratios, terms=400),
+            haar_limit_from_ratios(signs, ratios, terms=terms),
             [(s, 0.5, a / (2.0 - a)) for s, a in factors],
         ),
         (
-            haar_limit_growing(plus_fraction, ratio, terms=400),
+            haar_limit_growing(plus_fraction, ratio, terms=terms),
             [(1, plus_fraction, q), (-1, 1.0 - plus_fraction, q)],
         ),
     ]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(**DRAWN_LAWS)
+def test_builders_match_their_log_ratio_sums_on_drawn_laws(**law):
     x = np.linspace(0.25, 0.75, 41)
-    for lim, pairs in cases:
+    for lim, pairs in _built_laws(**law, terms=400):
         assert lim.tail_bound == lim.betas[0]
         assert np.max(np.abs(limit_curve(lim, x) - _log_ratio_sum(pairs, x))) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(**DRAWN_LAWS)
+def test_closed_curves_rise_and_invert_like_brentq_on_drawn_laws(**law):
+    x = np.concatenate([[1e-12, 1e-6], np.linspace(0.01, 0.99, 99), [1 - 1e-6, 1 - 1e-12]])
+    mid, h = x[2:-2], 1e-6
+    for lim, pairs in _built_laws(**law, terms=80):
+        assert lim.pairs == tuple(pairs)
+        slope = _closed_slope(lim.pairs, x, 1.0 - x)
+        assert np.all(slope > 0.0)
+        diff = (_log_ratio_sum(pairs, mid + h) - _log_ratio_sum(pairs, mid - h)) / (2 * h)
+        assert np.allclose(slope[2:-2], diff, rtol=1e-6, atol=1e-9)
+        # the reference's two logs cancel to about 1e-16, which pins x to
+        # 1e-12 only where the curve is not nearly flat (all q near 1)
+        if lim.betas[0] < 1e-3 * sum(w for _, w, _ in pairs):
+            continue
+        for x0 in (1e-6, 0.02, 0.3, 0.5, 0.81, 0.999, 1 - 1e-6):
+            target = float(_log_ratio_sum(pairs, x0))
+            root = brentq(
+                lambda v: _log_ratio_sum(pairs, v) - target, 1e-16, 1.0 - 1e-16,
+                xtol=1e-15, rtol=4 * np.finfo(float).eps,
+            )
+            assert haar_limit_cdf(lim, math.exp(target)) == pytest.approx(root, abs=1e-12)
