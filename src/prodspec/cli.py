@@ -118,12 +118,13 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentReport:
-    """Results of one run; record() flattens everything scalar for JSON."""
+    """Results of one run; record() flattens everything scalar for JSON.
+
+    limit is the resolved law: GinibreLimit, HaarLimit, or None for the point mass at 1."""
 
     config: ExperimentConfig
     plan: ScalingPlan
-    limit_kind: str
-    limit: object | None
+    limit: GinibreLimit | HaarLimit | None
     scalar_ecdf: EmpiricalCdf | None = None
     matrix_ecdf: EmpiricalCdf | None = None
     pooled_angles: np.ndarray | None = None
@@ -132,33 +133,34 @@ class ExperimentReport:
     mass_matrix: float | None = None
     runtimes: dict = field(default_factory=dict)
 
+    @property
+    def limit_kind(self) -> str:
+        if self.limit is None:
+            return "degenerate"
+        return "ginibre" if isinstance(self.limit, GinibreLimit) else "haar"
+
     def limit_cdf(self):
-        """Reference CDF callable for the resolved limit, or None."""
-        if self.limit_kind == "ginibre":
-            return lambda y: ginibre_limit_cdf(self.limit, y)
-        if self.limit_kind == "haar":
-            return lambda y: haar_limit_cdf(self.limit, y)
-        if self.limit_kind == "degenerate":
+        """Reference CDF callable for the resolved limit."""
+        if self.limit is None:
             return lambda y: np.where(np.asarray(y, dtype=float) >= 1.0, 1.0, 0.0)
-        return None
+        if isinstance(self.limit, GinibreLimit):
+            return lambda y: ginibre_limit_cdf(self.limit, y)
+        return lambda y: haar_limit_cdf(self.limit, y)
 
     def record(self) -> dict:
-        cfg = self.config
         out = {
             "version": __version__,
-            "ensemble": cfg.ensemble,
-            "n": cfg.n,
-            "signs": cfg.signs,
-            "dims": "" if cfg.dims is None else ",".join(str(d) for d in cfg.dims),
             "gamma_n": self.plan.gamma_n,
             "log_scale": self.plan.log_scale,
-            "replicates": cfg.replicates,
-            "mode": cfg.mode,
-            "seed": cfg.seed,
-            "workers": cfg.workers,
-            "preset": cfg.preset or "",
             "limit_kind": self.limit_kind,
         }
+        # gamma and limit are reported resolved, as gamma_n and limit_kind
+        for f in fields(ExperimentConfig):
+            value = getattr(self.config, f.name)
+            if isinstance(value, tuple):
+                value = ",".join(map(str, value))
+            if f.name not in ("gamma", "limit", "out"):
+                out[f.name] = "" if value is None else value
         if isinstance(self.limit, GinibreLimit):
             out["limit_alpha"] = self.limit.alpha
             out["limit_beta"] = self.limit.beta
@@ -182,7 +184,7 @@ class ExperimentReport:
     def threshold_failures(self) -> list[str]:
         """Checks --assert enforces: KS under threshold, or mass in the window."""
         bad = []
-        if self.limit_kind == "degenerate":
+        if self.limit is None:
             for name, mass in (("scalar", self.mass_scalar), ("matrix", self.mass_matrix)):
                 if mass is not None and mass < MASS_THRESHOLD:
                     bad.append(f"mass_{name}={mass:.4f} < {MASS_THRESHOLD}")
@@ -195,32 +197,32 @@ class ExperimentReport:
 
 
 def resolve_limit(cfg: ExperimentConfig, spec: ProductSpec, plan: ScalingPlan):
-    """Pick the reference law: (kind, limit object or None)."""
+    """Pick the reference law: GinibreLimit, HaarLimit, or None for the point mass at 1."""
     token = cfg.limit.strip()
     if token == "degenerate":
-        return "degenerate", None
+        return None
     if token.startswith("ginibre:"):
         try:
             a, b = (float(v) for v in token[len("ginibre:"):].split(","))
         except ValueError:
             raise ConfigError(f"limit: expected ginibre:alpha,beta (got {token!r})") from None
         try:
-            return "ginibre", GinibreLimit(alpha=a, beta=b)
+            return GinibreLimit(alpha=a, beta=b)
         except ValueError as exc:
             raise ConfigError(f"limit: {exc}") from None
     if token.startswith("betas:"):
-        return "haar", _read_betas_file(token[len("betas:"):])
+        return _read_betas_file(token[len("betas:"):])
     if token != "auto":
         raise ConfigError(f"limit: expected auto|degenerate|ginibre:a,b|betas:PATH (got {token!r})")
     if spec.dims is None:
         beta = spec.m / plan.gamma_n
         if beta < DEGENERATE_THRESHOLD:
-            return "degenerate", None
-        return "ginibre", GinibreLimit(alpha=spec.plus_count / spec.m, beta=beta)
+            return None
+        return GinibreLimit(alpha=spec.plus_count / spec.m, beta=beta)
     lim = haar_limit_from_spec(spec, plan.gamma_n, terms=LIMIT_TERMS)
     if lim.betas[0] < DEGENERATE_THRESHOLD:
-        return "degenerate", None
-    return "haar", lim
+        return None
+    return lim
 
 
 def _key_value_lines(path: str, cannot_read: str):
@@ -279,8 +281,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     cfg = cfg.validated()
     spec = cfg.build_spec()
     plan = ScalingPlan.for_spec(spec, resolve_gamma(cfg.gamma, spec.m))
-    kind, limit = resolve_limit(cfg, spec, plan)
-    report = ExperimentReport(config=cfg, plan=plan, limit_kind=kind, limit=limit)
+    report = ExperimentReport(config=cfg, plan=plan, limit=resolve_limit(cfg, spec, plan))
     root = RngStream(cfg.seed)
     cdf = report.limit_cdf()
 
@@ -301,17 +302,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         )
         setattr(report, f"{path}_ecdf", ecdf)
         setattr(report, f"mass_{path}", _mass_in_window(ecdf.values))
-        if kind != "degenerate":
-            report.ks_results[path] = ks_one_sample(ecdf, cdf, label=f"{path} vs limit")
+        if report.limit is not None:
+            report.ks_results[path] = ks_one_sample(ecdf, cdf)
         if path == "matrix":
             report.pooled_angles = np.concatenate([s.angles for s in samples])
             report.ks_results["angles"] = angle_uniformity(report.pooled_angles)
         report.runtimes[path] = time.perf_counter() - t0
 
     if report.scalar_ecdf is not None and report.matrix_ecdf is not None:
-        report.ks_results["paths"] = ks_two_sample(
-            report.scalar_ecdf, report.matrix_ecdf, label="scalar vs matrix"
-        )
+        report.ks_results["paths"] = ks_two_sample(report.scalar_ecdf, report.matrix_ecdf)
     return report
 
 
@@ -484,37 +483,24 @@ def _cmd_run(args) -> int:
         if cfg.out:
             # an unwritable --out fails here, before any sampling
             Path(cfg.out).mkdir(parents=True, exist_ok=True)
+        report = run_experiment(cfg)
+        if cfg.out:
+            write_outputs(report, cfg.out)
     except OSError as exc:
         print(f"error: out: {exc}", file=sys.stderr)
-        return 2
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        report = run_experiment(cfg)
-    except (ConfigError, OverflowError) as exc:
-        # limit tokens, betas files and the rescaled range are only
-        # known during the run
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConditioningError as exc:
         print(f"error: conditioning abort: {exc}", file=sys.stderr)
         return 3
-    if cfg.out:
-        try:
-            write_outputs(report, cfg.out)
-        except OSError as exc:
-            print(f"error: out: {exc}", file=sys.stderr)
-            return 2
+    except (ValueError, OverflowError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     for key, val in sorted(report.record().items()):
         print(f"{key} = {val}")
-    if args.assert_mode:
-        failures = report.threshold_failures()
-        if failures:
-            for f in failures:
-                print(f"threshold failure: {f}", file=sys.stderr)
-            return 4
-    return 0
+    failures = report.threshold_failures() if args.assert_mode else []
+    for f in failures:
+        print(f"threshold failure: {f}", file=sys.stderr)
+    return 4 if failures else 0
 
 
 def main(argv=None) -> int:

@@ -323,7 +323,8 @@ class HaarLimit:
     tail_bound caps the magnitude of every coefficient past the prefix;
     0 declares the prefix to be the whole series. pairs, when given, are
     the (s, w, q) log-ratio pairs of the curve's closed form, w already
-    divided by gamma_n; haar_limit_cdf then inverts the closed form.
+    divided by gamma_n, whose series must match betas; haar_limit_cdf then
+    inverts the closed form.
     """
 
     betas: tuple[float, ...]
@@ -350,6 +351,9 @@ class HaarLimit:
                 f"pairs: need signs +-1, weights >= 0, ratios in [0, 1] and a "
                 f"rising sum (got {pairs!r})"
             )
+        scale = max(abs(b) for b in betas)
+        if pairs and any(abs(b - _coeff(pairs, j)) > 1e-12 * scale for j, b in enumerate(betas, 1)):
+            raise ValueError("pairs: their series must match betas to 1e-12 of its largest term")
         object.__setattr__(self, "betas", betas)
         object.__setattr__(self, "tail_bound", float(self.tail_bound))
         object.__setattr__(self, "pairs", pairs)

@@ -44,11 +44,10 @@ class EmpiricalCdf:
 
 @dataclass(frozen=True)
 class KsReport:
-    """One KS comparison: statistic, sample sizes, and what was compared."""
+    """One KS comparison: statistic and sample sizes."""
 
     statistic: float
     n: int
-    label: str
     n2: int | None = None
 
 
@@ -74,7 +73,7 @@ def build_ecdf(log_moduli_sets, plan: ScalingPlan) -> EmpiricalCdf:
     return EmpiricalCdf(values=values)
 
 
-def ks_one_sample(ecdf: EmpiricalCdf, cdf, label: str = "one-sample") -> KsReport:
+def ks_one_sample(ecdf: EmpiricalCdf, cdf) -> KsReport:
     """Exact sup distance between a step CDF and a reference CDF callable."""
     x = ecdf.values
     n = ecdf.n
@@ -84,16 +83,15 @@ def ks_one_sample(ecdf: EmpiricalCdf, cdf, label: str = "one-sample") -> KsRepor
     i = np.arange(1, n + 1)
     d_plus = np.max(i / n - f)
     d_minus = np.max(f - (i - 1) / n)
-    return KsReport(statistic=float(max(d_plus, d_minus)), n=n, label=label)
+    return KsReport(statistic=float(max(d_plus, d_minus)), n=n)
 
 
-def ks_two_sample(a: EmpiricalCdf, b: EmpiricalCdf, label: str = "two-sample") -> KsReport:
+def ks_two_sample(a: EmpiricalCdf, b: EmpiricalCdf) -> KsReport:
     """Sup distance between two step CDFs, evaluated over both supports."""
     grid = np.concatenate([a.values, b.values])
     grid.sort(kind="mergesort")
     return KsReport(
-        statistic=float(np.max(np.abs(a.evaluate(grid) - b.evaluate(grid)))),
-        n=a.n, n2=b.n, label=label,
+        statistic=float(np.max(np.abs(a.evaluate(grid) - b.evaluate(grid)))), n=a.n, n2=b.n
     )
 
 
@@ -104,7 +102,7 @@ def fold_angles(theta):
     return np.where(theta >= TWO_PI, 0.0, theta)
 
 
-def angle_uniformity(angles, label: str = "angles") -> KsReport:
+def angle_uniformity(angles) -> KsReport:
     """KS distance of pooled angles to the uniform law on [0, 2*pi)."""
     th = np.asarray(angles, dtype=float).ravel()
     if len(th) == 0:
@@ -112,7 +110,7 @@ def angle_uniformity(angles, label: str = "angles") -> KsReport:
     if np.any(~np.isfinite(th)) or np.any(th < 0) or np.any(th > TWO_PI):
         raise ValueError("angles: entries must lie in [0, 2*pi]")
     ecdf = EmpiricalCdf(values=fold_angles(th))
-    return ks_one_sample(ecdf, lambda t: np.clip(t / TWO_PI, 0.0, 1.0), label=label)
+    return ks_one_sample(ecdf, lambda t: np.clip(t / TWO_PI, 0.0, 1.0))
 
 
 def mgf_estimate(log_values, t: float):

@@ -28,7 +28,7 @@ from prodspec.cli import (
     write_outputs,
 )
 from prodspec.config import ScalingPlan, resolve_gamma
-from prodspec.limit_laws import GinibreLimit
+from prodspec.limit_laws import GinibreLimit, HaarLimit
 from prodspec.matrix_model import ConditioningError
 
 
@@ -162,33 +162,31 @@ def resolved(cfg):
 
 
 def test_resolve_limit_auto_ginibre():
-    kind, lim = resolved(ExperimentConfig(ensemble="ginibre", n=50, signs="-+", gamma="2"))
-    assert kind == "ginibre"
+    lim = resolved(ExperimentConfig(ensemble="ginibre", n=50, signs="-+", gamma="2"))
+    assert isinstance(lim, GinibreLimit)
     assert (lim.alpha, lim.beta) == (0.5, 1.0)
 
 
 def test_resolve_limit_auto_degenerate_for_large_gamma():
-    kind, lim = resolved(
-        ExperimentConfig(ensemble="ginibre", n=300, signs="++++", gamma="1200")
-    )
-    assert kind == "degenerate" and lim is None
+    lim = resolved(ExperimentConfig(ensemble="ginibre", n=300, signs="++++", gamma="1200"))
+    assert lim is None
 
 
 def test_resolve_limit_auto_haar_and_degenerate():
-    kind, lim = resolved(
+    lim = resolved(
         ExperimentConfig(
             ensemble="haar", n=200, signs="+-", gamma="2", dims=(400, 400)
         )
     )
-    assert kind == "haar"
+    assert isinstance(lim, HaarLimit)
     assert lim.betas[0] == pytest.approx(2.0 / 3.0, rel=1e-12)
     assert lim.terms == 80
-    kind, lim = resolved(
+    lim = resolved(
         ExperimentConfig(
             ensemble="haar", n=400, signs="++", gamma="2", dims=(401, 401)
         )
     )
-    assert kind == "degenerate"
+    assert lim is None
     # the near-square curve really does sit under the cutoff
     assert 2.0 * (1.0 - 400.0 / 402.0) / 2.0 < DEGENERATE_THRESHOLD
 
@@ -196,26 +194,24 @@ def test_resolve_limit_auto_haar_and_degenerate():
 def test_resolve_limit_explicit_tokens(tmp_path):
     base = ExperimentConfig(ensemble="ginibre", n=20, signs="+")
     cfg = ExperimentConfig(**{**base.__dict__, "limit": "degenerate"})
-    assert resolved(cfg) == ("degenerate", None)
+    assert resolved(cfg) is None
     cfg = ExperimentConfig(**{**base.__dict__, "limit": "ginibre:0.3,0.7"})
-    kind, lim = resolved(cfg)
-    assert kind == "ginibre" and (lim.alpha, lim.beta) == (0.3, 0.7)
+    assert resolved(cfg) == GinibreLimit(alpha=0.3, beta=0.7)
     with pytest.raises(ConfigError, match="ginibre:alpha,beta"):
         resolved(ExperimentConfig(**{**base.__dict__, "limit": "ginibre:0.3"}))
     with pytest.raises(ConfigError, match="limit"):
         resolved(ExperimentConfig(**{**base.__dict__, "limit": "bogus"}))
     p = tmp_path / "betas.txt"
     p.write_text("# curve prefix\n0.5\n-0.25\nbound = 0.5\n")
-    kind, lim = resolved(ExperimentConfig(**{**base.__dict__, "limit": f"betas:{p}"}))
-    assert kind == "haar"
-    assert lim.betas == (0.5, -0.25) and lim.tail_bound == 0.5
+    lim = resolved(ExperimentConfig(**{**base.__dict__, "limit": f"betas:{p}"}))
+    assert lim == HaarLimit(betas=(0.5, -0.25), tail_bound=0.5)
 
 
 def test_betas_file_defaults_and_errors(tmp_path):
     base = ExperimentConfig(ensemble="ginibre", n=20, signs="+")
     p = tmp_path / "betas.txt"
     p.write_text("0.5\n-0.75\n")
-    _, lim = resolved(ExperimentConfig(**{**base.__dict__, "limit": f"betas:{p}"}))
+    lim = resolved(ExperimentConfig(**{**base.__dict__, "limit": f"betas:{p}"}))
     assert lim.tail_bound == 0.75  # defaults to the largest magnitude
     empty = tmp_path / "empty.txt"
     empty.write_text("# nothing\n")
@@ -267,6 +263,40 @@ def test_betas_file_run_reports_a_prefix_reference(tmp_path):
     report = run_experiment(small_cfg(limit=f"betas:{p}"))
     assert report.limit_kind == "haar" and report.limit.pairs == ()
     assert report.record()["limit_reference"] == "prefix"
+
+
+GINIBRE_KEYS = {"limit_alpha", "limit_beta"}
+HAAR_KEYS = {"limit_terms", "limit_beta1", "limit_tail_bound", "limit_reference"}
+
+
+@pytest.mark.parametrize(
+    "kw, kind, limit_keys",
+    [
+        ({}, "ginibre", GINIBRE_KEYS),
+        ({"ensemble": "haar", "signs": "+-", "dims": (24, 24)}, "haar", HAAR_KEYS),
+        ({"limit": "betas:{tmp}/betas.txt"}, "haar", HAAR_KEYS),
+        ({"limit": "ginibre:0.3,0.7"}, "ginibre", GINIBRE_KEYS),
+        ({"limit": "degenerate"}, "degenerate", set()),
+        ({"signs": "++++", "gamma": "1200"}, "degenerate", set()),
+    ],
+    ids=["auto-ginibre", "auto-haar", "betas-file", "ginibre-token", "degenerate-token",
+         "auto-degenerate"],
+)
+def test_record_keys_for_each_law(tmp_path, kw, kind, limit_keys):
+    (tmp_path / "betas.txt").write_text("0.5\n-0.25\n")
+    kw = {k: v.format(tmp=tmp_path) if isinstance(v, str) else v for k, v in kw.items()}
+    report = run_experiment(small_cfg(replicates=4, **kw))
+    rec = report.record()
+    assert report.limit_kind == rec["limit_kind"] == kind
+    assert {k for k in rec if k.startswith("limit_")} - {"limit_kind"} == limit_keys
+    # every setting but the two reported resolved (gamma_n, limit_kind) and --out
+    settings = {
+        k for k in rec
+        if not k.startswith(("limit_", "ks_", "mass_", "runtime_"))
+        and k not in ("version", "gamma_n", "log_scale")
+    }
+    assert settings == {f.name for f in fields(ExperimentConfig)} - {"gamma", "limit", "out"}
+    assert rec["dims"] == ("24,24" if "dims" in kw else "") and rec["preset"] == ""
 
 
 def test_run_experiment_deterministic_across_workers():
@@ -438,6 +468,26 @@ def test_cli_conditioning_abort_is_exit_3(monkeypatch, capsys):
     )
     assert code == 3
     assert "conditioning abort" in capsys.readouterr().err
+
+
+def test_cli_value_error_while_sampling_is_exit_2(monkeypatch, capsys):
+    def refuse(spec, rng):
+        raise ValueError("synthetic refusal")
+
+    monkeypatch.setattr("prodspec.cli.sample_radial_spectrum", refuse)
+    assert main(["run", "--n", "10", "--signs", "+", "--replicates", "4"]) == 2
+    assert capsys.readouterr().err == "error: synthetic refusal\n"
+
+
+def test_cli_write_failure_after_sampling_is_exit_2(tmp_path, capsys):
+    out = tmp_path / "res"
+    (out / "cdf.csv").mkdir(parents=True)  # --out itself is writable
+    code = main(
+        ["run", "--n", "10", "--signs", "+", "--replicates", "4", "--out", str(out)]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: out:") and captured.out == ""
 
 
 def test_cli_threshold_failure_is_exit_4(capsys):

@@ -491,6 +491,19 @@ def test_haar_limit_pairs_validation():
         HaarLimit(betas=(0.5,), pairs=((1, 0.5, 1.0),))
 
 
+def test_haar_limit_rejects_pairs_whose_series_is_not_betas():
+    # the closed form's first coefficient is 2.5, not 1: haar_limit_cdf
+    # would read 0.385 at y = 0.5 where the prefix's inverse reads 0.153
+    with pytest.raises(ValueError, match="pairs:"):
+        HaarLimit(betas=(1.0,), pairs=((1, 5.0, 0.5),))
+    lim = haar_limit_from_spec(haar(6, "+-", (9, 11)), 2.0, terms=80)
+    assert HaarLimit(betas=lim.betas, tail_bound=lim.tail_bound, pairs=lim.pairs) == lim
+    # one prefix coefficient off by 1e-9 of the largest is caught too
+    betas = lim.betas[:40] + (lim.betas[40] + 1e-9 * lim.betas[0],) + lim.betas[41:]
+    with pytest.raises(ValueError, match="pairs:"):
+        HaarLimit(betas=betas, tail_bound=lim.tail_bound, pairs=lim.pairs)
+
+
 def test_haar_limit_cdf_without_pairs_inverts_the_prefix():
     lim = haar_limit_from_spec(haar(6, "+-", (9, 11)), 2.0, terms=80)
     prefix = HaarLimit(betas=lim.betas, tail_bound=lim.tail_bound)

@@ -66,10 +66,9 @@ def test_build_ecdf_pools_and_commutes():
 
 def test_ks_one_sample_hand_value():
     e = EmpiricalCdf(values=np.array([0.25, 0.75]))
-    report = ks_one_sample(e, lambda y: np.clip(y, 0, 1), label="hand")
+    report = ks_one_sample(e, lambda y: np.clip(y, 0, 1))
     assert report.statistic == pytest.approx(0.25, rel=1e-14)
     assert report.n == 2
-    assert report.label == "hand"
     assert report.n2 is None
 
 
@@ -179,6 +178,6 @@ def test_ks_threshold_values():
 
 
 def test_ks_report_is_frozen():
-    r = KsReport(statistic=0.1, n=10, label="x")
+    r = KsReport(statistic=0.1, n=10)
     with pytest.raises(AttributeError):
         r.statistic = 0.2
