@@ -40,13 +40,8 @@ from .matrix_model import (
     sample_product_eigenvalues,
     truncate,
 )
-from .numerics import (
-    RngStream,
-    log_beta,
-    log_gamma,
-)
+from .numerics import RngStream
 from .scalar_model import (
-    factor_shape,
     log_mgf_ginibre,
     log_mgf_haar,
     log_weight_moment,

@@ -58,6 +58,9 @@ MASS_THRESHOLD = 0.95
 
 LIMIT_TERMS = 80
 
+# each worker is an OS thread, so --workers is capped
+MAX_WORKERS = 64
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
@@ -98,8 +101,8 @@ class ExperimentConfig:
             raise ConfigError(f"replicates: must be >= 1 (got {self.replicates})")
         if self.mode not in ("scalar", "matrix", "both"):
             raise ConfigError(f"mode: expected scalar|matrix|both (got {self.mode!r})")
-        if self.workers < 1:
-            raise ConfigError(f"workers: must be >= 1 (got {self.workers})")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ConfigError(f"workers: must lie in 1..{MAX_WORKERS} (got {self.workers})")
         if self.seed < 0:
             raise ConfigError(f"seed: must be >= 0 (got {self.seed})")
         spec = self.build_spec()  # surfaces spec-level problems early
@@ -363,7 +366,7 @@ PRESETS = {
     ),
     "haar-remark4i": (
         lambda n: {"ensemble": "haar", "signs": "++", "gamma": "2", "dims": (n + 1,) * 2},
-        "two near-square truncations; rescaled moduli concentrate at 1",
+        "two near-square truncations concentrating at 1; --assert passes from about n = 200",
     ),
     "haar-remark4ii": (
         lambda n: {"ensemble": "haar", "signs": "+-", "gamma": "2", "dims": (2 * n,) * 2},
@@ -385,37 +388,41 @@ def apply_preset(name: str, n: int) -> dict:
 # ---------------------------------------------------------------------------
 # argument handling
 
+_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+
+
 def parse_config_file(path: str) -> dict:
     """Read flat key = value lines, one ExperimentConfig field each; '#' starts a comment.
 
-    Integer fields come back as int; every other value stays a string.
+    Values stay strings; build_config converts them.
     """
-    types = {f.name: f.type for f in fields(ExperimentConfig)}
     out = {}
     for lineno, _, key, sep, val in _key_value_lines(path, f"config: cannot read {path}"):
         if not sep or not key or not val:
             raise ConfigError(f"config: line {lineno}: expected 'key = value'")
-        if key not in types:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"config: line {lineno}: unknown key {key!r}")
-        try:
-            out[key] = int(val) if types[key] == "int" else val
-        except ValueError:
-            raise ConfigError(f"{key}: expected an integer (got {val!r})") from None
+        out[key] = val
     return out
 
 
-def _parse_dims(text: str) -> tuple[int, ...]:
+def _typed(key: str, value):
+    """A setting's text as an int for int fields, an int tuple for dims, else unchanged."""
+    if not isinstance(value, str) or (key != "dims" and _FIELD_TYPES[key] != "int"):
+        return value
     try:
-        return tuple(int(p) for p in text.split(","))
+        return tuple(int(p) for p in value.split(",")) if key == "dims" else int(value)
     except ValueError:
-        raise ConfigError(f"dims: expected comma-separated integers (got {text!r})") from None
+        kind = "comma-separated integers" if key == "dims" else "an integer"
+        raise ConfigError(f"{key}: expected {kind} (got {value!r})") from None
 
 
 def build_config(args) -> ExperimentConfig:
     """Layer field defaults, preset, config file, then explicit flags.
 
     args holds config and one attribute per ExperimentConfig field, None when
-    unset. The preset is named by its flag, or else by the config file.
+    unset; file and flag text is converted here, and checked by validated().
+    The preset is named by its flag, or else by the config file.
     """
     settings = {
         f.name: None if f.default is MISSING else f.default
@@ -423,7 +430,8 @@ def build_config(args) -> ExperimentConfig:
     }
     file = parse_config_file(args.config) if args.config else {}
     flags = {k: getattr(args, k) for k in settings if getattr(args, k) is not None}
-    given = {**file, **flags}
+    # every value is converted, a file value that a flag overrides too
+    given = {k: _typed(k, v) for k, v in [*file.items(), *flags.items()]}
     if given.get("preset"):
         if given.get("n") is None:
             raise ConfigError("n: presets still need --n")
@@ -432,8 +440,6 @@ def build_config(args) -> ExperimentConfig:
     for f in fields(ExperimentConfig):
         if f.default is MISSING and settings[f.name] is None:
             raise ConfigError(f"{f.name}: required")
-    if isinstance(settings["dims"], str):
-        settings["dims"] = _parse_dims(settings["dims"])
     return ExperimentConfig(**settings)
 
 
@@ -444,15 +450,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="sample an ensemble and compare with its limit")
-    run.add_argument("--ensemble", choices=("ginibre", "haar"))
-    run.add_argument("--n", type=int)
+    run.add_argument("--ensemble", help="ginibre | haar")
+    run.add_argument("--n")
     run.add_argument("--signs", help='factor exponents, e.g. "-+"')
     run.add_argument("--dims", help="comma-separated source dimensions (haar)")
     run.add_argument("--gamma", help="rescaling power: a number or 'm'")
-    run.add_argument("--replicates", type=int)
-    run.add_argument("--mode", choices=("scalar", "matrix", "both"))
-    run.add_argument("--seed", type=int)
-    run.add_argument("--workers", type=int)
+    run.add_argument("--replicates")
+    run.add_argument("--mode", help="scalar | matrix | both")
+    run.add_argument("--seed")
+    run.add_argument("--workers", help=f"thread count, 1..{MAX_WORKERS}")
     run.add_argument("--limit", help="auto | degenerate | ginibre:a,b | betas:PATH")
     run.add_argument("--out", help="directory for cdf.csv, angles.csv, report.json")
     run.add_argument("--preset", help="named scenario (see 'prodspec presets')")

@@ -42,9 +42,6 @@ class SignPattern:
     def plus_count(self) -> int:
         return sum(1 for s in self.entries if s == 1)
 
-    def __len__(self):
-        return len(self.entries)
-
     def __iter__(self):
         return iter(self.entries)
 

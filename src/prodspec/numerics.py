@@ -1,14 +1,8 @@
-"""Special functions and seeded random streams.
-
-Everything downstream works with log-gamma and log-beta values directly;
-ratios of gamma functions at the sizes we care about overflow long before
-the statistics become interesting, so plain Gamma is never formed.
-"""
+"""Seeded random streams with checked gamma and beta draws."""
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 
 def _positive(name: str, *args):
@@ -17,20 +11,6 @@ def _positive(name: str, *args):
     if any(np.any(~(a > 0)) for a in arrays):
         raise ValueError(f"{name}: arguments must be > 0 (got {', '.join(map(repr, arrays))})")
     return arrays
-
-
-def log_gamma(x):
-    """log of the gamma function for x > 0."""
-    (x,) = _positive("log_gamma", x)
-    out = special.gammaln(x)
-    return float(out) if out.ndim == 0 else out
-
-
-def log_beta(a, b):
-    """log of the beta function, log_gamma(a) + log_gamma(b) - log_gamma(a+b)."""
-    a, b = _positive("log_beta", a, b)
-    out = special.betaln(a, b)
-    return float(out) if out.ndim == 0 else out
 
 
 class RngStream:

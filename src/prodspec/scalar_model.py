@@ -6,7 +6,9 @@ half-power product of one gamma (Gaussian factors) or beta (truncated
 unitary factors) draw per factor, with shape parameter j for a direct
 factor and n+1-j for an inverted one. Everything here works with the
 scalars' logarithms; moment generating functions are exact gamma/beta
-ratios and are kept in log form.
+ratios and are kept in log form. Ratios of gamma functions at the sizes
+we care about overflow long before the statistics become interesting,
+so plain Gamma is never formed.
 """
 
 from __future__ import annotations
@@ -14,23 +16,15 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import special
 
 from .config import ProductSpec
-from .numerics import RngStream, log_beta, log_gamma
+from .numerics import RngStream
 
 
 def _shape(n, j, sign):
     """Shape of the j-th surrogate's draw for one factor; j may be an array."""
     return j if sign == 1 else n + 1 - j
-
-
-def factor_shape(n: int, j: int, sign: int) -> int:
-    """First shape parameter of the j-th surrogate's draw for one factor."""
-    if not (1 <= j <= n):
-        raise ValueError(f"j: must lie in 1..{n} (got {j})")
-    if sign not in (1, -1):
-        raise ValueError(f"sign: must be +-1 (got {sign!r})")
-    return _shape(n, j, sign)
 
 
 def _check_index(spec, j):
@@ -46,8 +40,11 @@ def _factors(spec: ProductSpec):
 
 
 def _log_norm(shape, b):
-    """log of the surrogate draw's normalizer: Gamma(shape), or B(shape, b)."""
-    return log_gamma(shape) if b is None else log_beta(shape, b)
+    """log of the surrogate draw's normalizer: Gamma(shape), or B(shape, b).
+
+    The callers check the domain: shape > 0 and b > 0.
+    """
+    return special.gammaln(shape) if b is None else special.betaln(shape, b)
 
 
 def _log_radius_draws(spec: ProductSpec, j, rng: RngStream, size=None):
@@ -99,8 +96,8 @@ def log_mgf_ginibre(spec: ProductSpec, j: int, t: float) -> float:
 
     One log-gamma ratio per Gaussian factor or log-beta ratio per
     truncation; for Gaussian factors this equals
-        p * (log_gamma(j + t/2) - log_gamma(j))
-      + (m-p) * (log_gamma(n+1-j - t/2) - log_gamma(n+1-j)),
+        p * (log Gamma(j + t/2) - log Gamma(j))
+      + (m-p) * (log Gamma(n+1-j - t/2) - log Gamma(n+1-j)),
     finite exactly on -2j < t < 2(n+1-j). The same function is exported
     as log_mgf_haar.
     """

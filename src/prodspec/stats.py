@@ -44,11 +44,10 @@ class EmpiricalCdf:
 
 @dataclass(frozen=True)
 class KsReport:
-    """One KS comparison: statistic and sample sizes."""
+    """One KS comparison: statistic and the size of the (first) sample."""
 
     statistic: float
     n: int
-    n2: int | None = None
 
 
 def rescale_moduli(log_moduli, plan: ScalingPlan):
@@ -90,9 +89,7 @@ def ks_two_sample(a: EmpiricalCdf, b: EmpiricalCdf) -> KsReport:
     """Sup distance between two step CDFs, evaluated over both supports."""
     grid = np.concatenate([a.values, b.values])
     grid.sort(kind="mergesort")
-    return KsReport(
-        statistic=float(np.max(np.abs(a.evaluate(grid) - b.evaluate(grid)))), n=a.n, n2=b.n
-    )
+    return KsReport(statistic=float(np.max(np.abs(a.evaluate(grid) - b.evaluate(grid)))), n=a.n)
 
 
 def fold_angles(theta):

@@ -385,10 +385,24 @@ def test_cli_presets_listing(capsys):
         (["run", "--config", "{tmp}/word-n.cfg"], "error: n: expected an integer (got 'abc')"),
         (["run", "--config", "{tmp}/float-workers.cfg"],
          "error: workers: expected an integer (got '2.5')"),
+    ]
+    # a bad flag value gets the same error line as the same value in a file
+    + [
+        (["run", "--signs", "+", "--n", "abc"], "error: n: expected an integer (got 'abc')"),
+        (["run", "--signs", "+", "--n", "10", "--workers=2.5"],
+         "error: workers: expected an integer (got '2.5')"),
+        (["run", "--signs", "+", "--n", "10", "--mode=fast"],
+         "error: mode: expected scalar|matrix|both (got 'fast')"),
+        (["run", "--signs", "+", "--n", "10", "--ensemble=wishart"],
+         "error: ensemble: expected 'ginibre' or 'haar' (got 'wishart')"),
+        # one replicate starts one thread at most, so this cannot exhaust threads
+        (["run", "--signs", "+", "--n", "10", "--replicates", "1", "--workers", "1000000"],
+         "error: workers: must lie in 1..64 (got 1000000)"),
     ],
     ids=[
         "no-n", "gamma-negative", "gamma-zero", "gamma-nan", "gamma-inf", "gamma-word",
-        "config-n-word", "config-workers-float",
+        "config-n-word", "config-workers-float", "flag-n-word", "flag-workers-float",
+        "flag-mode-unknown", "flag-ensemble-unknown", "flag-workers-above-cap",
     ],
 )
 def test_cli_invalid_config_is_exit_2(tmp_path, capsys, argv, needle):
@@ -501,6 +515,16 @@ def test_cli_threshold_failure_is_exit_4(capsys):
     )
     assert code == 4
     assert "threshold failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, code", [(100, 4), (200, 0)])
+def test_haar_remark4i_assert_passes_from_about_n_200(capsys, n, code):
+    # the near-square truncations concentrate slowly: mass_scalar is 0.923
+    # at n=100 and 0.959 at n=200, against the 0.95 gate
+    argv = ["run", "--preset", "haar-remark4i", "--n", str(n), "--replicates", "50",
+            "--seed", "1", "--assert"]
+    assert main(argv) == code
+    capsys.readouterr()
 
 
 def test_cli_assert_passes_on_matching_limit(capsys):

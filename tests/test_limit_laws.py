@@ -654,3 +654,28 @@ def test_closed_curves_rise_and_invert_like_brentq_on_drawn_laws(**law):
                 xtol=1e-15, rtol=4 * np.finfo(float).eps,
             )
             assert haar_limit_cdf(lim, math.exp(target)) == pytest.approx(root, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(alpha=st.floats(0.0, 1.0), beta=st.floats(0.05, 10.0))
+def test_ginibre_density_is_the_cdf_slope_on_drawn_laws(alpha, beta):
+    lim = GinibreLimit(alpha, beta)
+    dens = ginibre_limit_density(lim, CDF_GRID[3:])
+    assert np.all(np.isfinite(dens) & (dens >= 0.0))
+    # points whose CDF lies in [0.05, 0.95]: the profile to the power beta
+    y = radial_profile(alpha, np.linspace(0.05, 0.95, 19)) ** beta
+    cdf = ginibre_limit_cdf(lim, y)
+    assert np.all((cdf >= 0.05 - 1e-9) & (cdf <= 0.95 + 1e-9))
+    h = 1e-6 * y
+    slope = (ginibre_limit_cdf(lim, y + h) - ginibre_limit_cdf(lim, y - h)) / (2 * h)
+    assert np.allclose(ginibre_limit_density(lim, y), slope, rtol=1e-5, atol=0.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(**DRAWN_LAWS)
+def test_curve_inverse_densities_are_finite_and_nonnegative_on_drawn_laws(**law):
+    for lim, _ in _built_laws(**law, terms=80):
+        v = limit_curve(lim, np.linspace(0.0, 1.0, 201))
+        v = np.concatenate([[v.min() - 1.0], v, [v.max() + 1.0]])
+        dens = curve_inverse_density(lim, v)
+        assert np.all(np.isfinite(dens) & (dens >= 0.0))

@@ -11,7 +11,7 @@ from scipy.special import digamma, polygamma
 from prodspec.config import GinibreProductSpec, HaarProductSpec, ProductSpec, SignPattern
 from prodspec.numerics import RngStream
 from prodspec.scalar_model import (
-    factor_shape,
+    _shape,
     log_mgf_ginibre,
     log_mgf_haar,
     log_weight_moment,
@@ -37,9 +37,9 @@ def haar(n, signs, dims):
 
 
 def test_factor_shape_values():
-    assert factor_shape(10, 3, 1) == 3
-    assert factor_shape(10, 3, -1) == 8
-    assert factor_shape(5, 5, -1) == 1
+    assert _shape(10, 3, 1) == 3
+    assert _shape(10, 3, -1) == 8
+    assert _shape(5, 5, -1) == 1
 
 
 def test_factor_shape_closed_form():
@@ -47,16 +47,15 @@ def test_factor_shape_closed_form():
     for n in (3, 8, 17):
         for j in range(1, n + 1):
             for s in (1, -1):
-                assert factor_shape(n, j, s) == (n + 1 + s * (2 * j - 1 - n)) / 2
+                assert _shape(n, j, s) == (n + 1 + s * (2 * j - 1 - n)) / 2
 
 
-def test_factor_shape_rejects_bad_args():
+def test_surrogate_index_outside_1_to_n_is_rejected():
+    spec = ginibre(5, "+-")
     with pytest.raises(ValueError, match="j:"):
-        factor_shape(5, 0, 1)
+        log_mgf_ginibre(spec, 0, 0.5)
     with pytest.raises(ValueError, match="j:"):
-        factor_shape(5, 6, 1)
-    with pytest.raises(ValueError, match="sign"):
-        factor_shape(5, 2, 0)
+        sample_log_radius_ginibre(spec, spec.n + 1, RngStream(0))
 
 
 def test_log_mgf_ginibre_single_inverse_factor():
@@ -220,10 +219,10 @@ def test_sample_log_radius_mean_and_variance_ginibre():
     rng = RngStream(103)
     draws = sample_log_radius_ginibre(spec, j, rng, size=400_000)
     mean = sum(
-        0.5 * s * digamma(factor_shape(spec.n, j, s)) for s in spec.signs
+        0.5 * s * digamma(_shape(spec.n, j, s)) for s in spec.signs
     )
     var = sum(
-        0.25 * polygamma(1, factor_shape(spec.n, j, s)) for s in spec.signs
+        0.25 * polygamma(1, _shape(spec.n, j, s)) for s in spec.signs
     )
     assert np.mean(draws) == pytest.approx(mean, abs=5 * math.sqrt(var / len(draws)))
     assert np.var(draws, ddof=1) == pytest.approx(var, rel=0.02)
@@ -237,7 +236,7 @@ def test_sample_log_radius_variance_haar():
     draws = sample_log_radius_haar(spec, j, rng, size=400_000)
     var = 0.0
     for s, d in zip(spec.signs, spec.dims):
-        a = factor_shape(spec.n, j, s)
+        a = _shape(spec.n, j, s)
         var += 0.25 * (polygamma(1, a) - polygamma(1, a + d - spec.n))
     assert np.var(draws, ddof=1) == pytest.approx(var, rel=0.02)
 
@@ -270,10 +269,10 @@ def test_spectrum_entry_distribution_matches_per_index_sampler():
     got = total / reps
     for j in (1, 10, 20, 30):
         expect = sum(
-            0.5 * s * digamma(factor_shape(spec.n, j, s)) for s in spec.signs
+            0.5 * s * digamma(_shape(spec.n, j, s)) for s in spec.signs
         )
         var = sum(
-            0.25 * polygamma(1, factor_shape(spec.n, j, s)) for s in spec.signs
+            0.25 * polygamma(1, _shape(spec.n, j, s)) for s in spec.signs
         )
         assert got[j - 1] == pytest.approx(expect, abs=5 * math.sqrt(var / reps))
 
