@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from .config import ProductSpec, ScalingPlan, SignPattern, resolve_gamma
 from .limit_laws import (
+    LIMIT_TERMS,
     GinibreLimit,
     HaarLimit,
     ginibre_limit_cdf,
@@ -56,9 +57,7 @@ DEGENERATE_THRESHOLD = 0.05
 MASS_WINDOW = (0.9, 1.1)
 MASS_THRESHOLD = 0.95
 
-LIMIT_TERMS = 80
-
-# each worker is an OS thread, so --workers is capped
+# each matrix-path worker is an OS thread, so --workers is capped
 MAX_WORKERS = 64
 
 
@@ -272,13 +271,6 @@ def _mass_in_window(values) -> float:
     return float(np.mean((v >= lo) & (v <= hi)))
 
 
-def _map_replicates(fn, count, workers):
-    if workers == 1:
-        return [fn(r) for r in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
-
-
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Sample, compare, and assemble a report; raises ConditioningError on abort."""
     cfg = cfg.validated()
@@ -287,29 +279,32 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     report = ExperimentReport(config=cfg, plan=plan, limit=resolve_limit(cfg, spec, plan))
     root = RngStream(cfg.seed)
     cdf = report.limit_cdf()
+    replicates = range(cfg.replicates)
 
-    # stream key (key, r): this path, replicate r; the samplers are looked
-    # up at call time so that they can be patched on this module
-    for key, path, draw in (
-        (0, "scalar", lambda rng: sample_radial_spectrum(spec, rng)),
-        (1, "matrix", lambda rng: sample_product_eigenvalues(spec, rng)),
-    ):
+    # stream key (0, r) / (1, r): scalar / matrix replicate r; the samplers
+    # are looked up at call time so that they can be patched on this module
+    for path in ("scalar", "matrix"):
         if cfg.mode not in (path, "both"):
             continue
         t0 = time.perf_counter()
-        samples = _map_replicates(
-            lambda r: draw(root.substream(key, r)), cfg.replicates, cfg.workers
-        )
-        ecdf = build_ecdf(
-            samples if path == "scalar" else [s.log_moduli for s in samples], plan
-        )
+        if path == "scalar":
+            # the surrogate draws hold the GIL, so threads would only slow them
+            log_moduli = [sample_radial_spectrum(spec, root.substream(0, r)) for r in replicates]
+        else:
+            # LAPACK releases the GIL, so the workers' factorisations overlap
+            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+                samples = list(pool.map(
+                    lambda r: sample_product_eigenvalues(spec, root.substream(1, r)),
+                    replicates,
+                ))
+            log_moduli = [s.log_moduli for s in samples]
+            report.pooled_angles = np.concatenate([s.angles for s in samples])
+            report.ks_results["angles"] = angle_uniformity(report.pooled_angles)
+        ecdf = build_ecdf(log_moduli, plan)
         setattr(report, f"{path}_ecdf", ecdf)
         setattr(report, f"mass_{path}", _mass_in_window(ecdf.values))
         if report.limit is not None:
             report.ks_results[path] = ks_one_sample(ecdf, cdf)
-        if path == "matrix":
-            report.pooled_angles = np.concatenate([s.angles for s in samples])
-            report.ks_results["angles"] = angle_uniformity(report.pooled_angles)
         report.runtimes[path] = time.perf_counter() - t0
 
     if report.scalar_ecdf is not None and report.matrix_ecdf is not None:
@@ -458,7 +453,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--replicates")
     run.add_argument("--mode", help="scalar | matrix | both")
     run.add_argument("--seed")
-    run.add_argument("--workers", help=f"thread count, 1..{MAX_WORKERS}")
+    run.add_argument("--workers", help=f"threads that draw matrix replicates, 1..{MAX_WORKERS}"
+                     " (scalar replicates run in the calling thread)")
     run.add_argument("--limit", help="auto | degenerate | ginibre:a,b | betas:PATH")
     run.add_argument("--out", help="directory for cdf.csv, angles.csv, report.json")
     run.add_argument("--preset", help="named scenario (see 'prodspec presets')")

@@ -316,6 +316,9 @@ def log_mean_curve(spec: ProductSpec, x, mode: str = "closed", terms: int = 60):
 # ---------------------------------------------------------------------------
 # limit law built from a coefficient prefix
 
+LIMIT_TERMS = 80  # prefix length of the builders' laws, and so of a run's automatic one
+
+
 @dataclass(frozen=True)
 class HaarLimit:
     """Increasing analytic curve known through its first len(betas) coefficients.
@@ -357,9 +360,10 @@ class HaarLimit:
         object.__setattr__(self, "betas", betas)
         object.__setattr__(self, "tail_bound", float(self.tail_bound))
         object.__setattr__(self, "pairs", pairs)
-        # the inverter brackets its targets between the curve's two ends
-        lo, hi = (float(_curve_partial(self, x)) for x in (_CURVE_EDGE, 1.0 - _CURVE_EDGE))
-        if not hi > lo:
+        # the inverter brackets its targets between the curve's two finite ends
+        with np.errstate(over="ignore"):
+            lo, hi = (float(_curve_partial(self, x)) for x in (_CURVE_EDGE, 1.0 - _CURVE_EDGE))
+        if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
             raise ValueError(f"betas: partial sum must rise from x=0 to x=1 (got {lo!r} to {hi!r})")
 
     @property
@@ -378,14 +382,14 @@ def _haar_limit(pairs, terms: int, gamma_n: float = 1.0) -> HaarLimit:
     )
 
 
-def haar_limit_from_spec(spec: ProductSpec, gamma_n: float, terms: int = 80) -> HaarLimit:
+def haar_limit_from_spec(spec: ProductSpec, gamma_n: float, terms: int = LIMIT_TERMS) -> HaarLimit:
     """Finite-n limit curve: series coefficients over gamma_n, bound included."""
     if not (gamma_n > 0 and math.isfinite(gamma_n)):
         raise ValueError(f"gamma_n: must be finite and > 0 (got {gamma_n!r})")
     return _haar_limit(_spec_pairs(spec), terms, gamma_n)
 
 
-def haar_limit_from_ratios(signs, ratios, terms: int = 80) -> HaarLimit:
+def haar_limit_from_ratios(signs, ratios, terms: int = LIMIT_TERMS) -> HaarLimit:
     """Limit curve for fixed factor count with dims growing proportionally.
 
     ratios[k] is the limit of n / dims[k] in (0, 1]; the curve's power is
@@ -401,7 +405,7 @@ def haar_limit_from_ratios(signs, ratios, terms: int = 80) -> HaarLimit:
     return _haar_limit([(s, 0.5, a / (2.0 - a)) for s, a in zip(signs, ratios)], terms)
 
 
-def haar_limit_growing(plus_fraction: float, ratio: float, terms: int = 80) -> HaarLimit:
+def haar_limit_growing(plus_fraction: float, ratio: float, terms: int = LIMIT_TERMS) -> HaarLimit:
     """Limit curve when the factor count grows, with the power tied to it.
 
     plus_fraction is the limiting share of direct (non-inverted) factors,

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import threading
 from dataclasses import fields
 from pathlib import Path
 
@@ -308,6 +309,21 @@ def test_run_experiment_deterministic_across_workers():
     assert a.ks_results["paths"].statistic == b.ks_results["paths"].statistic
 
 
+def test_scalar_replicates_are_drawn_in_the_calling_thread(monkeypatch):
+    # the surrogate draws hold the GIL, so --workers sizes the matrix pool only
+    threads = {}
+    for name in ("sample_radial_spectrum", "sample_product_eigenvalues"):
+        def recording(spec, rng, draw=getattr(cli, name), seen=threads.setdefault(name, [])):
+            seen.append(threading.get_ident())
+            return draw(spec, rng)
+
+        monkeypatch.setattr(cli, name, recording)
+    run_experiment(small_cfg(mode="both", workers=4))
+    assert threads["sample_radial_spectrum"] == [threading.get_ident()] * 20
+    matrix = threads["sample_product_eigenvalues"]
+    assert len(matrix) == 20 and threading.get_ident() not in matrix
+
+
 def test_run_experiment_seed_matters():
     a = run_experiment(small_cfg())
     b = run_experiment(small_cfg(seed=6))
@@ -430,13 +446,14 @@ def test_cli_bad_limit_token_is_exit_2(capsys):
         (["--limit", "betas:{tmp}/word.txt"], "line 2"),
         (["--limit", "betas:{tmp}/negative.txt"], "betas[0]:"),
         (["--limit", "betas:{tmp}/falling.txt"], "limit: betas: partial sum must rise"),
+        (["--limit", "betas:{tmp}/overflow.txt"], "limit: betas: partial sum must rise"),
         (["--gamma", "1e-300"], "gamma"),
         (["--gamma", "0.003"], "gamma"),
     ],
     ids=[
         "ginibre-beta-zero", "ginibre-alpha-above-one", "betas-file-word",
-        "betas-file-negative-first", "betas-file-falling", "gamma-overflow",
-        "gamma-underflow",
+        "betas-file-negative-first", "betas-file-falling", "betas-file-overflow",
+        "gamma-overflow", "gamma-underflow",
     ],
 )
 def test_cli_values_rejected_mid_run_are_exit_2(tmp_path, capsys, flags, needle):
@@ -444,6 +461,7 @@ def test_cli_values_rejected_mid_run_are_exit_2(tmp_path, capsys, flags, needle)
     (tmp_path / "word.txt").write_text("0.5\nhalf\n")
     (tmp_path / "negative.txt").write_text("-0.5\n0.25\n")
     (tmp_path / "falling.txt").write_text("1\n0\n-2\n")
+    (tmp_path / "overflow.txt").write_text("1e308\n1e308\n")
     argv = ["run", "--n", "10", "--signs", "+", "--replicates", "4"]
     code = main(argv + [f.format(tmp=tmp_path) for f in flags])
     err = capsys.readouterr().err

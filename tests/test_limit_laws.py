@@ -341,6 +341,9 @@ def test_haar_limit_validation():
     # u - 2u^3 falls from 1 at x=0 to -1 at x=1: no bracket for the inverter
     with pytest.raises(ValueError, match="betas: partial sum must rise"):
         HaarLimit(betas=(1.0, 0.0, -2.0))
+    # 1e308 (u + u^2) overflows to inf at x=1: its top end is no bracket either
+    with pytest.raises(ValueError, match="betas: partial sum must rise"):
+        HaarLimit(betas=(1e308, 1e308))
 
 
 def test_haar_limit_from_spec_scales_coefficients():
