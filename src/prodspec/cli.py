@@ -35,6 +35,7 @@ from .matrix_model import (
     MAX_FACTORS,
     MAX_PRODUCT_SIZE,
     ConditioningError,
+    _one_blas_thread,
     sample_product_eigenvalues,
 )
 from .numerics import RngStream
@@ -133,6 +134,8 @@ class ExperimentReport:
     ks_results: dict = field(default_factory=dict)
     mass_scalar: float | None = None
     mass_matrix: float | None = None
+    # 1 when the matrix path ran every OpenBLAS on one thread, else None
+    blas_threads: int | None = None
     runtimes: dict = field(default_factory=dict)
 
     @property
@@ -179,6 +182,8 @@ class ExperimentReport:
             out["mass_scalar"] = self.mass_scalar
         if self.mass_matrix is not None:
             out["mass_matrix"] = self.mass_matrix
+        if self.config.mode != "scalar":
+            out["blas_threads"] = self.blas_threads
         for name, secs in sorted(self.runtimes.items()):
             out[f"runtime_{name}_s"] = secs
         return out
@@ -291,8 +296,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             # the surrogate draws hold the GIL, so threads would only slow them
             log_moduli = [sample_radial_spectrum(spec, root.substream(0, r)) for r in replicates]
         else:
-            # LAPACK releases the GIL, so the workers' factorisations overlap
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+            # LAPACK releases the GIL, so the workers' factorisations overlap;
+            # BLAS runs one thread per worker, so the outputs do not depend on it
+            with (
+                _one_blas_thread as report.blas_threads,
+                ThreadPoolExecutor(max_workers=cfg.workers) as pool,
+            ):
                 samples = list(pool.map(
                     lambda r: sample_product_eigenvalues(spec, root.substream(1, r)),
                     replicates,
@@ -423,8 +432,13 @@ def build_config(args) -> ExperimentConfig:
         f.name: None if f.default is MISSING else f.default
         for f in fields(ExperimentConfig)
     }
-    file = parse_config_file(args.config) if args.config else {}
-    flags = {k: getattr(args, k) for k in settings if getattr(args, k) is not None}
+    # argparse parses a lone "--" value, as in --signs=--, to []
+    flags = {
+        k: "--" if v == [] else v
+        for k in ("config", *settings) if (v := getattr(args, k)) is not None
+    }
+    config = flags.pop("config", None)
+    file = parse_config_file(config) if config else {}
     # every value is converted, a file value that a flag overrides too
     given = {k: _typed(k, v) for k, v in [*file.items(), *flags.items()]}
     if given.get("preset"):

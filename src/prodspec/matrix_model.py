@@ -5,10 +5,18 @@ unitaries. Inverse factors are applied through LU solves on the factor as
 drawn; no matrix is ever inverted explicitly, and a factor whose estimated
 condition number passes 1e12 aborts the replicate instead of feeding noise
 into the statistics.
+
+Replicates are parallelised by the caller's threads, not by BLAS: inside
+_one_blas_thread every loaded OpenBLAS runs one thread, so the outputs do
+not depend on the BLAS thread setting.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +34,81 @@ MAX_PRODUCT_SIZE = 200
 MAX_FACTORS = 8
 
 
+# set/get thread-count entry points, tried in order: numpy's 64-bit
+# scipy-openblas build, scipy's build, then a plain OpenBLAS
+_THREAD_SYMBOLS = [
+    (f"{prefix}set_num_threads{suffix}", f"{prefix}get_num_threads{suffix}")
+    for prefix in ("scipy_openblas_", "openblas_") for suffix in ("64_", "")
+]
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple[tuple, bool]:
+    """(set, get) pairs of the loaded OpenBLAS builds, and whether each build had one.
+
+    Builds are found by name in /proc/self/maps; where there is no such
+    file, or the BLAS is not OpenBLAS, there is nothing to control.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({
+                line.split()[-1] for line in maps
+                if "openblas" in os.path.basename(line.rstrip()).lower()
+            })
+    except OSError:
+        return (), False
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _THREAD_SYMBOLS:
+            set_threads = getattr(lib, set_name, None)
+            get_threads = getattr(lib, get_name, None)
+            if set_threads is not None and get_threads is not None:
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                controls.append((set_threads, get_threads))
+                break
+    return tuple(controls), bool(paths) and len(controls) == len(paths)
+
+
+class _SingleBlasThread:
+    """Context manager: every loaded OpenBLAS runs one thread inside it.
+
+    Entering yields 1 when every OpenBLAS found was pinned, else None. The
+    thread counts are process-wide, so overlapping uses share one pin: the
+    first entry saves the counts and sets them to 1, the last exit restores
+    them.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = []
+
+    def __enter__(self) -> int | None:
+        controls, complete = _openblas_thread_controls()
+        with self._lock:
+            if self._depth == 0:
+                self._saved = [(set_threads, get()) for set_threads, get in controls]
+                for set_threads, _ in self._saved:
+                    set_threads(1)
+            self._depth += 1
+        return 1 if complete else None
+
+    def __exit__(self, *exc) -> None:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for set_threads, count in self._saved:
+                    set_threads(count)
+
+
+_one_blas_thread = _SingleBlasThread()
+
+
 class ConditioningError(RuntimeError):
     """An inverse factor is too ill-conditioned to apply reliably."""
 
@@ -38,18 +121,27 @@ class EigenSample:
     angles: np.ndarray
 
 
-def sample_ginibre(dim: int, rng: RngStream) -> np.ndarray:
-    """dim x dim matrix of independent CN(0,1) entries."""
+def sample_ginibre(dim: int, rng: RngStream, cols: int | None = None) -> np.ndarray:
+    """dim x cols matrix of independent CN(0,1) entries; square when cols is None."""
+    cols = dim if cols is None else cols
     if dim < 1:
         raise ValueError(f"dim: must be >= 1 (got {dim})")
-    re = rng.standard_normal((dim, dim))
-    im = rng.standard_normal((dim, dim))
+    if cols < 1:
+        raise ValueError(f"cols: must be >= 1 (got {cols})")
+    re = rng.standard_normal((dim, cols))
+    im = rng.standard_normal((dim, cols))
     return (re + 1j * im) / np.sqrt(2.0)
 
 
-def sample_haar_unitary(dim: int, rng: RngStream) -> np.ndarray:
-    """Haar-distributed dim x dim unitary via QR with phase correction."""
-    q, r = np.linalg.qr(sample_ginibre(dim, rng))
+def sample_haar_unitary(dim: int, rng: RngStream, cols: int | None = None) -> np.ndarray:
+    """First cols columns (all when None) of a Haar-distributed dim x dim unitary.
+
+    The reduced QR of a dim x cols Gaussian matrix, with the phases of R's
+    diagonal moved into Q (Mezzadri 2007).
+    """
+    if cols is not None and cols > dim:
+        raise ValueError(f"cols: must lie in 1..{dim} (got {cols})")
+    q, r = np.linalg.qr(sample_ginibre(dim, rng, cols))
     d = np.diagonal(r)
     q = q * (d / np.abs(d))
     return q
@@ -112,7 +204,8 @@ def sample_product_eigenvalues(spec: ProductSpec, rng: RngStream) -> EigenSample
     if spec.dims is None:
         factors = [sample_ginibre(spec.n, rng) for _ in range(spec.m)]
     else:
+        # only the first n columns of each unitary reach its n x n corner
         factors = [
-            truncate(sample_haar_unitary(d, rng), spec.n) for d in spec.dims
+            truncate(sample_haar_unitary(d, rng, spec.n), spec.n) for d in spec.dims
         ]
     return product_eigenvalues(factors, spec.signs)

@@ -4,6 +4,9 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import threading
 from dataclasses import fields
 from pathlib import Path
@@ -30,7 +33,7 @@ from prodspec.cli import (
 )
 from prodspec.config import ScalingPlan, resolve_gamma
 from prodspec.limit_laws import GinibreLimit, HaarLimit
-from prodspec.matrix_model import ConditioningError
+from prodspec.matrix_model import ConditioningError, _openblas_thread_controls
 
 
 def parse_run(*argv):
@@ -324,6 +327,47 @@ def test_scalar_replicates_are_drawn_in_the_calling_thread(monkeypatch):
     assert len(matrix) == 20 and threading.get_ident() not in matrix
 
 
+def test_matrix_runs_pin_blas_and_restore_it(monkeypatch):
+    controls, complete = _openblas_thread_controls()
+    seen = []
+
+    def recording(spec, rng, draw=cli.sample_product_eigenvalues):
+        seen.append([get() for _, get in controls])
+        return draw(spec, rng)
+
+    monkeypatch.setattr(cli, "sample_product_eigenvalues", recording)
+    before = [get() for _, get in controls]
+    report = run_experiment(small_cfg(mode="matrix", workers=2))
+    assert seen == [[1] * len(controls)] * 20
+    assert [get() for _, get in controls] == before
+    assert report.record()["blas_threads"] == (1 if complete else None)
+    assert "blas_threads" not in run_experiment(small_cfg()).record()
+
+
+def test_matrix_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # n = 100: at n = 40 OpenBLAS runs on one thread anyway, so bytes could not differ
+    env = {k: v for k, v in os.environ.items() if k != "OMP_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        argv = [
+            sys.executable, "-m", "prodspec.cli", "run", "--ensemble", "ginibre",
+            "--signs=-+-", "--n", "100", "--replicates", "10", "--mode", "matrix",
+            "--seed", "1", "--out", str(out),
+        ]
+        proc = subprocess.run(
+            argv, env={**env, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs[threads] = [(out / name).read_bytes() for name in ("cdf.csv", "angles.csv")]
+    assert outputs["1"] == outputs["2"]
+
+
 def test_run_experiment_seed_matters():
     a = run_experiment(small_cfg())
     b = run_experiment(small_cfg(seed=6))
@@ -426,6 +470,26 @@ def test_cli_invalid_config_is_exit_2(tmp_path, capsys, argv, needle):
     (tmp_path / "float-workers.cfg").write_text("n = 10\nsigns = +\nworkers = 2.5\n")
     assert main([a.format(tmp=tmp_path) for a in argv]) == 2
     assert needle in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag", ["n", "replicates", "seed", "workers", "dims", "gamma", "limit", "preset", "config"]
+)
+def test_cli_lone_dashes_flag_value_is_read_as_text(tmp_path, capsys, monkeypatch, flag):
+    # argparse parses --X=-- to []; the value must reach the same checks as "--"
+    monkeypatch.chdir(tmp_path)
+    argv = ["run", "--n", "4", "--signs", "+", "--replicates", "2", f"--{flag}=--"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}:") and "'--'" in err
+
+
+def test_cli_lone_dashes_are_a_sign_pattern_and_a_directory(tmp_path, capsys, monkeypatch):
+    # two inverse factors, as `signs = --` in a config file gives
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--n", "4", "--signs=--", "--replicates", "2", "--out=--"]) == 0
+    assert "signs = --" in capsys.readouterr().out
+    assert json.loads((tmp_path / "--" / "report.json").read_text())["signs"] == "--"
 
 
 def test_cli_bad_limit_token_is_exit_2(capsys):
@@ -581,6 +645,8 @@ def run_argvs(draw):
              "bogus", f"betas:{_MISSING_BETAS}"]
         ),
     }
+    # argparse parses a lone "--" value to [], so every flag also draws it
+    pools = {name: st.one_of(pool, st.just("--")) for name, pool in pools.items()}
     argv = ["run"]
     for name, pool in pools.items():
         # n and signs are required, so always give them to reach the run

@@ -12,6 +12,8 @@ from prodspec.matrix_model import (
     MAX_FACTORS,
     MAX_PRODUCT_SIZE,
     ConditioningError,
+    _one_blas_thread,
+    _openblas_thread_controls,
     product_eigenvalues,
     sample_ginibre,
     sample_haar_unitary,
@@ -58,6 +60,27 @@ def test_haar_unitary_reproducible():
     assert np.array_equal(a, b)
 
 
+def test_thin_haar_draw_has_orthonormal_columns():
+    q = sample_haar_unitary(60, RngStream(12), 25)
+    assert q.shape == (60, 25)
+    assert np.allclose(q.conj().T @ q, np.eye(25), atol=1e-12)
+
+
+def test_thin_haar_draw_with_all_columns_is_the_square_draw():
+    square = sample_haar_unitary(30, RngStream(3).substream(5))
+    assert np.array_equal(sample_haar_unitary(30, RngStream(3).substream(5), 30), square)
+    assert np.array_equal(
+        sample_ginibre(30, RngStream(4), 30), sample_ginibre(30, RngStream(4))
+    )
+
+
+def test_thin_draws_reject_bad_column_counts():
+    with pytest.raises(ValueError, match="cols"):
+        sample_ginibre(5, RngStream(0), 0)
+    with pytest.raises(ValueError, match="cols"):
+        sample_haar_unitary(5, RngStream(0), 6)
+
+
 def test_truncate_corner_and_bounds():
     u = np.arange(16.0).reshape(4, 4)
     assert np.array_equal(truncate(u, 2), [[0.0, 1.0], [4.0, 5.0]])
@@ -69,18 +92,20 @@ def test_truncate_corner_and_bounds():
 
 def test_truncated_haar_is_contraction():
     # strictly inside the unit ball once at least n rows are removed
-    t = truncate(sample_haar_unitary(60, RngStream(14)), 25)
-    s = np.linalg.svd(t, compute_uv=False)
-    assert np.all(s < 1.0)
-    assert np.all(s > 0.0)
+    for cols in (None, 25):
+        t = truncate(sample_haar_unitary(60, RngStream(14), cols), 25)
+        s = np.linalg.svd(t, compute_uv=False)
+        assert np.all(s < 1.0)
+        assert np.all(s > 0.0)
 
 
 def test_shallow_truncation_pins_singular_values_at_one():
     # removing d - n < n rows leaves 2n - d exact unit singular values
-    t = truncate(sample_haar_unitary(40, RngStream(14)), 25)
-    s = np.linalg.svd(t, compute_uv=False)
-    assert np.sum(np.abs(s - 1.0) < 1e-12) == 10
-    assert np.all(s <= 1.0 + 1e-12)
+    for cols in (None, 25):
+        t = truncate(sample_haar_unitary(40, RngStream(14), cols), 25)
+        s = np.linalg.svd(t, compute_uv=False)
+        assert np.sum(np.abs(s - 1.0) < 1e-12) == 10
+        assert np.all(s <= 1.0 + 1e-12)
 
 
 def test_single_direct_factor_matches_eigvals():
@@ -198,3 +223,24 @@ def test_matrix_and_scalar_radii_share_a_law():
         EmpiricalCdf(np.concatenate(mat)), EmpiricalCdf(np.concatenate(sca))
     )
     assert report.statistic < 0.05
+
+
+def test_one_blas_thread_pins_and_restores_the_counts_it_found():
+    controls, complete = _openblas_thread_controls()
+    if not controls:
+        pytest.skip("no loaded OpenBLAS exposes a thread-count control")
+    found = [get_threads() for _, get_threads in controls]
+    try:
+        for set_threads, _ in controls:
+            set_threads(2)
+        raised = [get() for _, get in controls]
+        with _one_blas_thread as outer:
+            with _one_blas_thread as inner:
+                assert [get() for _, get in controls] == [1] * len(controls)
+            # the inner exit leaves the outer pin in place
+            assert [get() for _, get in controls] == [1] * len(controls)
+        assert outer == inner == (1 if complete else None)
+        assert [get() for _, get in controls] == raised
+    finally:
+        for (set_threads, _), count in zip(controls, found):
+            set_threads(count)
