@@ -61,6 +61,10 @@ MASS_THRESHOLD = 0.95
 # each matrix-path worker is an OS thread, so --workers is capped
 MAX_WORKERS = 64
 
+# scalar replicates are drawn in blocks of about this many values; bounds a
+# block's working memory at any n
+_BLOCK_POINTS = 1 << 17
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
@@ -286,15 +290,22 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     cdf = report.limit_cdf()
     replicates = range(cfg.replicates)
 
-    # stream key (0, r) / (1, r): scalar / matrix replicate r; the samplers
-    # are looked up at call time so that they can be patched on this module
+    # stream key (0, b, k): factor k of scalar block b, whose row i is
+    # replicate b*rows + i; (1, r): matrix replicate r. The samplers are
+    # looked up at call time so that they can be patched on this module
     for path in ("scalar", "matrix"):
         if cfg.mode not in (path, "both"):
             continue
         t0 = time.perf_counter()
         if path == "scalar":
-            # the surrogate draws hold the GIL, so threads would only slow them
-            log_moduli = [sample_radial_spectrum(spec, root.substream(0, r)) for r in replicates]
+            # the surrogate draws hold the GIL, so threads would only slow them;
+            # the (rows, n) blocks go to build_ecdf unstacked, saving a copy
+            rows = max(1, _BLOCK_POINTS // spec.n)
+            blocks = (replicates[i:i + rows] for i in range(0, cfg.replicates, rows))
+            log_moduli = [
+                sample_radial_spectrum(spec, root.substream(0, b), len(block))
+                for b, block in enumerate(blocks)
+            ]
         else:
             # LAPACK releases the GIL, so the workers' factorisations overlap;
             # BLAS runs one thread per worker, so the outputs do not depend on it

@@ -6,13 +6,15 @@ drawn; no matrix is ever inverted explicitly, and a factor whose estimated
 condition number passes 1e12 aborts the replicate instead of feeding noise
 into the statistics.
 
-Replicates are parallelised by the caller's threads, not by BLAS: inside
-_one_blas_thread every loaded OpenBLAS runs one thread, so the outputs do
-not depend on the BLAS thread setting.
+Replicates are parallelised by the caller's threads, not by BLAS:
+product_eigenvalues and sample_product_eigenvalues run inside
+_one_blas_thread, where every loaded OpenBLAS runs one thread, so their
+outputs do not depend on the BLAS thread setting.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import os
@@ -74,8 +76,8 @@ def _openblas_thread_controls() -> tuple[tuple, bool]:
     return tuple(controls), bool(paths) and len(controls) == len(paths)
 
 
-class _SingleBlasThread:
-    """Context manager: every loaded OpenBLAS runs one thread inside it.
+class _SingleBlasThread(contextlib.ContextDecorator):
+    """Context manager and decorator: every loaded OpenBLAS runs one thread inside it.
 
     Entering yields 1 when every OpenBLAS found was pinned, else None. The
     thread counts are process-wide, so overlapping uses share one pin: the
@@ -154,12 +156,14 @@ def truncate(u: np.ndarray, n: int) -> np.ndarray:
     return np.ascontiguousarray(u[:n, :n])
 
 
+@_one_blas_thread
 def product_eigenvalues(factors, signs) -> EigenSample:
     """Eigenvalues of factors[0]^s0 * factors[1]^s1 * ... with s in {+1,-1}.
 
     Inverse factors enter through LU solves from the right. Raises
     ConditioningError when an inverted factor's 1-norm condition estimate
-    exceeds CONDITION_LIMIT.
+    exceeds CONDITION_LIMIT. Runs BLAS on one thread, so the result does not
+    depend on the thread setting.
     """
     factors = [np.asarray(a, dtype=complex) for a in factors]
     signs = list(signs)
@@ -199,8 +203,13 @@ def product_eigenvalues(factors, signs) -> EigenSample:
     )
 
 
+@_one_blas_thread
 def sample_product_eigenvalues(spec: ProductSpec, rng: RngStream) -> EigenSample:
-    """Draw the factors described by a spec and return the product's eigenvalues."""
+    """Draw the factors described by a spec and return the product's eigenvalues.
+
+    Runs BLAS on one thread, as product_eigenvalues does, so that the QR of
+    a truncation does not depend on the thread setting either.
+    """
     if spec.dims is None:
         factors = [sample_ginibre(spec.n, rng) for _ in range(spec.m)]
     else:

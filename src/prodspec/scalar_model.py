@@ -4,11 +4,16 @@ The moduli of a product's eigenvalues agree in law, as an unordered set,
 with n independent scalars indexed by j = 1..n. Each scalar is a
 half-power product of one gamma (Gaussian factors) or beta (truncated
 unitary factors) draw per factor, with shape parameter j for a direct
-factor and n+1-j for an inverted one. Everything here works with the
-scalars' logarithms; moment generating functions are exact gamma/beta
-ratios and are kept in log form. Ratios of gamma functions at the sizes
-we care about overflow long before the statistics become interesting,
-so plain Gamma is never formed.
+factor and n+1-j for an inverted one.
+
+sample_radial_spectrum draws many replicates at once: factor k fills all
+of them, one row per replicate, from its own substream (k), so the first
+rows do not depend on how many follow.
+
+Everything here works with the scalars' logarithms; moment generating
+functions are exact gamma/beta ratios and are kept in log form. Ratios of
+gamma functions at the sizes we care about overflow long before the
+statistics become interesting, so plain Gamma is never formed.
 """
 
 from __future__ import annotations
@@ -47,14 +52,14 @@ def _log_norm(shape, b):
     return special.gammaln(shape) if b is None else special.betaln(shape, b)
 
 
-def _log_radius_draws(spec: ProductSpec, j, rng: RngStream, size=None):
+def _log_radius_draws(spec: ProductSpec, j, streams, size=None):
     """Half the signed sum of one log draw per factor for index (or indices) j.
 
-    Each draw is Gamma(shape) for a Gaussian factor and Beta(shape, b) for a
-    truncation, with the factor's _shape.
+    Factor k draws from streams[k]: Gamma(shape) for a Gaussian factor and
+    Beta(shape, b) for a truncation, with the factor's _shape.
     """
     out = 0.0
-    for sign, b in _factors(spec):
+    for (sign, b), rng in zip(_factors(spec), streams):
         shape = _shape(spec.n, j, sign)
         draw = rng.gamma(shape, size=size) if b is None else rng.beta(shape, b, size=size)
         out = out + 0.5 * sign * np.log(draw)
@@ -68,19 +73,25 @@ def sample_log_radius_ginibre(spec: ProductSpec, j: int, rng: RngStream, size=No
     exported as sample_log_radius_haar.
     """
     _check_index(spec, j)
-    return _log_radius_draws(spec, float(j), rng, size)
+    return _log_radius_draws(spec, float(j), [rng] * spec.m, size)
 
 
 sample_log_radius_haar = sample_log_radius_ginibre
 
 
-def sample_radial_spectrum(spec: ProductSpec, rng: RngStream) -> np.ndarray:
-    """Draw the logs of one replicate's n surrogates, index j at position j-1.
+def sample_radial_spectrum(
+    spec: ProductSpec, rng: RngStream, count: int | None = None
+) -> np.ndarray:
+    """Draw the logs of count replicates' n surrogates, index j in column j-1.
 
-    Draws are vectorized over j one factor at a time, so a single stream
-    per replicate fixes every value regardless of scheduling.
+    Returns shape (count, n), or one (n,) row when count is None. Factor k
+    draws all rows in one call from rng.substream(k), filling them row by
+    row, so the first rows are the same whatever count is.
     """
-    return _log_radius_draws(spec, np.arange(1, spec.n + 1, dtype=float), rng)
+    j = np.arange(1, spec.n + 1, dtype=float)
+    streams = [rng.substream(k) for k in range(spec.m)]
+    draws = _log_radius_draws(spec, j, streams, (1 if count is None else count, spec.n))
+    return draws[0] if count is None else draws
 
 
 def _check_t_domain(spec, j, t):

@@ -316,15 +316,40 @@ def test_scalar_replicates_are_drawn_in_the_calling_thread(monkeypatch):
     # the surrogate draws hold the GIL, so --workers sizes the matrix pool only
     threads = {}
     for name in ("sample_radial_spectrum", "sample_product_eigenvalues"):
-        def recording(spec, rng, draw=getattr(cli, name), seen=threads.setdefault(name, [])):
+        def recording(*args, draw=getattr(cli, name), seen=threads.setdefault(name, [])):
             seen.append(threading.get_ident())
-            return draw(spec, rng)
+            return draw(*args)
 
         monkeypatch.setattr(cli, name, recording)
     run_experiment(small_cfg(mode="both", workers=4))
-    assert threads["sample_radial_spectrum"] == [threading.get_ident()] * 20
+    # the 20 scalar replicates are one block, drawn in one call
+    assert threads["sample_radial_spectrum"] == [threading.get_ident()]
     matrix = threads["sample_product_eigenvalues"]
     assert len(matrix) == 20 and threading.get_ident() not in matrix
+
+
+def test_scalar_blocks_pool_every_replicate_and_extend_as_a_prefix(monkeypatch):
+    # at n = 4096 a block holds 32 replicates, so 31, 32 and 33 straddle a block edge
+    n = 1 << 12
+    rows = cli._BLOCK_POINTS // n
+    pooled = []
+
+    def recording(sets, plan, build=cli.build_ecdf):
+        pooled.append(sets)
+        return build(sets, plan)
+
+    monkeypatch.setattr(cli, "build_ecdf", recording)
+    drawn = []
+    for replicates in (rows - 1, rows, rows + 1):
+        report = run_experiment(small_cfg(n=n, signs="+", replicates=replicates))
+        assert report.scalar_ecdf.n == replicates * n
+        blocks = pooled.pop()
+        assert [b.shape for b in blocks] == [(min(rows, replicates), n)] + [(1, n)] * (
+            replicates > rows
+        )
+        drawn.append(np.concatenate(blocks))
+    for fewer, more in zip(drawn, drawn[1:]):
+        assert np.array_equal(fewer, more[: len(fewer)])
 
 
 def test_matrix_runs_pin_blas_and_restore_it(monkeypatch):
@@ -344,6 +369,28 @@ def test_matrix_runs_pin_blas_and_restore_it(monkeypatch):
     assert "blas_threads" not in run_experiment(small_cfg()).record()
 
 
+# a child hashes ten replicates drawn by direct library calls, outside any
+# run, and then runs the CLI on its arguments
+_BLAS_CHILD = """
+import hashlib, sys
+from prodspec.cli import main
+from prodspec.config import ProductSpec, SignPattern
+from prodspec.matrix_model import product_eigenvalues, sample_ginibre, sample_product_eigenvalues
+from prodspec.numerics import RngStream
+
+spec = ProductSpec(100, SignPattern.parse("-+-"))
+digest = hashlib.sha256()
+for r in range(10):
+    direct = sample_product_eigenvalues(spec, RngStream(1).substream(1, r))
+    factors = [sample_ginibre(100, RngStream(2).substream(r, k)) for k in range(3)]
+    for sample in (direct, product_eigenvalues(factors, spec.signs)):
+        digest.update(sample.log_moduli.tobytes() + sample.angles.tobytes())
+code = main(sys.argv[1:])
+print(digest.hexdigest())
+sys.exit(code)
+"""
+
+
 def test_matrix_outputs_do_not_depend_on_blas_threads(tmp_path):
     # n = 100: at n = 40 OpenBLAS runs on one thread anyway, so bytes could not differ
     env = {k: v for k, v in os.environ.items() if k != "OMP_NUM_THREADS"}
@@ -355,7 +402,7 @@ def test_matrix_outputs_do_not_depend_on_blas_threads(tmp_path):
     for threads in ("1", "2"):
         out = tmp_path / threads
         argv = [
-            sys.executable, "-m", "prodspec.cli", "run", "--ensemble", "ginibre",
+            sys.executable, "-c", _BLAS_CHILD, "run", "--ensemble", "ginibre",
             "--signs=-+-", "--n", "100", "--replicates", "10", "--mode", "matrix",
             "--seed", "1", "--out", str(out),
         ]
@@ -365,6 +412,7 @@ def test_matrix_outputs_do_not_depend_on_blas_threads(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         outputs[threads] = [(out / name).read_bytes() for name in ("cdf.csv", "angles.csv")]
+        outputs[threads].append(proc.stdout.splitlines()[-1])
     assert outputs["1"] == outputs["2"]
 
 
@@ -567,7 +615,7 @@ def test_cli_conditioning_abort_is_exit_3(monkeypatch, capsys):
 
 
 def test_cli_value_error_while_sampling_is_exit_2(monkeypatch, capsys):
-    def refuse(spec, rng):
+    def refuse(*args):
         raise ValueError("synthetic refusal")
 
     monkeypatch.setattr("prodspec.cli.sample_radial_spectrum", refuse)

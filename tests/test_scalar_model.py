@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy.special import digamma, polygamma
 
 from prodspec.config import GinibreProductSpec, HaarProductSpec, ProductSpec, SignPattern
@@ -20,6 +21,7 @@ from prodspec.scalar_model import (
     sample_radial_spectrum,
     scaled_mean_ginibre,
 )
+from prodspec.stats import EmpiricalCdf, ks_one_sample
 
 # high-precision references (40-digit arithmetic, rounded to double)
 MGF_GINIBRE_N12_J4_T15 = 0.46220791555523563  # n=12, signs "+-+", j=4, t=1.5
@@ -129,9 +131,9 @@ def test_log_weight_moment_rejects_bad_t():
 
 
 @st.composite
-def product_specs(draw):
-    """Gaussian or truncated-unitary specs with n <= 30 and at most 4 factors."""
-    n = draw(st.integers(1, 30))
+def product_specs(draw, max_n=30):
+    """Gaussian or truncated-unitary specs with n <= max_n and at most 4 factors."""
+    n = draw(st.integers(1, max_n))
     signs = SignPattern(tuple(draw(st.lists(st.sampled_from((1, -1)), min_size=1, max_size=4))))
     if draw(st.booleans()):
         return ProductSpec(n, signs)
@@ -258,15 +260,67 @@ def test_spectrum_replicates_differ():
     assert not np.array_equal(a, b)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    spec=product_specs(max_n=40),
+    count=st.integers(1, 8),
+    extra=st.integers(0, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_spectrum_rows_do_not_depend_on_the_count(spec, count, extra, seed):
+    # a block's first rows are the draws of a smaller block, byte for byte
+    rng = RngStream(seed).substream(0, 3)
+    fewer = sample_radial_spectrum(spec, rng, count)
+    more = sample_radial_spectrum(spec, rng, count + extra)
+    assert fewer.shape == (count, spec.n) and more.shape == (count + extra, spec.n)
+    assert fewer.tobytes() == more[:count].tobytes()
+    assert sample_radial_spectrum(spec, rng).tobytes() == fewer[0].tobytes()
+
+
+def single_factor_cdf(spec, x):
+    """Exact CDF at x of a one-factor spec's pooled log surrogates.
+
+    Y = sign * log(draw) / 2, so P(Y <= x) is P(draw <= e^{2x}) for a direct
+    factor and P(draw >= e^{-2x}) for an inverted one, averaged over j.
+    """
+    (sign,) = spec.signs
+    # written out rather than taken from _shape, which is under test
+    j = np.arange(1.0, spec.n + 1)[:, None]
+    shape = j if sign == 1 else spec.n + 1 - j
+    u = np.exp(2.0 * sign * np.asarray(x))
+    if spec.dims is None:
+        per_index = special.gammainc(shape, u) if sign == 1 else special.gammaincc(shape, u)
+    else:
+        below = special.betainc(shape, spec.dims[0] - spec.n, u)
+        per_index = below if sign == 1 else 1.0 - below
+    return per_index.mean(axis=0)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ginibre(3, "+"),
+        ginibre(3, "-"),
+        ginibre(40, "+"),
+        ginibre(40, "-"),
+        haar(3, "+", (5,)),
+        haar(3, "-", (4,)),
+        haar(40, "+", (41,)),
+        haar(40, "-", (90,)),
+    ],
+    ids=spec_case_id,
+)
+def test_pooled_block_draws_follow_the_exact_single_factor_law(spec):
+    draws = sample_radial_spectrum(spec, RngStream(106).substream(0), 40_000 // spec.n)
+    report = ks_one_sample(EmpiricalCdf(draws.ravel()), lambda x: single_factor_cdf(spec, x))
+    assert report.statistic <= special.kolmogi(0.01) / math.sqrt(report.n)
+
+
 def test_spectrum_entry_distribution_matches_per_index_sampler():
     # pooled replicate means track the exact digamma means index by index
     spec = ginibre(30, "+-")
-    rng = RngStream(105)
     reps = 4000
-    total = np.zeros(spec.n)
-    for r in range(reps):
-        total += sample_radial_spectrum(spec, rng.substream(r))
-    got = total / reps
+    got = sample_radial_spectrum(spec, RngStream(105), reps).mean(axis=0)
     for j in (1, 10, 20, 30):
         expect = sum(
             0.5 * s * digamma(_shape(spec.n, j, s)) for s in spec.signs
