@@ -34,11 +34,9 @@ REPLICATES = 200
 def pooled_ecdf(spec, gamma, seed):
     plan = ScalingPlan.for_spec(spec, gamma)
     root = RngStream(seed)
-    draws = [
-        sample_radial_spectrum(spec, root.substream(0, r))
-        for r in range(REPLICATES)
-    ]
-    return build_ecdf(draws, plan)
+    # one (REPLICATES, n) array, drawn and pooled the way prodspec run does
+    draws = sample_radial_spectrum(spec, root.substream(0), REPLICATES)
+    return build_ecdf([draws], plan)
 
 
 # 1. four direct factors: the radial limit is uniform on [0, 1]

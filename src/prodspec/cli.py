@@ -5,8 +5,9 @@ surrogates and/or the matrix path, compares pooled empirical CDFs with
 the resolved limit law, and writes cdf.csv, angles.csv, and report.json
 into --out. prodspec presets lists the named scenarios.
 
-Exit codes: 0 success, 2 invalid configuration or an unwritable --out,
-3 conditioning abort, 4 threshold failure under --assert.
+Exit codes: 0 success, 2 invalid configuration, a size too large to
+allocate or an unwritable --out, 3 conditioning abort, 4 threshold
+failure under --assert.
 """
 
 from __future__ import annotations
@@ -60,10 +61,6 @@ MASS_THRESHOLD = 0.95
 
 # each matrix-path worker is an OS thread, so --workers is capped
 MAX_WORKERS = 64
-
-# scalar replicates are drawn in blocks of about this many values; bounds a
-# block's working memory at any n
-_BLOCK_POINTS = 1 << 17
 
 
 class ConfigError(ValueError):
@@ -288,24 +285,19 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     report = ExperimentReport(config=cfg, plan=plan, limit=resolve_limit(cfg, spec, plan))
     root = RngStream(cfg.seed)
     cdf = report.limit_cdf()
-    replicates = range(cfg.replicates)
 
-    # stream key (0, b, k): factor k of scalar block b, whose row i is
-    # replicate b*rows + i; (1, r): matrix replicate r. The samplers are
-    # looked up at call time so that they can be patched on this module
+    # stream key (0, k): factor k of the scalar draws, one row per replicate;
+    # (1, r): matrix replicate r. The samplers are looked up at call time so
+    # that they can be patched on this module
     for path in ("scalar", "matrix"):
         if cfg.mode not in (path, "both"):
             continue
         t0 = time.perf_counter()
         if path == "scalar":
             # the surrogate draws hold the GIL, so threads would only slow them;
-            # the (rows, n) blocks go to build_ecdf unstacked, saving a copy
-            rows = max(1, _BLOCK_POINTS // spec.n)
-            blocks = (replicates[i:i + rows] for i in range(0, cfg.replicates, rows))
-            log_moduli = [
-                sample_radial_spectrum(spec, root.substream(0, b), len(block))
-                for b, block in enumerate(blocks)
-            ]
+            # build_ecdf iterates over its argument, so the (R, n) array goes in
+            # a list rather than row by row
+            log_moduli = [sample_radial_spectrum(spec, root.substream(0), cfg.replicates)]
         else:
             # LAPACK releases the GIL, so the workers' factorisations overlap;
             # BLAS runs one thread per worker, so the outputs do not depend on it
@@ -315,7 +307,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             ):
                 samples = list(pool.map(
                     lambda r: sample_product_eigenvalues(spec, root.substream(1, r)),
-                    replicates,
+                    range(cfg.replicates),
                 ))
             log_moduli = [s.log_moduli for s in samples]
             report.pooled_angles = np.concatenate([s.angles for s in samples])
@@ -519,7 +511,7 @@ def _cmd_run(args) -> int:
     except ConditioningError as exc:
         print(f"error: conditioning abort: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for key, val in sorted(report.record().items()):

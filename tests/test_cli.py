@@ -34,6 +34,8 @@ from prodspec.cli import (
 from prodspec.config import ScalingPlan, resolve_gamma
 from prodspec.limit_laws import GinibreLimit, HaarLimit
 from prodspec.matrix_model import ConditioningError, _openblas_thread_controls
+from prodspec.numerics import RngStream
+from prodspec.scalar_model import sample_radial_spectrum
 
 
 def parse_run(*argv):
@@ -322,16 +324,14 @@ def test_scalar_replicates_are_drawn_in_the_calling_thread(monkeypatch):
 
         monkeypatch.setattr(cli, name, recording)
     run_experiment(small_cfg(mode="both", workers=4))
-    # the 20 scalar replicates are one block, drawn in one call
+    # the 20 scalar replicates are drawn in one call
     assert threads["sample_radial_spectrum"] == [threading.get_ident()]
     matrix = threads["sample_product_eigenvalues"]
     assert len(matrix) == 20 and threading.get_ident() not in matrix
 
 
-def test_scalar_blocks_pool_every_replicate_and_extend_as_a_prefix(monkeypatch):
-    # at n = 4096 a block holds 32 replicates, so 31, 32 and 33 straddle a block edge
-    n = 1 << 12
-    rows = cli._BLOCK_POINTS // n
+def test_scalar_run_draws_key_0_in_one_array_and_extends_as_a_prefix(monkeypatch):
+    # factor k of every scalar replicate comes from stream (0, k), one row each
     pooled = []
 
     def recording(sets, plan, build=cli.build_ecdf):
@@ -340,16 +340,19 @@ def test_scalar_blocks_pool_every_replicate_and_extend_as_a_prefix(monkeypatch):
 
     monkeypatch.setattr(cli, "build_ecdf", recording)
     drawn = []
-    for replicates in (rows - 1, rows, rows + 1):
-        report = run_experiment(small_cfg(n=n, signs="+", replicates=replicates))
-        assert report.scalar_ecdf.n == replicates * n
-        blocks = pooled.pop()
-        assert [b.shape for b in blocks] == [(min(rows, replicates), n)] + [(1, n)] * (
-            replicates > rows
+    for replicates in (7, 8):
+        cfg = small_cfg(replicates=replicates)
+        report = run_experiment(cfg)
+        assert report.scalar_ecdf.n == replicates * cfg.n
+        (sets,) = pooled.pop()
+        expected = sample_radial_spectrum(
+            cfg.build_spec(), RngStream(cfg.seed).substream(0), replicates
         )
-        drawn.append(np.concatenate(blocks))
-    for fewer, more in zip(drawn, drawn[1:]):
-        assert np.array_equal(fewer, more[: len(fewer)])
+        assert sets.shape == (replicates, cfg.n)
+        assert sets.tobytes() == expected.tobytes()
+        drawn.append(sets)
+    fewer, more = drawn
+    assert fewer.tobytes() == more[: len(fewer)].tobytes()
 
 
 def test_matrix_runs_pin_blas_and_restore_it(monkeypatch):
@@ -561,11 +564,16 @@ def test_cli_bad_limit_token_is_exit_2(capsys):
         (["--limit", "betas:{tmp}/overflow.txt"], "limit: betas: partial sum must rise"),
         (["--gamma", "1e-300"], "gamma"),
         (["--gamma", "0.003"], "gamma"),
+        # each asks numpy for about 710 PiB, which it refuses before touching memory
+        (["--n", "100000000000000000"], "Unable to allocate"),
+        (["--ensemble", "haar", "--dims", "10000000000000000", "--mode", "matrix"],
+         "Unable to allocate"),
     ],
     ids=[
         "ginibre-beta-zero", "ginibre-alpha-above-one", "betas-file-word",
         "betas-file-negative-first", "betas-file-falling", "betas-file-overflow",
-        "gamma-overflow", "gamma-underflow",
+        "gamma-overflow", "gamma-underflow", "scalar-size-unallocatable",
+        "haar-dims-unallocatable",
     ],
 )
 def test_cli_values_rejected_mid_run_are_exit_2(tmp_path, capsys, flags, needle):

@@ -268,7 +268,7 @@ def test_spectrum_replicates_differ():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_spectrum_rows_do_not_depend_on_the_count(spec, count, extra, seed):
-    # a block's first rows are the draws of a smaller block, byte for byte
+    # R replicates are the first R rows of R + extra, byte for byte
     rng = RngStream(seed).substream(0, 3)
     fewer = sample_radial_spectrum(spec, rng, count)
     more = sample_radial_spectrum(spec, rng, count + extra)
@@ -277,15 +277,22 @@ def test_spectrum_rows_do_not_depend_on_the_count(spec, count, extra, seed):
     assert sample_radial_spectrum(spec, rng).tobytes() == fewer[0].tobytes()
 
 
-def single_factor_cdf(spec, x):
-    """Exact CDF at x of a one-factor spec's pooled log surrogates.
+def exact_pooled_cdf(spec, x):
+    """Exact CDF at x of a one- or two-factor spec's pooled log surrogates.
 
-    Y = sign * log(draw) / 2, so P(Y <= x) is P(draw <= e^{2x}) for a direct
-    factor and P(draw >= e^{-2x}) for an inverted one, averaged over j.
+    One factor: Y = sign * log(draw) / 2, so P(Y <= x) is P(draw <= e^{2x})
+    for a direct factor and P(draw >= e^{-2x}) for an inverted one.
+    Two Gaussian factors of opposite sign: Y = (log G_j - log G'_{n+1-j}) / 2,
+    and G_j / (G_j + G') ~ Beta(j, n+1-j), so P(Y <= x) is that beta's CDF
+    at expit(2x). Both are averaged over j.
     """
-    (sign,) = spec.signs
     # written out rather than taken from _shape, which is under test
     j = np.arange(1.0, spec.n + 1)[:, None]
+    if spec.m == 2:
+        assert spec.dims is None and sum(spec.signs) == 0
+        u = special.expit(2.0 * np.asarray(x))
+        return special.betainc(j, spec.n + 1 - j, u).mean(axis=0)
+    (sign,) = spec.signs
     shape = j if sign == 1 else spec.n + 1 - j
     u = np.exp(2.0 * sign * np.asarray(x))
     if spec.dims is None:
@@ -307,12 +314,16 @@ def single_factor_cdf(spec, x):
         haar(3, "-", (4,)),
         haar(40, "+", (41,)),
         haar(40, "-", (90,)),
+        ginibre(3, "-+"),
+        ginibre(3, "+-"),
+        ginibre(40, "-+"),
+        ginibre(40, "+-"),
     ],
     ids=spec_case_id,
 )
-def test_pooled_block_draws_follow_the_exact_single_factor_law(spec):
+def test_pooled_block_draws_follow_the_exact_law(spec):
     draws = sample_radial_spectrum(spec, RngStream(106).substream(0), 40_000 // spec.n)
-    report = ks_one_sample(EmpiricalCdf(draws.ravel()), lambda x: single_factor_cdf(spec, x))
+    report = ks_one_sample(EmpiricalCdf(draws.ravel()), lambda x: exact_pooled_cdf(spec, x))
     assert report.statistic <= special.kolmogi(0.01) / math.sqrt(report.n)
 
 
