@@ -8,7 +8,9 @@ factor and n+1-j for an inverted one.
 
 sample_radial_spectrum draws many replicates at once: factor k fills all
 of them, one row per replicate, from its own substream (k), so the first
-rows do not depend on how many follow.
+rows do not depend on how many follow. Because each factor owns its
+stream, the factors can be drawn on a thread pool (numpy fills gamma and
+beta draws with the interpreter lock released) without changing a byte.
 
 Everything here works with the scalars' logarithms; moment generating
 functions are exact gamma/beta ratios and are kept in log form. Ratios of
@@ -52,17 +54,31 @@ def _log_norm(shape, b):
     return special.gammaln(shape) if b is None else special.betaln(shape, b)
 
 
-def _log_radius_draws(spec: ProductSpec, j, streams, size=None):
+def _log_radius_draws(spec: ProductSpec, j, streams, size=None, map=map):
     """Half the signed sum of one log draw per factor for index (or indices) j.
 
     Factor k draws from streams[k]: Gamma(shape) for a Gaussian factor and
-    Beta(shape, b) for a truncation, with the factor's _shape.
+    Beta(shape, b) for a truncation, with the factor's _shape. map(term,
+    factors, streams) works out each factor's term; the terms are summed
+    here in factor order, so the result does not depend on the map. A map
+    that runs terms concurrently needs a distinct stream per factor.
     """
-    out = 0.0
-    for (sign, b), rng in zip(_factors(spec), streams):
+
+    def term(factor, rng):
+        sign, b = factor
         shape = _shape(spec.n, j, sign)
         draw = rng.gamma(shape, size=size) if b is None else rng.beta(shape, b, size=size)
-        out = out + 0.5 * sign * np.log(draw)
+        # worked out in place, so a factor holds one array of the draw's size
+        draw = np.asarray(draw)
+        np.log(draw, out=draw)
+        draw *= 0.5 * sign
+        return draw
+
+    terms = map(term, _factors(spec), streams)
+    # 0.0 + turns a single index's 0-d term back into a scalar
+    out = 0.0 + next(terms)
+    for t in terms:
+        out += t
     return out
 
 
@@ -80,17 +96,19 @@ sample_log_radius_haar = sample_log_radius_ginibre
 
 
 def sample_radial_spectrum(
-    spec: ProductSpec, rng: RngStream, count: int | None = None
+    spec: ProductSpec, rng: RngStream, count: int | None = None, map=map
 ) -> np.ndarray:
     """Draw the logs of count replicates' n surrogates, index j in column j-1.
 
     Returns shape (count, n), or one (n,) row when count is None. Factor k
     draws all rows in one call from rng.substream(k), filling them row by
-    row, so the first rows are the same whatever count is.
+    row, so the first rows are the same whatever count is. Each factor's
+    term is worked out through map, such as a thread pool's; the bytes do
+    not depend on it.
     """
     j = np.arange(1, spec.n + 1, dtype=float)
     streams = [rng.substream(k) for k in range(spec.m)]
-    draws = _log_radius_draws(spec, j, streams, (1 if count is None else count, spec.n))
+    draws = _log_radius_draws(spec, j, streams, (1 if count is None else count, spec.n), map)
     return draws[0] if count is None else draws
 
 

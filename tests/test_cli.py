@@ -65,6 +65,24 @@ def test_flags_alone_build_a_config():
     assert cfg.replicates == 200 and cfg.mode == "scalar" and cfg.gamma == "m"
 
 
+def test_workers_default_to_the_usable_cpus(monkeypatch, tmp_path):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(5)), raising=False)
+    assert config_from("--n", "10", "--signs", "+").workers == 5
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(100)))
+    assert config_from("--n", "10", "--signs", "+").workers == 64
+    # without an affinity call the CPU count stands in, or 1 when it is unknown
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert config_from("--n", "10", "--signs", "+").workers == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert config_from("--n", "10", "--signs", "+").workers == 1
+    # a config file and the flag still set it
+    p = tmp_path / "exp.cfg"
+    p.write_text("n = 10\nsigns = +\nworkers = 2\n")
+    assert config_from("--config", str(p)).workers == 2
+    assert config_from("--config", str(p), "--workers", "7").workers == 7
+
+
 def test_required_keys_are_enforced():
     with pytest.raises(ConfigError, match="n:"):
         config_from("--ensemble", "ginibre", "--signs", "+")
@@ -314,8 +332,10 @@ def test_run_experiment_deterministic_across_workers():
     assert a.ks_results["paths"].statistic == b.ks_results["paths"].statistic
 
 
-def test_scalar_replicates_are_drawn_in_the_calling_thread(monkeypatch):
-    # the surrogate draws hold the GIL, so --workers sizes the matrix pool only
+@pytest.mark.parametrize(
+    "kw", [{}, {"ensemble": "haar", "dims": (24, 24)}], ids=["gamma", "beta"]
+)
+def test_scalar_factor_draws_and_matrix_replicates_run_on_the_pool(monkeypatch, kw):
     threads = {}
     for name in ("sample_radial_spectrum", "sample_product_eigenvalues"):
         def recording(*args, draw=getattr(cli, name), seen=threads.setdefault(name, [])):
@@ -323,9 +343,17 @@ def test_scalar_replicates_are_drawn_in_the_calling_thread(monkeypatch):
             return draw(*args)
 
         monkeypatch.setattr(cli, name, recording)
-    run_experiment(small_cfg(mode="both", workers=4))
-    # the 20 scalar replicates are drawn in one call
+    for name in ("gamma", "beta"):
+        def drawing(self, *args, draw=getattr(RngStream, name), **kwargs):
+            threads.setdefault("factors", []).append(threading.get_ident())
+            return draw(self, *args, **kwargs)
+
+        monkeypatch.setattr(RngStream, name, drawing)
+    run_experiment(small_cfg(mode="both", workers=4, **kw))
+    # the 20 scalar replicates are drawn in one call, one draw per factor
     assert threads["sample_radial_spectrum"] == [threading.get_ident()]
+    factors = threads["factors"]
+    assert len(factors) == 2 and threading.get_ident() not in factors
     matrix = threads["sample_product_eigenvalues"]
     assert len(matrix) == 20 and threading.get_ident() not in matrix
 
@@ -629,6 +657,22 @@ def test_cli_value_error_while_sampling_is_exit_2(monkeypatch, capsys):
     monkeypatch.setattr("prodspec.cli.sample_radial_spectrum", refuse)
     assert main(["run", "--n", "10", "--signs", "+", "--replicates", "4"]) == 2
     assert capsys.readouterr().err == "error: synthetic refusal\n"
+
+
+def test_cli_value_error_on_a_pool_thread_is_exit_2_and_ends_the_pool(monkeypatch, capsys):
+    seen = []
+
+    def refuse(self, *args, **kwargs):
+        seen.append(threading.get_ident())
+        raise ValueError("synthetic refusal")
+
+    monkeypatch.setattr(RngStream, "gamma", refuse)
+    before = threading.active_count()
+    argv = ["run", "--n", "10", "--signs", "+-+", "--replicates", "4", "--workers", "2"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: synthetic refusal\n"
+    assert seen and threading.get_ident() not in seen
+    assert threading.active_count() == before
 
 
 def test_cli_write_failure_after_sampling_is_exit_2(tmp_path, capsys):

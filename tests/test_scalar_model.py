@@ -1,6 +1,7 @@
 """Radial surrogates: shapes, exact moments, and sampler consistency."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -131,10 +132,12 @@ def test_log_weight_moment_rejects_bad_t():
 
 
 @st.composite
-def product_specs(draw, max_n=30):
-    """Gaussian or truncated-unitary specs with n <= max_n and at most 4 factors."""
+def product_specs(draw, max_n=30, max_m=4):
+    """Gaussian or truncated-unitary specs with n <= max_n and at most max_m factors."""
     n = draw(st.integers(1, max_n))
-    signs = SignPattern(tuple(draw(st.lists(st.sampled_from((1, -1)), min_size=1, max_size=4))))
+    signs = SignPattern(
+        tuple(draw(st.lists(st.sampled_from((1, -1)), min_size=1, max_size=max_m)))
+    )
     if draw(st.booleans()):
         return ProductSpec(n, signs)
     dims = draw(st.lists(st.integers(n + 1, 3 * n), min_size=signs.m, max_size=signs.m))
@@ -275,6 +278,24 @@ def test_spectrum_rows_do_not_depend_on_the_count(spec, count, extra, seed):
     assert fewer.shape == (count, spec.n) and more.shape == (count + extra, spec.n)
     assert fewer.tobytes() == more[:count].tobytes()
     assert sample_radial_spectrum(spec, rng).tobytes() == fewer[0].tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    spec=product_specs(max_n=40, max_m=8),
+    count=st.integers(1, 8),
+    threads=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_spectrum_bytes_do_not_depend_on_the_map(spec, count, threads, seed):
+    # each factor owns its stream and the terms are summed in factor order
+    rng = RngStream(seed).substream(0)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for size in (None, count):
+            serial = sample_radial_spectrum(spec, rng, size)
+            pooled = sample_radial_spectrum(spec, rng, size, map=pool.map)
+            assert pooled.shape == serial.shape
+            assert pooled.tobytes() == serial.tobytes()
 
 
 def exact_pooled_cdf(spec, x):
