@@ -60,17 +60,18 @@ DEGENERATE_THRESHOLD = 0.05
 MASS_WINDOW = (0.9, 1.1)
 MASS_THRESHOLD = 0.95
 
-# each worker is an OS thread, so --workers is capped
+# each worker is an OS thread, so --workers and the draw threads are capped
 MAX_WORKERS = 64
 
 
-def default_workers() -> int:
-    """The number of CPUs this process may run on, capped at MAX_WORKERS."""
+def draw_threads(m: int) -> int:
+    """Threads that draw the scalar path's m factors: one per factor, at most
+    the CPUs this process may run on, capped at MAX_WORKERS."""
     if hasattr(os, "sched_getaffinity"):
         usable = len(os.sched_getaffinity(0))
     else:
         usable = os.cpu_count() or 1
-    return min(usable, MAX_WORKERS)
+    return min(m, usable, MAX_WORKERS)
 
 
 class ConfigError(ValueError):
@@ -90,7 +91,7 @@ class ExperimentConfig:
     replicates: int = 200
     mode: str = "scalar"
     seed: int = 0
-    workers: int = field(default_factory=default_workers)
+    workers: int = 1
     limit: str = "auto"
     out: str | None = None
     preset: str | None = None
@@ -300,34 +301,37 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     # (1, r): matrix replicate r. The samplers are looked up at call time so
     # that they can be patched on this module. numpy's gamma/beta draws and
     # LAPACK release the GIL, so the scalar factors and the matrix replicates
-    # both overlap on the pool; the with waits for its threads, also on error
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        for path in ("scalar", "matrix"):
-            if cfg.mode not in (path, "both"):
-                continue
-            t0 = time.perf_counter()
-            if path == "scalar":
-                # build_ecdf iterates over its argument, so the (R, n) array goes
-                # in a list rather than row by row
+    # overlap on their pools; each with waits for its threads, also on error
+    for path in ("scalar", "matrix"):
+        if cfg.mode not in (path, "both"):
+            continue
+        t0 = time.perf_counter()
+        if path == "scalar":
+            # build_ecdf iterates over its argument, so the (R, n) array goes
+            # in a list rather than row by row
+            with ThreadPoolExecutor(max_workers=draw_threads(spec.m)) as pool:
                 log_moduli = [
                     sample_radial_spectrum(spec, root.substream(0), cfg.replicates, pool.map)
                 ]
-            else:
-                # BLAS runs one thread per worker, so the outputs do not depend on it
-                with _one_blas_thread as report.blas_threads:
-                    samples = list(pool.map(
-                        lambda r: sample_product_eigenvalues(spec, root.substream(1, r)),
-                        range(cfg.replicates),
-                    ))
-                log_moduli = [s.log_moduli for s in samples]
-                report.pooled_angles = np.concatenate([s.angles for s in samples])
-                report.ks_results["angles"] = angle_uniformity(report.pooled_angles)
-            ecdf = build_ecdf(log_moduli, plan)
-            setattr(report, f"{path}_ecdf", ecdf)
-            setattr(report, f"mass_{path}", _mass_in_window(ecdf.values))
-            if report.limit is not None:
-                report.ks_results[path] = ks_one_sample(ecdf, cdf)
-            report.runtimes[path] = time.perf_counter() - t0
+        else:
+            # BLAS runs one thread per worker, so the outputs do not depend on it
+            with (
+                _one_blas_thread as report.blas_threads,
+                ThreadPoolExecutor(max_workers=cfg.workers) as pool,
+            ):
+                samples = list(pool.map(
+                    lambda r: sample_product_eigenvalues(spec, root.substream(1, r)),
+                    range(cfg.replicates),
+                ))
+            log_moduli = [s.log_moduli for s in samples]
+            report.pooled_angles = np.concatenate([s.angles for s in samples])
+            report.ks_results["angles"] = angle_uniformity(report.pooled_angles)
+        ecdf = build_ecdf(log_moduli, plan)
+        setattr(report, f"{path}_ecdf", ecdf)
+        setattr(report, f"mass_{path}", _mass_in_window(ecdf.values))
+        if report.limit is not None:
+            report.ks_results[path] = ks_one_sample(ecdf, cdf)
+        report.runtimes[path] = time.perf_counter() - t0
 
     if report.scalar_ecdf is not None and report.matrix_ecdf is not None:
         report.ks_results["paths"] = ks_two_sample(report.scalar_ecdf, report.matrix_ecdf)
@@ -441,24 +445,26 @@ def build_config(args) -> ExperimentConfig:
     unset; file and flag text is converted here, and checked by validated().
     The preset is named by its flag, or else by the config file.
     """
+    settings = {
+        f.name: None if f.default is MISSING else f.default
+        for f in fields(ExperimentConfig)
+    }
     # argparse parses a lone "--" value, as in --signs=--, to []
     flags = {
         k: "--" if v == [] else v
-        for k in ("config", *_FIELD_TYPES) if (v := getattr(args, k)) is not None
+        for k in ("config", *settings) if (v := getattr(args, k)) is not None
     }
     config = flags.pop("config", None)
     file = parse_config_file(config) if config else {}
     # every value is converted, a file value that a flag overrides too
     given = {k: _typed(k, v) for k, v in [*file.items(), *flags.items()]}
-    # a setting given nowhere takes its field default
-    settings = {}
     if given.get("preset"):
         if given.get("n") is None:
             raise ConfigError("n: presets still need --n")
         settings.update(apply_preset(given["preset"], given["n"]))
     settings.update(given)
     for f in fields(ExperimentConfig):
-        if f.default is MISSING and f.default_factory is MISSING and f.name not in settings:
+        if f.default is MISSING and settings[f.name] is None:
             raise ConfigError(f"{f.name}: required")
     return ExperimentConfig(**settings)
 
@@ -478,8 +484,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--replicates")
     run.add_argument("--mode", help="scalar | matrix | both")
     run.add_argument("--seed")
-    run.add_argument("--workers", help=f"threads that draw scalar factors and matrix replicates,"
-                     f" 1..{MAX_WORKERS} (default: the usable CPUs)")
+    run.add_argument("--workers", help=f"threads that draw matrix replicates, 1..{MAX_WORKERS}"
+                     " (scalar factors are drawn on one thread each, up to the usable CPUs)")
     run.add_argument("--limit", help="auto | degenerate | ginibre:a,b | betas:PATH")
     run.add_argument("--out", help="directory for cdf.csv, angles.csv, report.json")
     run.add_argument("--preset", help="named scenario (see 'prodspec presets')")

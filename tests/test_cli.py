@@ -65,22 +65,24 @@ def test_flags_alone_build_a_config():
     assert cfg.replicates == 200 and cfg.mode == "scalar" and cfg.gamma == "m"
 
 
-def test_workers_default_to_the_usable_cpus(monkeypatch, tmp_path):
+def test_workers_default_to_one_and_draw_threads_to_the_usable_cpus(monkeypatch, tmp_path):
+    # --workers sizes the matrix pool only; its default does not follow the machine
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(5)), raising=False)
-    assert config_from("--n", "10", "--signs", "+").workers == 5
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(100)))
-    assert config_from("--n", "10", "--signs", "+").workers == 64
-    # without an affinity call the CPU count stands in, or 1 when it is unknown
-    monkeypatch.delattr(os, "sched_getaffinity")
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert config_from("--n", "10", "--signs", "+").workers == 3
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert config_from("--n", "10", "--signs", "+").workers == 1
-    # a config file and the flag still set it
     p = tmp_path / "exp.cfg"
     p.write_text("n = 10\nsigns = +\nworkers = 2\n")
     assert config_from("--config", str(p)).workers == 2
     assert config_from("--config", str(p), "--workers", "7").workers == 7
+    # the scalar factors get one thread each, up to the usable CPUs and the cap
+    assert [cli.draw_threads(m) for m in (1, 4, 5, 8)] == [1, 4, 5, 5]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(100)))
+    assert cli.draw_threads(80) == 64
+    # without an affinity call the CPU count stands in, or 1 when it is unknown
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert cli.draw_threads(8) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli.draw_threads(8) == 1
 
 
 def test_required_keys_are_enforced():
@@ -668,8 +670,7 @@ def test_cli_value_error_on_a_pool_thread_is_exit_2_and_ends_the_pool(monkeypatc
 
     monkeypatch.setattr(RngStream, "gamma", refuse)
     before = threading.active_count()
-    argv = ["run", "--n", "10", "--signs", "+-+", "--replicates", "4", "--workers", "2"]
-    assert main(argv) == 2
+    assert main(["run", "--n", "10", "--signs", "+-+", "--replicates", "4"]) == 2
     assert capsys.readouterr().err == "error: synthetic refusal\n"
     assert seen and threading.get_ident() not in seen
     assert threading.active_count() == before
