@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -60,18 +59,8 @@ DEGENERATE_THRESHOLD = 0.05
 MASS_WINDOW = (0.9, 1.1)
 MASS_THRESHOLD = 0.95
 
-# each worker is an OS thread, so --workers and the draw threads are capped
+# each matrix-path worker is an OS thread, so --workers is capped
 MAX_WORKERS = 64
-
-
-def draw_threads(m: int) -> int:
-    """Threads that draw the scalar path's m factors: one per factor, at most
-    the CPUs this process may run on, capped at MAX_WORKERS."""
-    if hasattr(os, "sched_getaffinity"):
-        usable = len(os.sched_getaffinity(0))
-    else:
-        usable = os.cpu_count() or 1
-    return min(m, usable, MAX_WORKERS)
 
 
 class ConfigError(ValueError):
@@ -299,21 +288,18 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     # stream key (0, k): factor k of the scalar draws, one row per replicate;
     # (1, r): matrix replicate r. The samplers are looked up at call time so
-    # that they can be patched on this module. numpy's gamma/beta draws and
-    # LAPACK release the GIL, so the scalar factors and the matrix replicates
-    # overlap on their pools; each with waits for its threads, also on error
+    # that they can be patched on this module
     for path in ("scalar", "matrix"):
         if cfg.mode not in (path, "both"):
             continue
         t0 = time.perf_counter()
         if path == "scalar":
+            # sample_radial_spectrum draws the factors on threads of its own;
             # build_ecdf iterates over its argument, so the (R, n) array goes
             # in a list rather than row by row
-            with ThreadPoolExecutor(max_workers=draw_threads(spec.m)) as pool:
-                log_moduli = [
-                    sample_radial_spectrum(spec, root.substream(0), cfg.replicates, pool.map)
-                ]
+            log_moduli = [sample_radial_spectrum(spec, root.substream(0), cfg.replicates)]
         else:
+            # LAPACK releases the GIL, so the workers' factorisations overlap;
             # BLAS runs one thread per worker, so the outputs do not depend on it
             with (
                 _one_blas_thread as report.blas_threads,

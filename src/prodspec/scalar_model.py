@@ -21,6 +21,8 @@ statistics become interesting, so plain Gamma is never formed.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy import special
@@ -54,19 +56,22 @@ def _log_norm(shape, b):
     return special.gammaln(shape) if b is None else special.betaln(shape, b)
 
 
-def _log_radius_draws(spec: ProductSpec, j, streams, size=None, map=map):
+def _log_radius_draws(spec: ProductSpec, j, streams, size=None, threads=1):
     """Half the signed sum of one log draw per factor for index (or indices) j.
 
     Factor k draws from streams[k]: Gamma(shape) for a Gaussian factor and
-    Beta(shape, b) for a truncation, with the factor's _shape. map(term,
-    factors, streams) works out each factor's term; the terms are summed
-    here in factor order, so the result does not depend on the map. A map
-    that runs terms concurrently needs a distinct stream per factor.
+    Beta(shape, b) for a truncation, with the factor's _shape. With
+    threads > 1 the factors are drawn on a pool of that many threads, which
+    needs a distinct stream per factor; they are drawn `threads` at a time,
+    so about that many terms are held besides the sum. The terms are summed
+    here in factor order, so the result does not depend on threads.
     """
+    factors = _factors(spec)
 
-    def term(factor, rng):
-        sign, b = factor
+    def term(k):
+        sign, b = factors[k]
         shape = _shape(spec.n, j, sign)
+        rng = streams[k]
         draw = rng.gamma(shape, size=size) if b is None else rng.beta(shape, b, size=size)
         # worked out in place, so a factor holds one array of the draw's size
         draw = np.asarray(draw)
@@ -74,12 +79,19 @@ def _log_radius_draws(spec: ProductSpec, j, streams, size=None, map=map):
         draw *= 0.5 * sign
         return draw
 
-    terms = map(term, _factors(spec), streams)
-    # 0.0 + turns a single index's 0-d term back into a scalar
-    out = 0.0 + next(terms)
-    for t in terms:
-        out += t
-    return out
+    def total(map):
+        terms = (t for lo in range(0, spec.m, threads)
+                 for t in map(term, range(lo, min(lo + threads, spec.m))))
+        out = next(terms)
+        for t in terms:
+            out += t
+        # [()] turns a single index's 0-d sum back into a scalar
+        return out[()]
+
+    if threads == 1:
+        return total(map)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return total(pool.map)
 
 
 def sample_log_radius_ginibre(spec: ProductSpec, j: int, rng: RngStream, size=None):
@@ -95,20 +107,34 @@ def sample_log_radius_ginibre(spec: ProductSpec, j: int, rng: RngStream, size=No
 sample_log_radius_haar = sample_log_radius_ginibre
 
 
+def _draw_threads(m: int) -> int:
+    """Threads that draw m factors' terms: one per factor, at most the CPUs
+    this process may run on.
+
+    Threads beyond the CPUs add no speed, but each holds a term of the
+    draw's size, so the CPU cap also bounds the memory of a many-factor
+    draw. The CPUs are the affinity mask's, or os.cpu_count() where that
+    cannot be read; a cgroup's CPU quota is not seen.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return min(m, len(os.sched_getaffinity(0)))
+    return min(m, os.cpu_count() or 1)
+
+
 def sample_radial_spectrum(
-    spec: ProductSpec, rng: RngStream, count: int | None = None, map=map
+    spec: ProductSpec, rng: RngStream, count: int | None = None
 ) -> np.ndarray:
     """Draw the logs of count replicates' n surrogates, index j in column j-1.
 
     Returns shape (count, n), or one (n,) row when count is None. Factor k
     draws all rows in one call from rng.substream(k), filling them row by
-    row, so the first rows are the same whatever count is. Each factor's
-    term is worked out through map, such as a thread pool's; the bytes do
-    not depend on it.
+    row, so the first rows are the same whatever count is. The factors are
+    drawn on _draw_threads(m) threads; the bytes do not depend on how many.
     """
     j = np.arange(1, spec.n + 1, dtype=float)
     streams = [rng.substream(k) for k in range(spec.m)]
-    draws = _log_radius_draws(spec, j, streams, (1 if count is None else count, spec.n), map)
+    shape = (1 if count is None else count, spec.n)
+    draws = _log_radius_draws(spec, j, streams, shape, _draw_threads(spec.m))
     return draws[0] if count is None else draws
 
 

@@ -65,7 +65,7 @@ def test_flags_alone_build_a_config():
     assert cfg.replicates == 200 and cfg.mode == "scalar" and cfg.gamma == "m"
 
 
-def test_workers_default_to_one_and_draw_threads_to_the_usable_cpus(monkeypatch, tmp_path):
+def test_workers_default_to_one_and_a_config_line_or_the_flag_sets_it(monkeypatch, tmp_path):
     # --workers sizes the matrix pool only; its default does not follow the machine
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(5)), raising=False)
     assert config_from("--n", "10", "--signs", "+").workers == 1
@@ -73,16 +73,6 @@ def test_workers_default_to_one_and_draw_threads_to_the_usable_cpus(monkeypatch,
     p.write_text("n = 10\nsigns = +\nworkers = 2\n")
     assert config_from("--config", str(p)).workers == 2
     assert config_from("--config", str(p), "--workers", "7").workers == 7
-    # the scalar factors get one thread each, up to the usable CPUs and the cap
-    assert [cli.draw_threads(m) for m in (1, 4, 5, 8)] == [1, 4, 5, 5]
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(100)))
-    assert cli.draw_threads(80) == 64
-    # without an affinity call the CPU count stands in, or 1 when it is unknown
-    monkeypatch.delattr(os, "sched_getaffinity")
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert cli.draw_threads(8) == 3
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert cli.draw_threads(8) == 1
 
 
 def test_required_keys_are_enforced():
@@ -337,7 +327,7 @@ def test_run_experiment_deterministic_across_workers():
 @pytest.mark.parametrize(
     "kw", [{}, {"ensemble": "haar", "dims": (24, 24)}], ids=["gamma", "beta"]
 )
-def test_scalar_factor_draws_and_matrix_replicates_run_on_the_pool(monkeypatch, kw):
+def test_scalar_factor_draws_and_matrix_replicates_run_on_pool_threads(monkeypatch, kw):
     threads = {}
     for name in ("sample_radial_spectrum", "sample_product_eigenvalues"):
         def recording(*args, draw=getattr(cli, name), seen=threads.setdefault(name, [])):
@@ -351,13 +341,19 @@ def test_scalar_factor_draws_and_matrix_replicates_run_on_the_pool(monkeypatch, 
             return draw(self, *args, **kwargs)
 
         monkeypatch.setattr(RngStream, name, drawing)
+    # the two factors get a thread each on a machine with 4 usable CPUs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
     run_experiment(small_cfg(mode="both", workers=4, **kw))
     # the 20 scalar replicates are drawn in one call, one draw per factor
     assert threads["sample_radial_spectrum"] == [threading.get_ident()]
-    factors = threads["factors"]
+    factors = threads.pop("factors")
     assert len(factors) == 2 and threading.get_ident() not in factors
     matrix = threads["sample_product_eigenvalues"]
     assert len(matrix) == 20 and threading.get_ident() not in matrix
+    # with one usable CPU no pool is started: the factors are drawn in place
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    run_experiment(small_cfg(**kw))
+    assert threads["factors"] == [threading.get_ident()] * 2
 
 
 def test_scalar_run_draws_key_0_in_one_array_and_extends_as_a_prefix(monkeypatch):
@@ -669,6 +665,7 @@ def test_cli_value_error_on_a_pool_thread_is_exit_2_and_ends_the_pool(monkeypatc
         raise ValueError("synthetic refusal")
 
     monkeypatch.setattr(RngStream, "gamma", refuse)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
     before = threading.active_count()
     assert main(["run", "--n", "10", "--signs", "+-+", "--replicates", "4"]) == 2
     assert capsys.readouterr().err == "error: synthetic refusal\n"

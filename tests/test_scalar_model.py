@@ -1,7 +1,7 @@
 """Radial surrogates: shapes, exact moments, and sampler consistency."""
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 
 import numpy as np
 import pytest
@@ -13,6 +13,8 @@ from scipy.special import digamma, polygamma
 from prodspec.config import GinibreProductSpec, HaarProductSpec, ProductSpec, SignPattern
 from prodspec.numerics import RngStream
 from prodspec.scalar_model import (
+    _draw_threads,
+    _log_radius_draws,
     _shape,
     log_mgf_ginibre,
     log_mgf_haar,
@@ -284,18 +286,34 @@ def test_spectrum_rows_do_not_depend_on_the_count(spec, count, extra, seed):
 @given(
     spec=product_specs(max_n=40, max_m=8),
     count=st.integers(1, 8),
-    threads=st.integers(1, 4),
+    threads=st.integers(2, 4),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_spectrum_bytes_do_not_depend_on_the_map(spec, count, threads, seed):
+def test_spectrum_bytes_do_not_depend_on_the_thread_count(spec, count, threads, seed):
     # each factor owns its stream and the terms are summed in factor order
     rng = RngStream(seed).substream(0)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for size in (None, count):
-            serial = sample_radial_spectrum(spec, rng, size)
-            pooled = sample_radial_spectrum(spec, rng, size, map=pool.map)
-            assert pooled.shape == serial.shape
-            assert pooled.tobytes() == serial.tobytes()
+    j = np.arange(1, spec.n + 1, dtype=float)
+    for draw_j, size in ((j, (1, spec.n)), (j, (count, spec.n)), (float(spec.n), None)):
+        # fresh streams per call, as sample_radial_spectrum derives them
+        serial, pooled = (
+            _log_radius_draws(spec, draw_j, [rng.substream(k) for k in range(spec.m)], size, t)
+            for t in (1, threads)
+        )
+        assert np.shape(pooled) == np.shape(serial) == (size or ())
+        assert np.asarray(pooled).tobytes() == np.asarray(serial).tobytes()
+    # a single index's draw is a scalar, as with a shared stream
+    assert isinstance(pooled, np.float64)
+
+
+def test_draw_threads_follow_the_factors_and_the_usable_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(5)), raising=False)
+    assert [_draw_threads(m) for m in (1, 4, 5, 8)] == [1, 4, 5, 5]
+    # without an affinity call the CPU count stands in, or 1 when it is unknown
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert _draw_threads(8) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _draw_threads(8) == 1
 
 
 def exact_pooled_cdf(spec, x):
