@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .config import ProductSpec
 
@@ -63,6 +62,22 @@ _BISECTIONS = 64  # halvings that shrink any grid cell below _Z_TOL
 _Z_TOL = 1e-13  # converged once a step moves z (x by that relative amount) this little
 
 
+def _expit(z):
+    """Logistic function 1 / (1 + exp(-z)), elementwise."""
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def _logit(x: float) -> float:
+    """log(x / (1 - x)) for 0 < x < 1.
+
+    Near 1/2 the quotient rounds next to 1, so the value is taken from
+    2x - 1 and 1 - 2x, both exact there.
+    """
+    if 0.25 <= x <= 0.75:
+        return math.log1p(2.0 * x - 1.0) - math.log1p(1.0 - 2.0 * x)
+    return math.log(x / (1.0 - x))
+
+
 def _invert_increasing(f, fprime, target, edge):
     """Generalized inverse of an increasing f on [edge, 1 - edge].
 
@@ -74,8 +89,8 @@ def _invert_increasing(f, fprime, target, edge):
     """
     scalar = np.ndim(target) == 0
     target = np.atleast_1d(np.asarray(target, dtype=float))
-    z_grid = np.linspace(logit(edge), logit(1.0 - edge), _SEED_POINTS)
-    x, xc = expit(z_grid), expit(-z_grid)
+    z_grid = np.linspace(_logit(edge), _logit(1.0 - edge), _SEED_POINTS)
+    x, xc = _expit(z_grid), _expit(-z_grid)
     x[[0, -1]] = edge, 1.0 - edge
     xc[[0, -1]] = 1.0 - x[[0, -1]]
     f_grid = f(x, xc)
@@ -89,7 +104,7 @@ def _invert_increasing(f, fprime, target, edge):
     for start in range(0, tgt.size, _BLOCK):
         block = slice(start, start + _BLOCK)
         z[block] = _newton_roots(f, fprime, tgt[block], z_grid, f_mono)
-    out[active] = expit(z)
+    out[active] = _expit(z)
     return float(out[0]) if scalar else out
 
 
@@ -104,7 +119,7 @@ def _newton_roots(f, fprime, tgt, z_grid, f_mono):
     root = np.empty(tgt.shape)
     left = np.arange(tgt.size)
     for k in range(_NEWTON_STEPS + _BISECTIONS):
-        x, xc = expit(z), expit(-z)
+        x, xc = _expit(z), _expit(-z)
         gap = f(x, xc) - tgt
         below = gap < 0.0
         lo = np.where(below, z, lo)

@@ -1,10 +1,21 @@
 """Direct sampling of product eigenvalues for cross-checking the surrogates.
 
 Factors are standard complex Gaussian matrices or n x n corners of Haar
-unitaries. Inverse factors are applied through LU solves on the factor as
-drawn; no matrix is ever inverted explicitly, and a factor whose estimated
-condition number passes 1e12 aborts the replicate instead of feeding noise
-into the statistics.
+unitaries. An inverse factor is inverted explicitly (numpy's LU with the
+identity as right-hand side) and multiplied in from the right. A factor
+whose exact 1-norm condition number norm(a, 1) * norm(inv(a), 1) passes
+1e12, or that is exactly singular, aborts the replicate instead of
+feeding noise into the statistics.
+
+The explicit inverse is accurate enough below that limit. Its relative
+error is of order n * cond(a) * eps, the same order as the forward error
+of an LU solve with the product as right-hand side (Higham, Accuracy and
+Stability of Numerical Algorithms, ch. 14). The eigenvalues depend on the
+product's forward error only, which is what the limit bounds: at most
+about n * 1e12 * eps = 2e-2 relative at n = 200, and near machine
+precision for the well-conditioned factors a run draws. The inverse also
+gives the exact condition number for two 1-norms, where an LU solve
+needed a separate estimate.
 
 Replicates are parallelised by the caller's threads, not by BLAS:
 product_eigenvalues and sample_product_eigenvalues run inside
@@ -22,13 +33,12 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack, lu_factor, lu_solve
 
 from .config import ProductSpec
 from .numerics import RngStream
 from .stats import fold_angles
 
-# refuse solves beyond this estimated condition number
+# refuse inverses beyond this 1-norm condition number
 CONDITION_LIMIT = 1e12
 
 # eigensolver and solve accuracy are vetted up to this product size
@@ -156,14 +166,28 @@ def truncate(u: np.ndarray, n: int) -> np.ndarray:
     return np.ascontiguousarray(u[:n, :n])
 
 
+def _inverse(a: np.ndarray) -> tuple[np.ndarray | None, float]:
+    """inv(a) and its 1-norm condition number; (None, inf) for an exactly singular a.
+
+    Overflow or NaN in a nearly singular inverse shows up in the condition
+    number (inf or NaN), so floating-point warnings are silenced here.
+    """
+    with np.errstate(all="ignore"):
+        try:
+            inv = np.linalg.inv(a)
+        except np.linalg.LinAlgError:
+            return None, np.inf
+        return inv, np.linalg.norm(a, 1) * np.linalg.norm(inv, 1)
+
+
 @_one_blas_thread
 def product_eigenvalues(factors, signs) -> EigenSample:
     """Eigenvalues of factors[0]^s0 * factors[1]^s1 * ... with s in {+1,-1}.
 
-    Inverse factors enter through LU solves from the right. Raises
-    ConditioningError when an inverted factor's 1-norm condition estimate
-    exceeds CONDITION_LIMIT. Runs BLAS on one thread, so the result does not
-    depend on the thread setting.
+    Inverse factors are inverted explicitly and multiplied from the right.
+    Raises ConditioningError when an inverted factor's 1-norm condition
+    number is not at most CONDITION_LIMIT. Runs BLAS on one thread, so the
+    result does not depend on the thread setting.
     """
     factors = [np.asarray(a, dtype=complex) for a in factors]
     signs = list(signs)
@@ -184,16 +208,12 @@ def product_eigenvalues(factors, signs) -> EigenSample:
         if sign == 1:
             prod = prod @ a
         elif sign == -1:
-            lu, piv = lu_factor(a, check_finite=False)
-            anorm = np.linalg.norm(a, 1)
-            rcond, info = lapack.zgecon(lu, anorm, norm="1")
-            if info != 0 or not (rcond > 1.0 / CONDITION_LIMIT):
+            inv, cond = _inverse(a)
+            if not (cond <= CONDITION_LIMIT):
                 raise ConditioningError(
-                    f"factor {k}: condition estimate "
-                    f"{np.inf if rcond == 0 else 1.0 / rcond:.3e} beyond {CONDITION_LIMIT:.0e}"
+                    f"factor {k}: condition number {cond:.3e} beyond {CONDITION_LIMIT:.0e}"
                 )
-            # right division: solve a^T x^T = prod^T
-            prod = lu_solve((lu, piv), prod.T, trans=1, check_finite=False).T
+            prod = prod @ inv
         else:
             raise ValueError(f"signs[{k}]: must be +-1 (got {sign!r})")
     eig = np.linalg.eigvals(prod)

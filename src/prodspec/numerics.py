@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
+# numpy loads its random module on first use; loading it here keeps that
+# import in a program's start-up rather than in its first draw
+import numpy.random
 
 
 def _positive(name: str, *args):

@@ -25,7 +25,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy import special
 
 from .config import ProductSpec
 from .numerics import RngStream
@@ -51,8 +50,11 @@ def _factors(spec: ProductSpec):
 def _log_norm(shape, b):
     """log of the surrogate draw's normalizer: Gamma(shape), or B(shape, b).
 
-    The callers check the domain: shape > 0 and b > 0.
+    The callers check the domain: shape > 0 and b > 0. scipy.special is
+    imported here, off a run's path: only the log-moment helpers need it.
     """
+    from scipy import special
+
     return special.gammaln(shape) if b is None else special.betaln(shape, b)
 
 

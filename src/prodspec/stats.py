@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .config import ScalingPlan
 
@@ -122,7 +121,13 @@ def mgf_estimate(log_values, t: float):
 
 
 def ks_threshold(n: int, level: float = 0.99, allowance: float = 0.02) -> float:
-    """Asymptotic Kolmogorov quantile at the given level plus a flat allowance."""
+    """Asymptotic Kolmogorov quantile at the given level plus a flat allowance.
+
+    Only --assert needs the quantile, so scipy.special is imported here,
+    after a run's sampling and comparisons.
+    """
+    from scipy import special
+
     if n < 1:
         raise ValueError(f"n: must be >= 1 (got {n})")
     return float(special.kolmogi(1.0 - level) / np.sqrt(n) + allowance)

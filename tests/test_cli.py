@@ -420,13 +420,19 @@ sys.exit(code)
 """
 
 
-def test_matrix_outputs_do_not_depend_on_blas_threads(tmp_path):
-    # n = 100: at n = 40 OpenBLAS runs on one thread anyway, so bytes could not differ
+def _child_env():
+    """This environment, without OMP_NUM_THREADS and with prodspec importable."""
     env = {k: v for k, v in os.environ.items() if k != "OMP_NUM_THREADS"}
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(cli.__file__).resolve().parents[1])]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
+    return env
+
+
+def test_matrix_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # n = 100: at n = 40 OpenBLAS runs on one thread anyway, so bytes could not differ
+    env = _child_env()
     outputs = {}
     for threads in ("1", "2"):
         out = tmp_path / threads
@@ -443,6 +449,44 @@ def test_matrix_outputs_do_not_depend_on_blas_threads(tmp_path):
         outputs[threads] = [(out / name).read_bytes() for name in ("cdf.csv", "angles.csv")]
         outputs[threads].append(proc.stdout.splitlines()[-1])
     assert outputs["1"] == outputs["2"]
+
+
+# a child imports the CLI, builds scalar, matrix and both configs, and then
+# lists the modules that running and writing them imported for the first time
+_IMPORT_CHILD = """
+import json, sys, tempfile
+from prodspec import cli
+
+parser = cli._build_parser()
+configs = [
+    cli.build_config(parser.parse_args(["run", *flags, "--n", "6", "--replicates", "3"]))
+    for flags in (
+        ["--ensemble", "ginibre", "--signs=-+", "--mode", "scalar"],
+        ["--ensemble", "ginibre", "--signs=-+-", "--mode", "matrix"],
+        ["--preset", "haar-remark4ii", "--mode", "both"],
+    )
+]
+before = set(sys.modules)
+with tempfile.TemporaryDirectory() as out:
+    for cfg in configs:
+        cli.write_outputs(cli.run_experiment(cfg), out)
+print(json.dumps({
+    "new": sorted(set(sys.modules) - before),
+    "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+}))
+"""
+
+
+def test_a_run_imports_no_scipy_and_nothing_after_start_up():
+    # scipy.special and scipy.linalg load numpy.ma, numpy.testing and more
+    # at start-up; a module numpy loads lazily would land in the run's time
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_CHILD], env=_child_env(),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == {"new": [], "scipy": []}
 
 
 def test_run_experiment_seed_matters():
@@ -487,6 +531,21 @@ def test_write_outputs_and_byte_determinism(tmp_path):
     }
     assert drop(rec1) == drop(rec2)
     assert rec1["version"] and rec1["limit_kind"] == "ginibre"
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    values=st.lists(
+        # few distinct values, so most neighbours tie; + 0.0 turns -0.0 into 0.0
+        st.sampled_from([-2.5, 0.0, 0.25, 1.0, 3.0]) | st.floats(-10, 10).map(lambda x: x + 0.0),
+        min_size=1, max_size=400,
+    ),
+    points=st.integers(1, 1001),
+)
+def test_quantile_grid_is_the_unique_picks_of_sorted_values(values, points):
+    v = np.sort(np.array(values))
+    idx = np.round(np.linspace(0, len(v) - 1, points)).astype(int)
+    assert cli._quantile_grid(v, points).tobytes() == np.unique(v[idx]).tobytes()
 
 
 def test_cli_run_exit_zero_and_stdout(tmp_path, capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy.optimize import brentq
 
 from prodspec.config import GinibreProductSpec, HaarProductSpec, SignPattern
@@ -32,7 +33,7 @@ from prodspec.limit_laws import (
     series_tail_bound,
     spherical_product_density,
 )
-from prodspec.limit_laws import _closed_curve, _closed_slope
+from prodspec.limit_laws import _closed_curve, _closed_slope, _expit, _logit
 
 # high-precision references (40-digit arithmetic, rounded to double)
 GIN_CDF_A03_B07_Y2 = 0.78135886436936958
@@ -51,6 +52,23 @@ RANDOM_SPECS = [
     haar(3, "--", (5, 4)),
     haar(50, "+-+-", (80, 60, 51, 120)),
 ]
+
+
+# --- logistic helpers ----------------------------------------------------
+
+
+def test_logistic_helpers_agree_with_scipy_over_the_inverter_range():
+    z = np.linspace(special.logit(1e-16), special.logit(1.0 - 1e-16), 100001)
+    x = special.expit(z)
+    # where exp(-z) passes 2**53, 1 + exp(-z) rounds to an even integer, so
+    # np.exp and libm exp one ulp apart can move the quotient by 4 ulp
+    ulps = np.where(np.exp(-z) < 2.0**53, 2, 4)
+    assert np.all(np.abs(_expit(z) - x) <= ulps * np.spacing(x))
+    ref = special.logit(x)
+    ours = np.array([_logit(v) for v in x])
+    assert np.all(np.abs(ours - ref) <= 2 * np.spacing(np.abs(ref)))
+    assert _logit(1e-16) == special.logit(1e-16)
+    assert _logit(1.0 - 1e-16) == special.logit(1.0 - 1e-16)
 
 
 # --- profile -------------------------------------------------------------

@@ -12,6 +12,7 @@ from prodspec.matrix_model import (
     MAX_FACTORS,
     MAX_PRODUCT_SIZE,
     ConditioningError,
+    _inverse,
     _one_blas_thread,
     _openblas_thread_controls,
     product_eigenvalues,
@@ -167,8 +168,44 @@ def test_conditioning_message_reports_factor_index():
         product_eigenvalues([a, b], [1, -1])
 
 
+def _exactly_singular(n):
+    a = sample_ginibre(n, RngStream(22))
+    a[:, 3] = a[:, 1]
+    return a
+
+
+@pytest.mark.parametrize(
+    "singular",
+    [
+        np.zeros((8, 8)), _exactly_singular(8), np.diag([1.0, 1e-320]),
+        np.diag([1e200, 1e-200]), np.diag([1.0, np.nan]),
+    ],
+    ids=["zero", "repeated-column", "subnormal-pivot", "condition-overflows", "nan"],
+)
+def test_singular_or_broken_factor_is_a_conditioning_abort(singular):
+    # no LinAlgError and no floating-point warning, which pytest makes an error
+    n = singular.shape[0]
+    with pytest.raises(ConditioningError, match="factor 1"):
+        product_eigenvalues([np.eye(n), singular], [1, -1])
+
+
+def test_condition_is_the_exact_one_norm_condition():
+    for k in range(5):
+        a = sample_ginibre(40, RngStream(23).substream(k))
+        inv, cond = _inverse(a)
+        assert cond == pytest.approx(np.linalg.cond(a, 1), rel=1e-12)
+        assert np.allclose(a @ inv, np.eye(40), atol=1e-10)
+
+
+def test_condition_limit_sits_at_1e12():
+    # the 1-norm condition of diag(1, 1/c) is c, up to one rounding
+    product_eigenvalues([np.diag([1.0, 1.0 / 0.99e12])], [-1])
+    with pytest.raises(ConditioningError, match="factor 0"):
+        product_eigenvalues([np.diag([1.0, 1.0 / 1.01e12])], [-1])
+
+
 def test_well_conditioned_inverse_is_accepted():
-    # identity is perfectly conditioned; must not trip the estimate
+    # identity is perfectly conditioned; must not trip the limit
     sample = product_eigenvalues([np.eye(15)], [-1])
     assert np.allclose(sample.log_moduli, 0.0, atol=1e-14)
     assert CONDITION_LIMIT == 1e12
