@@ -313,6 +313,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             report.pooled_angles = np.concatenate([s.angles for s in samples])
             report.ks_results["angles"] = angle_uniformity(report.pooled_angles)
         ecdf = build_ecdf(log_moduli, plan)
+        # the ECDF holds its own copy; the draws need not stay alive during KS
+        del log_moduli
         setattr(report, f"{path}_ecdf", ecdf)
         setattr(report, f"mass_{path}", _mass_in_window(ecdf.values))
         if report.limit is not None:

@@ -8,8 +8,9 @@ limit is the inverse-function law of an increasing analytic curve. Every
 built-in curve is a sum of log ratios s*w*[log1p(s*t) - log1p(q*s*t)] at
 t = 2x - 1, one per (s, w, q) pair, and its series is their Taylor
 expansion at x = 1/2. Limits carry a finite coefficient prefix of that
-series, so evaluations carry a certified geometric tail bound; a prefix
-read from a coefficient file is the only one without a closed form.
+series, so evaluations carry a certified geometric tail bound. Only the
+builders attach the closed form; a law built from a prefix alone, such as
+one read from a coefficient file, has none.
 The run's reference CDF, haar_limit_cdf, inverts the closed form when a
 limit has one and the prefix otherwise; limit_curve, the curve_inverse_*
 functions and the limit_* report keys describe the prefix. One
@@ -19,11 +20,11 @@ safeguarded Newton loop inverts every increasing curve here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ProductSpec
+from .config import ProductSpec, SignPattern
 
 
 class SeriesAccuracyError(RuntimeError):
@@ -339,15 +340,17 @@ class HaarLimit:
     """Increasing analytic curve known through its first len(betas) coefficients.
 
     tail_bound caps the magnitude of every coefficient past the prefix;
-    0 declares the prefix to be the whole series. pairs, when given, are
-    the (s, w, q) log-ratio pairs of the curve's closed form, w already
-    divided by gamma_n, whose series must match betas; haar_limit_cdf then
-    inverts the closed form.
+    0 declares the prefix to be the whole series. The constructor takes
+    the prefix alone, so a law built with it, such as a betas:FILE law,
+    is prefix-only. pairs, the (s, w, q) log-ratio pairs of the curve's
+    closed form with w already divided by gamma_n, are set only by the
+    haar_limit_* builders, which derive betas from those same pairs;
+    haar_limit_cdf then inverts the closed form.
     """
 
     betas: tuple[float, ...]
     tail_bound: float = 0.0
-    pairs: tuple[tuple[int, float, float], ...] = ()
+    pairs: tuple[tuple[int, float, float], ...] = field(default=(), init=False)
 
     def __post_init__(self):
         betas = tuple(float(b) for b in self.betas)
@@ -359,22 +362,8 @@ class HaarLimit:
             raise ValueError("betas: all coefficients must be finite")
         if not (self.tail_bound >= 0 and math.isfinite(self.tail_bound)):
             raise ValueError(f"tail_bound: must be finite and >= 0 (got {self.tail_bound!r})")
-        pairs = tuple((s, float(w), float(q)) for s, w, q in self.pairs)
-        # each pair's slope is w*(1 - q)/(...) >= 0; one must be > 0
-        if pairs and not (
-            all(s in (1, -1) and 0.0 <= w < math.inf and 0.0 <= q <= 1.0 for s, w, q in pairs)
-            and sum(w * (1.0 - q) for _, w, q in pairs) > 0.0
-        ):
-            raise ValueError(
-                f"pairs: need signs +-1, weights >= 0, ratios in [0, 1] and a "
-                f"rising sum (got {pairs!r})"
-            )
-        scale = max(abs(b) for b in betas)
-        if pairs and any(abs(b - _coeff(pairs, j)) > 1e-12 * scale for j, b in enumerate(betas, 1)):
-            raise ValueError("pairs: their series must match betas to 1e-12 of its largest term")
         object.__setattr__(self, "betas", betas)
         object.__setattr__(self, "tail_bound", float(self.tail_bound))
-        object.__setattr__(self, "pairs", pairs)
         # the inverter brackets its targets between the curve's two finite ends
         with np.errstate(over="ignore"):
             lo, hi = (float(_curve_partial(self, x)) for x in (_CURVE_EDGE, 1.0 - _CURVE_EDGE))
@@ -388,13 +377,12 @@ class HaarLimit:
 
 def _haar_limit(pairs, terms: int, gamma_n: float = 1.0) -> HaarLimit:
     """The pairs' curve over gamma_n: its prefix, capped by the first
-    coefficient, and its closed form."""
-    betas = tuple(_coeff(pairs, j) / gamma_n for j in range(1, terms + 1))
-    return HaarLimit(
-        betas=betas,
-        tail_bound=_coeff(pairs, 1) / gamma_n,
-        pairs=tuple((s, w / gamma_n, q) for s, w, q in pairs),
-    )
+    coefficient, and its closed form, which the prefix matches by construction."""
+    pairs = tuple((s, w / gamma_n, q) for s, w, q in pairs)
+    betas = tuple(_coeff(pairs, j) for j in range(1, terms + 1))
+    lim = HaarLimit(betas=betas, tail_bound=betas[0])
+    object.__setattr__(lim, "pairs", pairs)
+    return lim
 
 
 def haar_limit_from_spec(spec: ProductSpec, gamma_n: float, terms: int = LIMIT_TERMS) -> HaarLimit:
@@ -414,6 +402,7 @@ def haar_limit_from_ratios(signs, ratios, terms: int = LIMIT_TERMS) -> HaarLimit
     ratios = [float(a) for a in ratios]
     if len(signs) != len(ratios) or not signs:
         raise ValueError("signs and ratios must be equal-length and nonempty")
+    signs = SignPattern(tuple(signs)).entries
     for k, a in enumerate(ratios):
         if not (0.0 < a <= 1.0):
             raise ValueError(f"ratios[{k}]: must lie in (0, 1] (got {a!r})")

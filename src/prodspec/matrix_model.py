@@ -203,19 +203,17 @@ def product_eigenvalues(factors, signs) -> EigenSample:
     for k, a in enumerate(factors):
         if a.shape != (n, n):
             raise ValueError(f"factors[{k}]: expected shape {(n, n)}, got {a.shape}")
-    prod = np.eye(n, dtype=complex)
+    prod = None
     for k, (a, sign) in enumerate(zip(factors, signs)):
-        if sign == 1:
-            prod = prod @ a
-        elif sign == -1:
-            inv, cond = _inverse(a)
+        if sign == -1:
+            a, cond = _inverse(a)
             if not (cond <= CONDITION_LIMIT):
                 raise ConditioningError(
                     f"factor {k}: condition number {cond:.3e} beyond {CONDITION_LIMIT:.0e}"
                 )
-            prod = prod @ inv
-        else:
+        elif sign != 1:
             raise ValueError(f"signs[{k}]: must be +-1 (got {sign!r})")
+        prod = a if prod is None else prod @ a
     eig = np.linalg.eigvals(prod)
     return EigenSample(
         log_moduli=np.log(np.abs(eig)),

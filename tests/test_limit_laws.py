@@ -33,7 +33,7 @@ from prodspec.limit_laws import (
     series_tail_bound,
     spherical_product_density,
 )
-from prodspec.limit_laws import _closed_curve, _closed_slope, _expit, _logit
+from prodspec.limit_laws import _closed_curve, _closed_slope, _coeff, _expit, _logit
 
 # high-precision references (40-digit arithmetic, rounded to double)
 GIN_CDF_A03_B07_Y2 = 0.78135886436936958
@@ -500,29 +500,17 @@ def test_curve_inverse_density_integrates_to_one():
     assert mass == pytest.approx(1.0, abs=1e-6)
 
 
-def test_haar_limit_pairs_validation():
-    with pytest.raises(ValueError, match="pairs"):
-        HaarLimit(betas=(0.5,), pairs=((2, 0.5, 0.3),))
-    with pytest.raises(ValueError, match="pairs"):
-        HaarLimit(betas=(0.5,), pairs=((1, -0.5, 0.3),))
-    with pytest.raises(ValueError, match="pairs"):
-        HaarLimit(betas=(0.5,), pairs=((1, 0.5, 1.5),))
-    # ratio 1 cancels the pair's two logs: the sum would be flat
-    with pytest.raises(ValueError, match="pairs"):
-        HaarLimit(betas=(0.5,), pairs=((1, 0.5, 1.0),))
+def test_haar_limit_takes_no_pairs():
+    # only the builders attach a closed form, derived with its prefix
+    with pytest.raises(TypeError):
+        HaarLimit(betas=(0.5,), pairs=((1, 0.5, 0.3),))
+    assert HaarLimit(betas=(0.5,)).pairs == ()
 
 
-def test_haar_limit_rejects_pairs_whose_series_is_not_betas():
-    # the closed form's first coefficient is 2.5, not 1: haar_limit_cdf
-    # would read 0.385 at y = 0.5 where the prefix's inverse reads 0.153
-    with pytest.raises(ValueError, match="pairs:"):
-        HaarLimit(betas=(1.0,), pairs=((1, 5.0, 0.5),))
-    lim = haar_limit_from_spec(haar(6, "+-", (9, 11)), 2.0, terms=80)
-    assert HaarLimit(betas=lim.betas, tail_bound=lim.tail_bound, pairs=lim.pairs) == lim
-    # one prefix coefficient off by 1e-9 of the largest is caught too
-    betas = lim.betas[:40] + (lim.betas[40] + 1e-9 * lim.betas[0],) + lim.betas[41:]
-    with pytest.raises(ValueError, match="pairs:"):
-        HaarLimit(betas=betas, tail_bound=lim.tail_bound, pairs=lim.pairs)
+def test_haar_limit_from_ratios_rejects_signs_other_than_plus_minus_one():
+    for sign in (2, 0):
+        with pytest.raises(ValueError, match="signs"):
+            haar_limit_from_ratios([1, sign], [0.5, 0.5])
 
 
 def test_haar_limit_cdf_without_pairs_inverts_the_prefix():
@@ -651,6 +639,14 @@ def test_builders_match_their_log_ratio_sums_on_drawn_laws(**law):
     for lim, pairs in _built_laws(**law, terms=400):
         assert lim.tail_bound == lim.betas[0]
         assert np.max(np.abs(limit_curve(lim, x) - _log_ratio_sum(pairs, x))) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(**DRAWN_LAWS, terms=st.integers(1, 12))
+def test_builders_derive_their_prefix_from_their_pairs_on_drawn_laws(terms, **law):
+    for lim, _ in _built_laws(**law, terms=terms):
+        assert lim.betas == tuple(_coeff(lim.pairs, j) for j in range(1, terms + 1))
+        assert lim.tail_bound == lim.betas[0]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -22,7 +22,7 @@ from prodspec.matrix_model import (
     truncate,
 )
 from prodspec.numerics import RngStream
-from prodspec.stats import EmpiricalCdf, ks_two_sample
+from prodspec.stats import EmpiricalCdf, fold_angles, ks_two_sample
 
 
 def test_ginibre_entry_moments():
@@ -123,6 +123,20 @@ def test_single_inverse_factor_gives_reciprocal_spectrum():
     sample = product_eigenvalues([a], [-1])
     expect = -np.log(np.abs(np.linalg.eigvals(a)))
     assert np.allclose(np.sort(sample.log_moduli), np.sort(expect), atol=1e-9)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_single_factor_product_is_that_factor_byte_for_byte(sign):
+    # a one-factor product is the factor (or its inverse) itself, and the
+    # caller's factor is left as it was
+    a = sample_ginibre(30, RngStream(18))
+    kept = a.copy()
+    sample = product_eigenvalues([a], [sign])
+    with _one_blas_thread:
+        eig = np.linalg.eigvals(a if sign == 1 else np.linalg.inv(a))
+    assert sample.log_moduli.tobytes() == np.log(np.abs(eig)).tobytes()
+    assert sample.angles.tobytes() == fold_angles(np.angle(eig)).tobytes()
+    assert np.array_equal(a, kept)
 
 
 def test_factor_paired_with_its_inverse_cancels():
