@@ -271,10 +271,10 @@ def _read_betas_file(path: str) -> HaarLimit:
         raise ConfigError(f"limit: {exc}") from None
 
 
-def _mass_in_window(values) -> float:
+def _mass_in_window(ecdf: EmpiricalCdf) -> float:
     lo, hi = MASS_WINDOW
-    v = np.asarray(values)
-    return float(np.mean((v >= lo) & (v <= hi)))
+    v = ecdf.values
+    return float((np.searchsorted(v, hi, "right") - np.searchsorted(v, lo, "left")) / ecdf.n)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
@@ -316,7 +316,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         # the ECDF holds its own copy; the draws need not stay alive during KS
         del log_moduli
         setattr(report, f"{path}_ecdf", ecdf)
-        setattr(report, f"mass_{path}", _mass_in_window(ecdf.values))
+        setattr(report, f"mass_{path}", _mass_in_window(ecdf))
         if report.limit is not None:
             report.ks_results[path] = ks_one_sample(ecdf, cdf)
         report.runtimes[path] = time.perf_counter() - t0

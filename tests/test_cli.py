@@ -156,6 +156,8 @@ def test_validated_rejects_bad_settings():
         ExperimentConfig(**base, mode="fast").validated()
     with pytest.raises(ConfigError, match="replicates"):
         ExperimentConfig(**base, replicates=0).validated()
+    with pytest.raises(ConfigError, match="seed: must be >= 0"):
+        ExperimentConfig(**base, seed=-1).validated()
     with pytest.raises(ConfigError, match="capped"):
         ExperimentConfig(**{**base, "n": 300}, mode="matrix").validated()
     with pytest.raises(ConfigError, match="capped"):

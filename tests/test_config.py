@@ -37,6 +37,7 @@ def test_ginibre_log_scale_all_plus():
     # scale n^(2p-m) = n^m when every factor is direct
     spec = GinibreProductSpec(50, SignPattern.parse("+++"))
     assert spec.log_scale() == pytest.approx(3 * math.log(50), rel=1e-15)
+    assert spec.ratios is None  # Gaussian factors are not truncated
 
 
 def test_ginibre_log_scale_balanced():
@@ -83,6 +84,8 @@ def test_scaling_plan_requires_positive_gamma():
         ScalingPlan(gamma_n=0.0, log_scale=0.0)
     with pytest.raises(ValueError, match="gamma_n"):
         ScalingPlan(gamma_n=float("inf"), log_scale=0.0)
+    with pytest.raises(ValueError, match="log_scale"):
+        ScalingPlan(gamma_n=1.0, log_scale=float("inf"))
 
 
 def test_scaling_plan_for_spec_and_roundtrip():

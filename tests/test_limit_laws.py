@@ -232,6 +232,8 @@ def test_series_coeff_hand_values():
     assert series_coeff(one, 2) == pytest.approx(-4.0 / 9.0, rel=1e-14)
     flipped = haar(2, "-", (4,))
     assert series_coeff(flipped, 2) == pytest.approx(4.0 / 9.0, rel=1e-14)
+    with pytest.raises(ValueError, match="j:"):
+        series_coeff(one, 0)
 
 
 def test_series_coeff_bound_dominates():
@@ -370,6 +372,8 @@ def test_haar_limit_from_spec_scales_coefficients():
     assert lim.betas == pytest.approx((1.0 / 3.0, -2.0 / 9.0, 26.0 / 81.0 / 2.0))
     assert lim.tail_bound == pytest.approx(1.0 / 3.0)
     assert lim.terms == 3
+    with pytest.raises(ValueError, match="gamma_n"):
+        haar_limit_from_spec(spec, 0.0)
 
 
 def test_haar_limit_from_ratios_hand_values():

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
+from prodspec.cli import _mass_in_window
 from prodspec.config import ScalingPlan
 from prodspec.numerics import RngStream
 from prodspec.stats import (
@@ -83,6 +86,12 @@ def test_ks_one_sample_rejects_bad_reference():
     e = EmpiricalCdf(values=np.array([0.5, 1.5]))
     with pytest.raises(ValueError, match="cdf"):
         ks_one_sample(e, lambda y: y)  # escapes [0, 1] at 1.5
+    # NaN compares False against both bounds, so it must fail the check too
+    e = EmpiricalCdf(values=np.array([0.1, 0.5, 0.9]))
+    with pytest.raises(ValueError, match="cdf"):
+        ks_one_sample(e, lambda y: np.full(y.shape, np.nan))
+    with pytest.raises(ValueError, match="cdf"):
+        ks_one_sample(e, lambda y: np.where(y > 0.7, np.nan, y))
 
 
 def test_ks_one_sample_null_calibration():
@@ -130,6 +139,69 @@ def test_ks_two_sample_invariant_under_monotone_maps():
         EmpiricalCdf(values=np.exp(a)), EmpiricalCdf(values=np.exp(b))
     )
     assert plain.statistic == warped.statistic
+
+
+# --- the statistics against the full formulas ----------------------------
+#
+# Each reference evaluates its statistic the long way, at every point the
+# definition names; the library reads the same floats off the sorted values,
+# so the two must agree byte for byte.
+
+def ks_one_sample_reference(values, f):
+    """max(i/n - F(x_i), F(x_i) - (i-1)/n) over the sorted sample, i = 1..n."""
+    n = len(values)
+    i = np.arange(1, n + 1)
+    return float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
+
+
+def ks_two_sample_reference(a, b):
+    """sup |Fa - Fb| over the merge-sorted union of both sorted samples."""
+    grid = np.concatenate([a, b])
+    grid.sort(kind="mergesort")
+    fa = np.searchsorted(a, grid, side="right") / len(a)
+    fb = np.searchsorted(b, grid, side="right") / len(b)
+    return float(np.max(np.abs(fa - fb)))
+
+
+def mass_in_window_reference(values):
+    return float(np.mean((values >= 0.9) & (values <= 1.1)))
+
+
+# sample values k/4 on a 13-point grid, so ties occur inside and across samples
+GRID_SAMPLE = st.lists(st.integers(0, 12), min_size=1, max_size=60).map(
+    lambda ks: EmpiricalCdf(values=np.array(ks) / 4.0)
+)
+# a monotone reference on that grid, hitting 0 and 1 exactly
+GRID_LEVELS = st.lists(
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), min_size=13, max_size=13
+).map(np.sort)
+WINDOW_POINTS = [0.5, np.nextafter(0.9, 0.0), 0.9, 1.0, 1.1, np.nextafter(1.1, 2.0), 2.0]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(e=GRID_SAMPLE, levels=GRID_LEVELS)
+def test_ks_one_sample_equals_the_full_formula(e, levels):
+    def cdf(x):
+        return levels[np.rint(x * 4.0).astype(int)]
+
+    got = ks_one_sample(e, cdf)
+    assert got.statistic == ks_one_sample_reference(e.values, cdf(e.values))
+    assert got.n == e.n
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(a=GRID_SAMPLE, b=GRID_SAMPLE)
+def test_ks_two_sample_equals_the_merged_formula(a, b):
+    got = ks_two_sample(a, b)
+    assert got.statistic == ks_two_sample_reference(a.values, b.values)
+    assert got.n == a.n
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(v=st.lists(st.sampled_from(WINDOW_POINTS), min_size=1, max_size=60))
+def test_mass_in_window_equals_the_mask_mean(v):
+    e = EmpiricalCdf(values=np.array(v))
+    assert _mass_in_window(e) == mass_in_window_reference(e.values)
 
 
 def test_angle_uniformity_validates_and_folds():
