@@ -8,6 +8,7 @@ monotone and therefore leaves KS statistics untouched.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,23 @@ import numpy as np
 from .config import ScalingPlan
 
 TWO_PI = 2.0 * np.pi
+
+# ks_one_sample first reads the reference at this many evenly spaced sorted
+# indices, so a sample of at most this size is read whole: below about 10k
+# points the split's rounds cost more than reading even the closed Haar
+# curve at every point
+_KS_FIRST_POINTS = 8192
+# rounding slack of ks_one_sample's block bounds, and the largest fall
+# between evaluated neighbours it takes for rounding noise in the reference
+_KS_SLACK = 1e-12
+
+
+def _checked_sample(v: np.ndarray) -> np.ndarray:
+    if v.ndim != 1 or len(v) == 0:
+        raise ValueError("values: need a nonempty 1-d sample")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("values: sample contains non-finite entries")
+    return v
 
 
 @dataclass(frozen=True)
@@ -24,12 +42,16 @@ class EmpiricalCdf:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or len(v) == 0:
-            raise ValueError("values: need a nonempty 1-d sample")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("values: sample contains non-finite entries")
+        v = _checked_sample(np.asarray(self.values, dtype=float))
         object.__setattr__(self, "values", np.sort(v))
+
+    @classmethod
+    def _sorted_in_place(cls, values: np.ndarray) -> "EmpiricalCdf":
+        """An ECDF over a float array its caller gives up: sorted in place, not copied."""
+        _checked_sample(values).sort()
+        ecdf = cls.__new__(cls)
+        object.__setattr__(ecdf, "values", values)
+        return ecdf
 
     @property
     def n(self) -> int:
@@ -55,32 +77,84 @@ def rescale_moduli(log_moduli, plan: ScalingPlan):
     return np.exp((2.0 * lm - plan.log_scale) / plan.gamma_n)
 
 
-def build_ecdf(log_moduli_sets, plan: ScalingPlan) -> EmpiricalCdf:
-    """Pool replicate log-moduli, rescale, and build one empirical CDF."""
+def _rescale_in_place(values: np.ndarray, plan: ScalingPlan) -> None:
+    """rescale_moduli on a float array, written over it: the same operations
+    in the same order, so the same bytes, with no temporary."""
+    values *= 2.0
+    values -= plan.log_scale
+    values /= plan.gamma_n
+    np.exp(values, out=values)
+
+
+def build_ecdf(log_moduli_sets, plan: ScalingPlan, *, overwrite: bool = False) -> EmpiricalCdf:
+    """Pool replicate log-moduli, rescale, and build one empirical CDF.
+
+    The sets are copied into one array that is rescaled and sorted in
+    place. With overwrite=True the caller gives the sets up: a single
+    float array is then rescaled and sorted where it lies, without a copy,
+    and becomes the ECDF's values.
+    """
     parts = [np.asarray(s, dtype=float).ravel() for s in log_moduli_sets]
     if not parts:
         raise ValueError("log_moduli_sets: need at least one replicate")
+    values = parts[0] if overwrite and len(parts) == 1 else np.concatenate(parts)
     with np.errstate(over="ignore", under="ignore"):
-        values = rescale_moduli(np.concatenate(parts), plan)
+        _rescale_in_place(values, plan)
     # a modulus rounded to 0 or inf has lost its order against the others
     if np.any((values == 0.0) | np.isinf(values)):
         raise OverflowError(
             f"gamma: rescaled moduli leave the floating-point range at "
             f"gamma_n={plan.gamma_n!r}; a larger gamma is needed"
         )
-    return EmpiricalCdf(values=values)
+    return EmpiricalCdf._sorted_in_place(values)
 
 
 def ks_one_sample(ecdf: EmpiricalCdf, cdf) -> KsReport:
-    """Exact KS distance to a reference CDF, read at the sorted sample against levels k/n."""
+    """Exact KS distance to a reference CDF, read at the sorted sample against levels k/n.
+
+    The statistic is the largest (i+1)/n - F(x_i) or F(x_i) - i/n over the
+    sorted sample x_0..x_(n-1), found without reading F at every point.
+    The contract on cdf: it is nondecreasing, and it maps each point on
+    its own, so that cdf(x[idx]) equals cdf(x)[idx] to the bit.
+    Between read indices a < b, monotonicity bounds every term of the
+    block by b/n - F(x_a) or F(x_b) - (a+1)/n. F is first read at
+    _KS_FIRST_POINTS evenly spaced indices (at every index of a smaller
+    sample); then each round halves, in one cdf call, every block whose
+    bound is at or above the largest term read, less a slack of 1e-12,
+    until no block can hold a larger term. The statistic is the largest
+    term read, the same float as the full formula's.
+    Every value read must lie in [0, 1], up to 1e-12, and be a number. Two
+    read neighbours that fall by more than 1e-12 show a decreasing
+    reference, which is then read at every point.
+    """
     x = ecdf.values
     n = ecdf.n
-    f = np.asarray(cdf(x), dtype=float)
-    if f.shape != x.shape or not np.all((f >= -1e-12) & (f <= 1 + 1e-12)):
-        raise ValueError("cdf: reference must map the sample into [0, 1]")
-    levels = np.arange(n + 1) / n
-    d_plus = np.max(levels[1:] - f)
-    d_minus = np.max(f - levels[:-1])
+
+    def read(idx):
+        f = np.asarray(cdf(x[idx]), dtype=float)
+        if f.shape != idx.shape or not np.all((f >= -_KS_SLACK) & (f <= 1 + _KS_SLACK)):
+            raise ValueError("cdf: reference must map the sample into [0, 1]")
+        return f
+
+    # strictly increasing indices: their spacing exceeds 1 whenever n exceeds the count
+    idx = np.rint(np.linspace(0, n - 1, min(n, _KS_FIRST_POINTS))).astype(np.intp)
+    f = read(idx)
+    while idx.size < n:
+        if np.any(np.diff(f) < -_KS_SLACK):
+            idx = np.arange(n)
+            f = read(idx)
+            break
+        best = max(np.max((idx + 1) / n - f), np.max(f - idx / n))
+        a, b = idx[:-1], idx[1:]
+        bound = np.maximum(b / n - f[:-1], f[1:] - (a + 1) / n)
+        split = np.flatnonzero((b - a > 1) & (bound >= best - _KS_SLACK))
+        if split.size == 0:
+            break
+        mid = (a[split] + b[split]) // 2
+        idx = np.insert(idx, split + 1, mid)
+        f = np.insert(f, split + 1, read(mid))
+    d_plus = np.max((idx + 1) / n - f)
+    d_minus = np.max(f - idx / n)
     return KsReport(statistic=float(max(d_plus, d_minus)), n=n)
 
 
@@ -119,14 +193,50 @@ def mgf_estimate(log_values, t: float):
     return mean, stderr
 
 
-def ks_threshold(n: int, level: float = 0.99, allowance: float = 0.02) -> float:
-    """Asymptotic Kolmogorov quantile at the given level plus a flat allowance.
+def _kolmogorov_sf_cdf(x: float) -> tuple[float, float]:
+    """P(K > x) and P(K <= x) of the Kolmogorov distribution at x > 0, each
+    from the form that is accurate where it is small, as scipy's kolmogorov."""
+    if x <= 0.82:
+        # sqrt(2 pi)/x * sum_k exp(-(2k-1)^2 pi^2 / (8 x^2)), through k = 4
+        u8 = math.exp(-math.pi * math.pi / (x * x))
+        cdf = math.sqrt(2.0 * math.pi) / x * math.exp(-math.pi * math.pi / (8.0 * x * x)) * (
+            1.0 + u8 * (1.0 + u8 * u8 * (1.0 + u8**3))
+        )
+        return 1.0 - cdf, cdf
+    # 2 * sum_k (-1)^(k-1) v^(k^2) with v = exp(-2 x^2); k = 5 adds below 5e-15
+    v = math.exp(-2.0 * x * x)
+    sf = 2.0 * (v - v**4 + v**9 - v**16)
+    return sf, 1.0 - sf
 
-    Only --assert needs the quantile, so scipy.special is imported here,
-    after a run's sampling and comparisons.
+
+def _kolmogorov_isf(p: float) -> float:
+    """x with P(K > x) = p for the Kolmogorov distribution, 0 < p < 1.
+
+    Bisected until the midpoint equals an end, then the end whose
+    probability lies nearer p; within 2 ulp of scipy.special.kolmogi.
     """
-    from scipy import special
 
+    def excess(x):
+        # decreasing in x and 0 at the quantile; compared as CDFs when p > 1/2
+        sf, cdf = _kolmogorov_sf_cdf(x)
+        return (1.0 - p) - cdf if p > 0.5 else sf - p
+
+    # the quantile lies inside: P(K > 8) < 1e-55 and P(K <= x) -> 0 as x -> 0,
+    # while a threshold's p and 1 - p are at least 2^-53
+    lo, hi = 0.0, 8.0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if excess(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo if abs(excess(lo)) < abs(excess(hi)) else hi
+
+
+def ks_threshold(n: int, level: float = 0.99, allowance: float = 0.02) -> float:
+    """Asymptotic Kolmogorov quantile at the given level plus a flat allowance."""
     if n < 1:
         raise ValueError(f"n: must be >= 1 (got {n})")
-    return float(special.kolmogi(1.0 - level) / np.sqrt(n) + allowance)
+    p = 1.0 - level
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"level: must lie in (0, 1) (got {level!r})")
+    return float(_kolmogorov_isf(p) / np.sqrt(n) + allowance)

@@ -362,9 +362,10 @@ def test_scalar_run_draws_key_0_in_one_array_and_extends_as_a_prefix(monkeypatch
     # factor k of every scalar replicate comes from stream (0, k), one row each
     pooled = []
 
-    def recording(sets, plan, build=cli.build_ecdf):
-        pooled.append(sets)
-        return build(sets, plan)
+    def recording(sets, plan, build=cli.build_ecdf, **kw):
+        # the run lets build_ecdf overwrite its draws, so they are copied first
+        pooled.append([np.array(s) for s in sets])
+        return build(sets, plan, **kw)
 
     monkeypatch.setattr(cli, "build_ecdf", recording)
     drawn = []
@@ -454,7 +455,8 @@ def test_matrix_outputs_do_not_depend_on_blas_threads(tmp_path):
 
 
 # a child imports the CLI, builds scalar, matrix and both configs, and then
-# lists the modules that running and writing them imported for the first time
+# lists the modules that running, writing and checking them as --assert
+# does imported for the first time
 _IMPORT_CHILD = """
 import json, sys, tempfile
 from prodspec import cli
@@ -471,7 +473,9 @@ configs = [
 before = set(sys.modules)
 with tempfile.TemporaryDirectory() as out:
     for cfg in configs:
-        cli.write_outputs(cli.run_experiment(cfg), out)
+        report = cli.run_experiment(cfg)
+        cli.write_outputs(report, out)
+        report.threshold_failures()
 print(json.dumps({
     "new": sorted(set(sys.modules) - before),
     "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),

@@ -1,22 +1,37 @@
 """Empirical CDFs and KS machinery against closed forms and scipy."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy import stats as sps
 
-from prodspec.cli import _mass_in_window
+from prodspec import stats
+from prodspec.cli import (
+    PRESETS,
+    ExperimentConfig,
+    ExperimentReport,
+    _mass_in_window,
+    apply_preset,
+    run_experiment,
+    write_outputs,
+)
 from prodspec.config import ScalingPlan
+from prodspec.limit_laws import GinibreLimit, HaarLimit, haar_limit_from_spec
 from prodspec.numerics import RngStream
 from prodspec.stats import (
     TWO_PI,
     EmpiricalCdf,
     KsReport,
+    _kolmogorov_isf,
+    _rescale_in_place,
     angle_uniformity,
     build_ecdf,
+    fold_angles,
     ks_one_sample,
     ks_threshold,
     ks_two_sample,
@@ -50,6 +65,36 @@ def test_rescale_moduli_formula():
     lm = np.array([0.0, 1.0, 3.0])
     expect = np.exp((2 * lm - 2.0) / 4.0)
     assert np.allclose(rescale_moduli(lm, plan), expect, rtol=1e-14)
+
+
+def test_rescale_in_place_keeps_the_formula_bytes():
+    # the run's in-place path must round each step as rescale_moduli does
+    plan = ScalingPlan(gamma_n=3.7, log_scale=-1.3)
+    lm = RngStream(30).standard_normal(10_001) * 40.0
+    for values in (lm.copy(), lm.copy()[1:]):  # a whole array and an offset view
+        expect = rescale_moduli(values, plan)
+        _rescale_in_place(values, plan)
+        assert values.tobytes() == expect.tobytes()
+
+
+def test_build_ecdf_leaves_the_callers_arrays_unless_told_to_overwrite():
+    plan = ScalingPlan(gamma_n=2.0, log_scale=0.5)
+    draws = RngStream(38).standard_normal((30, 7))
+    kept = draws.copy()
+    expect = np.sort(np.exp((2.0 * kept.ravel() - 0.5) / 2.0))
+    for sets in ([draws], [draws[:10], draws[10:]], list(draws)):
+        assert build_ecdf(sets, plan).values.tobytes() == expect.tobytes()
+        assert draws.tobytes() == kept.tobytes()
+    # a single float array given up is rescaled and sorted where it lies
+    ecdf = build_ecdf([draws], plan, overwrite=True)
+    assert np.shares_memory(ecdf.values, draws)
+    assert ecdf.values.tobytes() == expect.tobytes()
+    # several parts are pooled into a new array first, so they stay as they were
+    parts = [kept[:10].copy(), kept[10:].copy()]
+    build_ecdf(parts, plan, overwrite=True)
+    assert np.concatenate(parts).tobytes() == kept.tobytes()
+    with pytest.raises(ValueError, match="values"):
+        build_ecdf([np.array([0.0, np.nan])], plan, overwrite=True)
 
 
 def test_build_ecdf_pools_and_commutes():
@@ -237,6 +282,166 @@ def test_mgf_estimate_known_cases():
         mgf_estimate(np.array([1.0]), 1.0)
 
 
+# --- the split one-sample KS against the full formula ---------------------
+#
+# ks_one_sample reads the reference at _KS_FIRST_POINTS sorted indices and
+# then only inside blocks that could hold a larger term. The references
+# below map each point on their own, as the contract asks; the tests also
+# lower the first-round count, so that small samples take many rounds.
+
+def _step_reference(levels, width):
+    """A step CDF: plateaus of the sorted levels, each `width` wide."""
+    def cdf(y):
+        return levels[np.clip((y / width).astype(int), 0, len(levels) - 1)]
+    return cdf
+
+
+def _smooth_reference(power, noise):
+    """clip(y, 0, 1)**power plus rounding-size noise that is not monotone."""
+    def cdf(y):
+        return np.clip(y, 0.0, 1.0) ** power + noise * np.sin(1e4 * y)
+    return cdf
+
+
+@st.composite
+def split_cases(draw):
+    """A sorted sample well above the first-round count and a reference for it."""
+    first = draw(st.sampled_from([2, 3, 7, 64, stats._KS_FIRST_POINTS]))
+    n = draw(st.integers(first + 1, max(3 * first, 400)))
+    rng = RngStream(draw(st.integers(0, 2**16)))
+    # a coarse grid makes ties; the spread puts points past both clamps
+    grid = draw(st.sampled_from([8, 64, 2**20]))
+    shift = draw(st.floats(-0.3, 0.3))
+    sample = np.rint((rng.uniform(size=n) ** draw(st.floats(0.3, 3.0)) * 1.4 - 0.2 + shift)
+                     * grid) / grid
+    if draw(st.booleans()):
+        levels = np.sort(np.concatenate([[0.0, 0.0, 1.0, 1.0], rng.uniform(size=draw(st.integers(1, 40)))]))
+        cdf = _step_reference(np.append(levels, 1.0), draw(st.sampled_from([0.01, 0.1, 0.37])))
+    else:
+        noise = draw(st.sampled_from([0.0, 2.0**-52, 1e-14, 5e-13]))
+        cdf = _smooth_reference(draw(st.floats(0.2, 5.0)), noise)
+    return first, EmpiricalCdf(values=sample), cdf
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=split_cases())
+def test_split_ks_equals_the_full_formula(case):
+    first, e, cdf = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stats, "_KS_FIRST_POINTS", first)
+        got = ks_one_sample(e, cdf)
+    assert got.statistic == ks_one_sample_reference(e.values, cdf(e.values))
+    assert got.n == e.n
+
+
+def _counting(cdf, sizes):
+    def counted(y):
+        sizes.append(len(y))
+        return cdf(y)
+    return counted
+
+
+def test_split_ks_reads_few_points_of_a_large_sample():
+    e = EmpiricalCdf(values=RngStream(39).uniform(size=400_000) ** 1.01)
+    sizes = []
+    got = ks_one_sample(e, _counting(lambda y: np.clip(y, 0.0, 1.0), sizes))
+    assert got.statistic == ks_one_sample_reference(e.values, np.clip(e.values, 0.0, 1.0))
+    assert sizes[0] == stats._KS_FIRST_POINTS
+    assert sum(sizes) < 10 * stats._KS_FIRST_POINTS
+
+
+def test_split_ks_reads_a_decreasing_reference_at_every_point():
+    e = EmpiricalCdf(values=RngStream(40).uniform(size=3 * stats._KS_FIRST_POINTS))
+    for fall, cdf in (
+        (True, lambda y: 1.0 - y),
+        # a plateau that falls once by just more than the slack, or by less
+        (True, lambda y: np.where(y < 0.5, 0.4, 0.4 - 2e-12)),
+        (False, lambda y: np.where(y < 0.5, 0.4, 0.4 - 5e-13)),
+    ):
+        sizes = []
+        got = ks_one_sample(e, _counting(cdf, sizes))
+        assert (sizes[-1] == e.n) == fall
+        assert got.statistic == ks_one_sample_reference(e.values, cdf(e.values))
+
+
+@pytest.mark.parametrize("at", [0, -1])
+def test_split_ks_rejects_nan_at_a_first_round_index(at):
+    # the first and last sorted points are always in the first round
+    e = EmpiricalCdf(values=RngStream(41).uniform(size=2 * stats._KS_FIRST_POINTS))
+    x_at = e.values[at]
+    with pytest.raises(ValueError, match="cdf"):
+        ks_one_sample(e, lambda y: np.where(y == x_at, np.nan, np.clip(y, 0.0, 1.0)))
+
+
+def _preset_config(name, n, **kw):
+    return ExperimentConfig(n=n, preset=name, **{**apply_preset(name, n), **kw})
+
+
+def _reference_laws():
+    """The reference CDFs a run can compare with: closed Haar, prefix-only
+    betas, Ginibre profile and the point mass at 1."""
+    haar = haar_limit_from_spec(_preset_config("haar-remark4ii", 20).build_spec(), 2.0)
+    return {
+        "haar-closed": haar,
+        "haar-prefix": HaarLimit(betas=haar.betas, tail_bound=haar.tail_bound),
+        "ginibre": GinibreLimit(alpha=0.5, beta=1.5),
+        "ginibre-uniform": GinibreLimit(alpha=1.0, beta=1.0),
+        "degenerate": None,
+    }
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    law=st.sampled_from(sorted(_reference_laws())),
+    seed=st.integers(0, 2**16),
+    keep=st.floats(0.001, 1.0),
+)
+def test_reference_cdfs_map_each_point_on_its_own(law, seed, keep):
+    # the split KS reads cdf(x[idx]) and relies on it equalling cdf(x)[idx]
+    report = ExperimentReport(
+        config=_preset_config("haar-remark4ii", 20), plan=ScalingPlan(2.0, 0.0),
+        limit=_reference_laws()[law],
+    )
+    cdf = report.limit_cdf()
+    rng = RngStream(seed)
+    x = np.sort(np.exp(rng.standard_normal(3000) * 1.5))
+    x[:5] = 1.0  # the point mass's step
+    idx = np.flatnonzero(rng.uniform(size=x.size) < keep)
+    assert np.asarray(cdf(x[idx])).tobytes() == np.asarray(cdf(x))[idx].tobytes()
+
+
+@pytest.mark.parametrize("mode", ["scalar", "both"])
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_run_ks_values_equal_the_full_formula(preset, mode, tmp_path):
+    cfg = _preset_config(preset, 60, replicates=200, mode=mode, seed=3)
+    report = run_experiment(cfg)
+    write_outputs(report, tmp_path)
+    written = json.loads((tmp_path / "report.json").read_text())
+    cdf = report.limit_cdf()
+    expect = {}
+    if report.limit is not None:
+        for path in ("scalar", "matrix"):
+            ecdf = getattr(report, f"{path}_ecdf")
+            if ecdf is not None:
+                expect[path] = ks_one_sample_reference(ecdf.values, cdf(ecdf.values))
+    if report.pooled_angles is not None:
+        theta = np.sort(fold_angles(report.pooled_angles))
+        expect["angles"] = ks_one_sample_reference(theta, np.clip(theta / TWO_PI, 0.0, 1.0))
+    # a point-mass limit leaves a scalar run no KS to compare
+    assert expect or (report.limit is None and mode == "scalar")
+    for name, value in expect.items():
+        assert report.ks_results[name].statistic == value
+        assert written[f"ks_{name}"] == value
+
+
+def test_kolmogorov_quantile_is_scipys():
+    for p in (0.001, 0.01, 0.05, 0.1, 0.2):
+        assert _kolmogorov_isf(p) == special.kolmogi(p)
+    for p in np.concatenate([np.geomspace(1e-6, 0.999, 400), np.linspace(1e-6, 0.999, 400)]):
+        ours, theirs = _kolmogorov_isf(float(p)), float(special.kolmogi(p))
+        assert abs(ours - theirs) <= 2 * math.ulp(theirs), p
+
+
 def test_ks_threshold_values():
     # kolmogi(0.01) is about 1.6276
     assert ks_threshold(10_000, allowance=0.0) == pytest.approx(0.016276, abs=2e-5)
@@ -246,6 +451,9 @@ def test_ks_threshold_values():
     )
     with pytest.raises(ValueError, match="n"):
         ks_threshold(0)
+    for level in (0.0, 1.0, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="level"):
+            ks_threshold(100, level=level)
 
 
 def test_ks_report_is_frozen():
