@@ -312,9 +312,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             log_moduli = [s.log_moduli for s in samples]
             report.pooled_angles = np.concatenate([s.angles for s in samples])
             report.ks_results["angles"] = angle_uniformity(report.pooled_angles)
-        # the run gives its draws up: the scalar path's one array becomes
-        # the ECDF's values, rescaled and sorted in place
-        ecdf = build_ecdf(log_moduli, plan, overwrite=True)
+        ecdf = build_ecdf(log_moduli, plan)
+        # the ECDF holds its own copy; the draws need not stay alive during KS
+        del log_moduli
         setattr(report, f"{path}_ecdf", ecdf)
         setattr(report, f"mass_{path}", _mass_in_window(ecdf))
         if report.limit is not None:

@@ -47,7 +47,7 @@ class EmpiricalCdf:
 
     @classmethod
     def _sorted_in_place(cls, values: np.ndarray) -> "EmpiricalCdf":
-        """An ECDF over a float array its caller gives up: sorted in place, not copied."""
+        """An ECDF over a new float array built for it: sorted in place, not copied."""
         _checked_sample(values).sort()
         ecdf = cls.__new__(cls)
         object.__setattr__(ecdf, "values", values)
@@ -86,18 +86,16 @@ def _rescale_in_place(values: np.ndarray, plan: ScalingPlan) -> None:
     np.exp(values, out=values)
 
 
-def build_ecdf(log_moduli_sets, plan: ScalingPlan, *, overwrite: bool = False) -> EmpiricalCdf:
+def build_ecdf(log_moduli_sets, plan: ScalingPlan) -> EmpiricalCdf:
     """Pool replicate log-moduli, rescale, and build one empirical CDF.
 
-    The sets are copied into one array that is rescaled and sorted in
-    place. With overwrite=True the caller gives the sets up: a single
-    float array is then rescaled and sorted where it lies, without a copy,
-    and becomes the ECDF's values.
+    The sets are copied into one new array, which is rescaled and sorted
+    in place; the caller's arrays are left as they were.
     """
     parts = [np.asarray(s, dtype=float).ravel() for s in log_moduli_sets]
     if not parts:
         raise ValueError("log_moduli_sets: need at least one replicate")
-    values = parts[0] if overwrite and len(parts) == 1 else np.concatenate(parts)
+    values = np.concatenate(parts)
     with np.errstate(over="ignore", under="ignore"):
         _rescale_in_place(values, plan)
     # a modulus rounded to 0 or inf has lost its order against the others
@@ -123,9 +121,14 @@ def ks_one_sample(ecdf: EmpiricalCdf, cdf) -> KsReport:
     bound is at or above the largest term read, less a slack of 1e-12,
     until no block can hold a larger term. The statistic is the largest
     term read, the same float as the full formula's.
-    Every value read must lie in [0, 1], up to 1e-12, and be a number. Two
-    read neighbours that fall by more than 1e-12 show a decreasing
-    reference, which is then read at every point.
+    Every value read must lie in [0, 1], up to 1e-12, and be a number.
+    Only read values are checked: on a sample larger than _KS_FIRST_POINTS
+    a NaN or out-of-range value at an index the split never reads goes
+    unseen, and the statistic stays finite. A nondecreasing reference
+    whose first and last read values pass cannot leave [0, 1] between
+    them; a NaN breaks the nondecreasing contract. Two read neighbours
+    that fall by more than 1e-12 show a decreasing reference, which is
+    then read at every point.
     """
     x = ecdf.values
     n = ecdf.n

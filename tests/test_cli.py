@@ -362,10 +362,9 @@ def test_scalar_run_draws_key_0_in_one_array_and_extends_as_a_prefix(monkeypatch
     # factor k of every scalar replicate comes from stream (0, k), one row each
     pooled = []
 
-    def recording(sets, plan, build=cli.build_ecdf, **kw):
-        # the run lets build_ecdf overwrite its draws, so they are copied first
-        pooled.append([np.array(s) for s in sets])
-        return build(sets, plan, **kw)
+    def recording(sets, plan, build=cli.build_ecdf):
+        pooled.append(sets)
+        return build(sets, plan)
 
     monkeypatch.setattr(cli, "build_ecdf", recording)
     drawn = []

@@ -77,24 +77,19 @@ def test_rescale_in_place_keeps_the_formula_bytes():
         assert values.tobytes() == expect.tobytes()
 
 
-def test_build_ecdf_leaves_the_callers_arrays_unless_told_to_overwrite():
+def test_build_ecdf_leaves_the_callers_arrays():
     plan = ScalingPlan(gamma_n=2.0, log_scale=0.5)
     draws = RngStream(38).standard_normal((30, 7))
     kept = draws.copy()
     expect = np.sort(np.exp((2.0 * kept.ravel() - 0.5) / 2.0))
+    # one array is pooled into a new one too, so the draws stay as they were
     for sets in ([draws], [draws[:10], draws[10:]], list(draws)):
-        assert build_ecdf(sets, plan).values.tobytes() == expect.tobytes()
+        ecdf = build_ecdf(sets, plan)
+        assert ecdf.values.tobytes() == expect.tobytes()
+        assert not np.shares_memory(ecdf.values, draws)
         assert draws.tobytes() == kept.tobytes()
-    # a single float array given up is rescaled and sorted where it lies
-    ecdf = build_ecdf([draws], plan, overwrite=True)
-    assert np.shares_memory(ecdf.values, draws)
-    assert ecdf.values.tobytes() == expect.tobytes()
-    # several parts are pooled into a new array first, so they stay as they were
-    parts = [kept[:10].copy(), kept[10:].copy()]
-    build_ecdf(parts, plan, overwrite=True)
-    assert np.concatenate(parts).tobytes() == kept.tobytes()
     with pytest.raises(ValueError, match="values"):
-        build_ecdf([np.array([0.0, np.nan])], plan, overwrite=True)
+        build_ecdf([np.array([0.0, np.nan])], plan)
 
 
 def test_build_ecdf_pools_and_commutes():
@@ -373,6 +368,29 @@ def test_split_ks_rejects_nan_at_a_first_round_index(at):
         ks_one_sample(e, lambda y: np.where(y == x_at, np.nan, np.clip(y, 0.0, 1.0)))
 
 
+def test_split_ks_does_not_see_nan_at_an_index_it_never_reads():
+    # only read values are range-checked: the largest term lies in a run of
+    # 100 ties at the middle, so no block of the lower half is split and a
+    # NaN there off the first-round grid goes unseen, leaving the statistic
+    # of the NaN-free reference
+    n = 3 * stats._KS_FIRST_POINTS
+    x = (np.arange(n) + 0.5) / n
+    x[n // 2 : n // 2 + 100] = x[n // 2]
+    e = EmpiricalCdf(values=x)
+    first = np.rint(np.linspace(0, n - 1, stats._KS_FIRST_POINTS)).astype(np.intp)
+    at = int(np.setdiff1d(np.arange(n // 4, n // 2), first)[0])
+    x_at = e.values[at]
+    got = ks_one_sample(e, lambda y: np.where(y == x_at, np.nan, y))
+    assert np.isfinite(got.statistic)
+    assert got.statistic == ks_one_sample_reference(e.values, e.values)
+    # the same NaN raises once the sample is read whole
+    small = EmpiricalCdf(values=e.values[: stats._KS_FIRST_POINTS])
+    at = stats._KS_FIRST_POINTS // 2
+    x_at = small.values[at]
+    with pytest.raises(ValueError, match="cdf"):
+        ks_one_sample(small, lambda y: np.where(y == x_at, np.nan, y))
+
+
 def _preset_config(name, n, **kw):
     return ExperimentConfig(n=n, preset=name, **{**apply_preset(name, n), **kw})
 
@@ -435,8 +453,12 @@ def test_run_ks_values_equal_the_full_formula(preset, mode, tmp_path):
 
 
 def test_kolmogorov_quantile_is_scipys():
-    for p in (0.001, 0.01, 0.05, 0.1, 0.2):
+    # 1 - 0.99 and 1 - 0.95 are the p that ks_threshold's levels give
+    for p in (0.001, 0.01, 0.05, 0.1, 0.2, 1.0 - 0.99, 1.0 - 0.95):
         assert _kolmogorov_isf(p) == special.kolmogi(p)
+    # every --assert threshold keeps the bytes of scipy's quantile
+    for n in (1, 7, 60, 4000, 12_000, 400_000, 2_000_000):
+        assert ks_threshold(n) == float(special.kolmogi(1.0 - 0.99) / np.sqrt(n) + 0.02)
     for p in np.concatenate([np.geomspace(1e-6, 0.999, 400), np.linspace(1e-6, 0.999, 400)]):
         ours, theirs = _kolmogorov_isf(float(p)), float(special.kolmogi(p))
         assert abs(ours - theirs) <= 2 * math.ulp(theirs), p
