@@ -44,6 +44,7 @@ from .scalar_model import sample_radial_spectrum
 from .stats import (
     TWO_PI,
     EmpiricalCdf,
+    _ecdf_in_place,
     angle_uniformity,
     build_ecdf,
     ks_one_sample,
@@ -294,10 +295,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             continue
         t0 = time.perf_counter()
         if path == "scalar":
-            # sample_radial_spectrum draws the factors on threads of its own;
-            # build_ecdf iterates over its argument, so the (R, n) array goes
-            # in a list rather than row by row
-            log_moduli = [sample_radial_spectrum(spec, root.substream(0), cfg.replicates)]
+            # sample_radial_spectrum draws on threads of its own, into a new
+            # (R, n) array that nothing else holds, so the ECDF is built in it
+            ecdf = _ecdf_in_place(
+                sample_radial_spectrum(spec, root.substream(0), cfg.replicates), plan
+            )
         else:
             # LAPACK releases the GIL, so the workers' factorisations overlap;
             # BLAS runs one thread per worker, so the outputs do not depend on it
@@ -309,12 +311,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                     lambda r: sample_product_eigenvalues(spec, root.substream(1, r)),
                     range(cfg.replicates),
                 ))
-            log_moduli = [s.log_moduli for s in samples]
             report.pooled_angles = np.concatenate([s.angles for s in samples])
             report.ks_results["angles"] = angle_uniformity(report.pooled_angles)
-        ecdf = build_ecdf(log_moduli, plan)
-        # the ECDF holds its own copy; the draws need not stay alive during KS
-        del log_moduli
+            ecdf = build_ecdf([s.log_moduli for s in samples], plan)
+            # the ECDF holds its own copy; the draws need not stay alive during KS
+            del samples
         setattr(report, f"{path}_ecdf", ecdf)
         setattr(report, f"mass_{path}", _mass_in_window(ecdf))
         if report.limit is not None:
@@ -480,7 +481,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--mode", help="scalar | matrix | both")
     run.add_argument("--seed")
     run.add_argument("--workers", help=f"threads that draw matrix replicates, 1..{MAX_WORKERS}"
-                     " (scalar factors are drawn on one thread each, up to the usable CPUs)")
+                     " (scalar draws run on up to one thread per factor, at most the usable"
+                     " CPUs)")
     run.add_argument("--limit", help="auto | degenerate | ginibre:a,b | betas:PATH")
     run.add_argument("--out", help="directory for cdf.csv, angles.csv, report.json")
     run.add_argument("--preset", help="named scenario (see 'prodspec presets')")

@@ -6,11 +6,13 @@ half-power product of one gamma (Gaussian factors) or beta (truncated
 unitary factors) draw per factor, with shape parameter j for a direct
 factor and n+1-j for an inverted one.
 
-sample_radial_spectrum draws many replicates at once: factor k fills all
-of them, one row per replicate, from its own substream (k), so the first
-rows do not depend on how many follow. Because each factor owns its
-stream, the factors can be drawn on a thread pool (numpy fills gamma and
-beta draws with the interpreter lock released) without changing a byte.
+sample_radial_spectrum draws many replicates into one array, one row per
+replicate: factor k fills the rows in order from its own substream (k),
+so the first rows do not depend on how many follow. The rows are drawn
+and summed in chunks, so a draw holds its output and a chunk per thread,
+however many factors there are. Because each factor owns its stream, the
+chunks' draws can run on a thread pool (numpy fills gamma and beta draws
+with the interpreter lock released) without changing a byte.
 
 Everything here works with the scalars' logarithms; moment generating
 functions are exact gamma/beta ratios and are kept in log form. Ratios of
@@ -22,12 +24,17 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .config import ProductSpec
 from .numerics import RngStream
+
+# sample_radial_spectrum draws and sums its rows in chunks of about this
+# many values, so a thread holds one chunk of a factor's term at a time
+_CHUNK = 1 << 16
 
 
 def _shape(n, j, sign):
@@ -58,42 +65,35 @@ def _log_norm(shape, b):
     return special.gammaln(shape) if b is None else special.betaln(shape, b)
 
 
-def _log_radius_draws(spec: ProductSpec, j, streams, size=None, threads=1):
-    """Half the signed sum of one log draw per factor for index (or indices) j.
+def _draw(spec: ProductSpec, j, sign, b, rng, size):
+    """One factor's draw for index (or indices) j: Gamma(shape) for a
+    Gaussian factor and Beta(shape, b) for a truncation, with its _shape."""
+    shape = _shape(spec.n, j, sign)
+    return np.asarray(rng.gamma(shape, size=size) if b is None else rng.beta(shape, b, size=size))
 
-    Factor k draws from streams[k]: Gamma(shape) for a Gaussian factor and
-    Beta(shape, b) for a truncation, with the factor's _shape. With
-    threads > 1 the factors are drawn on a pool of that many threads, which
-    needs a distinct stream per factor; they are drawn `threads` at a time,
-    so about that many terms are held besides the sum. The terms are summed
-    here in factor order, so the result does not depend on threads.
+
+def _log_term(draw, sign):
+    """Half of sign times the log of a draw, worked out in place, so a
+    factor's term holds one array of the draw's size."""
+    np.log(draw, out=draw)
+    draw *= 0.5 * sign
+    return draw
+
+
+def _log_radius_draws(spec: ProductSpec, j, streams, size=None):
+    """Half the signed sum of one log draw per factor, factor k from streams[k].
+
+    The terms are drawn one after another and summed in factor order.
     """
-    factors = _factors(spec)
-
-    def term(k):
-        sign, b = factors[k]
-        shape = _shape(spec.n, j, sign)
-        rng = streams[k]
-        draw = rng.gamma(shape, size=size) if b is None else rng.beta(shape, b, size=size)
-        # worked out in place, so a factor holds one array of the draw's size
-        draw = np.asarray(draw)
-        np.log(draw, out=draw)
-        draw *= 0.5 * sign
-        return draw
-
-    def total(map):
-        terms = (t for lo in range(0, spec.m, threads)
-                 for t in map(term, range(lo, min(lo + threads, spec.m))))
-        out = next(terms)
-        for t in terms:
-            out += t
-        # [()] turns a single index's 0-d sum back into a scalar
-        return out[()]
-
-    if threads == 1:
-        return total(map)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return total(pool.map)
+    out = None
+    for (sign, b), rng in zip(_factors(spec), streams):
+        term = _log_term(_draw(spec, j, sign, b, rng, size), sign)
+        if out is None:
+            out = term
+        else:
+            out += term
+    # [()] turns a single index's 0-d sum back into a scalar
+    return out[()]
 
 
 def sample_log_radius_ginibre(spec: ProductSpec, j: int, rng: RngStream, size=None):
@@ -113,14 +113,84 @@ def _draw_threads(m: int) -> int:
     """Threads that draw m factors' terms: one per factor, at most the CPUs
     this process may run on.
 
-    Threads beyond the CPUs add no speed, but each holds a term of the
-    draw's size, so the CPU cap also bounds the memory of a many-factor
-    draw. The CPUs are the affinity mask's, or os.cpu_count() where that
-    cannot be read; a cgroup's CPU quota is not seen.
+    Threads beyond the CPUs add no speed, and each holds a chunk of a term.
+    The CPUs are the affinity mask's, or os.cpu_count() where that cannot
+    be read; a cgroup's CPU quota is not seen.
     """
     if hasattr(os, "sched_getaffinity"):
         return min(m, len(os.sched_getaffinity(0)))
     return min(m, os.cpu_count() or 1)
+
+
+def _fill_log_radii(spec: ProductSpec, streams, out: np.ndarray) -> None:
+    """Write _log_radius_draws' sums for indices 1..n into out's rows.
+
+    The rows are split into chunks of about _CHUNK values, and each chunk's
+    draw of each factor is one task on a pool of _draw_threads(m) threads.
+    Factor k of a chunk is drawn from streams[k] only after the chunk
+    before it has drawn factor k, so each stream is drawn in row order, and
+    is added into the chunk's rows only after factor k - 1 has been, so
+    each value is summed in factor order: the bytes do not depend on the
+    chunk size or the thread count. A task that raises stops the tasks
+    waiting for their turn, and the first task's error is raised here once
+    every task has ended.
+    """
+    j = np.arange(1, spec.n + 1, dtype=float)
+    factors = _factors(spec)
+    rows = max(1, _CHUNK // spec.n)
+    starts = range(0, len(out), rows)
+    # turn[k]: the chunk whose turn it is to draw factor k;
+    # added[c]: how many factors chunk c has added into its rows
+    turn = [0] * spec.m
+    added = [0] * len(starts)
+    failed = False
+    ready = threading.Condition()
+
+    def wait(turn_has_come):
+        with ready:
+            ready.wait_for(lambda: turn_has_come() or failed)
+            return not failed
+
+    def hand_on(counts, i):
+        with ready:
+            counts[i] += 1
+            ready.notify_all()
+
+    def add(c, k):
+        nonlocal failed
+        sign, b = factors[k]
+        part = out[starts[c]:starts[c] + rows]
+        try:
+            if not wait(lambda: turn[k] == c):
+                return
+            draw = _draw(spec, j, sign, b, streams[k], part.shape)
+            hand_on(turn, k)
+            term = _log_term(draw, sign)
+            if not wait(lambda: added[c] == k):
+                return
+            if k == 0:
+                part[...] = term
+            else:
+                part += term
+            hand_on(added, c)
+        except BaseException:
+            # any error, or the tasks after this one would wait forever
+            with ready:
+                failed = True
+                ready.notify_all()
+            raise
+
+    # in this order every task waits only for tasks started before it
+    order = [(c, k) for c in range(len(starts)) for k in range(spec.m)]
+    threads = _draw_threads(spec.m)
+    if threads == 1:
+        for c, k in order:
+            add(c, k)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        tasks = [pool.submit(add, c, k) for c, k in order]
+    for task in tasks:
+        task.result()
 
 
 def sample_radial_spectrum(
@@ -128,16 +198,16 @@ def sample_radial_spectrum(
 ) -> np.ndarray:
     """Draw the logs of count replicates' n surrogates, index j in column j-1.
 
-    Returns shape (count, n), or one (n,) row when count is None. Factor k
-    draws all rows in one call from rng.substream(k), filling them row by
-    row, so the first rows are the same whatever count is. The factors are
-    drawn on _draw_threads(m) threads; the bytes do not depend on how many.
+    Returns a new array of shape (count, n), or one (n,) row when count is
+    None. Factor k fills the rows in order from rng.substream(k), so the
+    first rows are the same whatever count is. The rows are drawn in
+    chunks on _draw_threads(m) threads (_fill_log_radii); the bytes do
+    not depend on how many.
     """
-    j = np.arange(1, spec.n + 1, dtype=float)
     streams = [rng.substream(k) for k in range(spec.m)]
-    shape = (1 if count is None else count, spec.n)
-    draws = _log_radius_draws(spec, j, streams, shape, _draw_threads(spec.m))
-    return draws[0] if count is None else draws
+    out = np.empty((1 if count is None else count, spec.n))
+    _fill_log_radii(spec, streams, out)
+    return out[0] if count is None else out
 
 
 def _check_t_domain(spec, j, t):

@@ -45,14 +45,6 @@ class EmpiricalCdf:
         v = _checked_sample(np.asarray(self.values, dtype=float))
         object.__setattr__(self, "values", np.sort(v))
 
-    @classmethod
-    def _sorted_in_place(cls, values: np.ndarray) -> "EmpiricalCdf":
-        """An ECDF over a new float array built for it: sorted in place, not copied."""
-        _checked_sample(values).sort()
-        ecdf = cls.__new__(cls)
-        object.__setattr__(ecdf, "values", values)
-        return ecdf
-
     @property
     def n(self) -> int:
         return len(self.values)
@@ -86,6 +78,33 @@ def _rescale_in_place(values: np.ndarray, plan: ScalingPlan) -> None:
     np.exp(values, out=values)
 
 
+def _ecdf_in_place(log_moduli: np.ndarray, plan: ScalingPlan) -> EmpiricalCdf:
+    """The ECDF of a new float array's rescaled entries, built in the array.
+
+    The array is rescaled and sorted where it lies, not copied, so it must
+    be the caller's own and not be read as log-moduli again.
+    """
+    values = log_moduli.reshape(-1)
+    if len(values) == 0:
+        raise ValueError("values: need a nonempty 1-d sample")
+    with np.errstate(over="ignore", under="ignore"):
+        _rescale_in_place(values, plan)
+    # the reductions pass a NaN on; they hold no temporary of the sample's size
+    lo, hi = values.min(), values.max()
+    if np.isnan(lo):
+        raise ValueError("values: sample contains non-finite entries")
+    # a modulus rounded to 0 or inf has lost its order against the others
+    if lo == 0.0 or hi == np.inf:
+        raise OverflowError(
+            f"gamma: rescaled moduli leave the floating-point range at "
+            f"gamma_n={plan.gamma_n!r}; a larger gamma is needed"
+        )
+    values.sort()
+    ecdf = EmpiricalCdf.__new__(EmpiricalCdf)
+    object.__setattr__(ecdf, "values", values)
+    return ecdf
+
+
 def build_ecdf(log_moduli_sets, plan: ScalingPlan) -> EmpiricalCdf:
     """Pool replicate log-moduli, rescale, and build one empirical CDF.
 
@@ -95,16 +114,7 @@ def build_ecdf(log_moduli_sets, plan: ScalingPlan) -> EmpiricalCdf:
     parts = [np.asarray(s, dtype=float).ravel() for s in log_moduli_sets]
     if not parts:
         raise ValueError("log_moduli_sets: need at least one replicate")
-    values = np.concatenate(parts)
-    with np.errstate(over="ignore", under="ignore"):
-        _rescale_in_place(values, plan)
-    # a modulus rounded to 0 or inf has lost its order against the others
-    if np.any((values == 0.0) | np.isinf(values)):
-        raise OverflowError(
-            f"gamma: rescaled moduli leave the floating-point range at "
-            f"gamma_n={plan.gamma_n!r}; a larger gamma is needed"
-        )
-    return EmpiricalCdf._sorted_in_place(values)
+    return _ecdf_in_place(np.concatenate(parts), plan)
 
 
 def ks_one_sample(ecdf: EmpiricalCdf, cdf) -> KsReport:

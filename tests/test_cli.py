@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prodspec.cli as cli
+import prodspec.scalar_model as scalar_model
 from prodspec.cli import (
     DEGENERATE_THRESHOLD,
     PRESETS,
@@ -343,44 +345,64 @@ def test_scalar_factor_draws_and_matrix_replicates_run_on_pool_threads(monkeypat
             return draw(self, *args, **kwargs)
 
         monkeypatch.setattr(RngStream, name, drawing)
-    # the two factors get a thread each on a machine with 4 usable CPUs
+    # the two factors get a thread each on a machine with 4 usable CPUs,
+    # and the 20 scalar replicates of n = 12 come in two chunks of 10 rows
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    monkeypatch.setattr(scalar_model, "_CHUNK", 120)
     run_experiment(small_cfg(mode="both", workers=4, **kw))
-    # the 20 scalar replicates are drawn in one call, one draw per factor
+    # the 20 scalar replicates are drawn in one call, one draw per factor and chunk
     assert threads["sample_radial_spectrum"] == [threading.get_ident()]
     factors = threads.pop("factors")
-    assert len(factors) == 2 and threading.get_ident() not in factors
+    assert len(factors) == 2 * 2 and threading.get_ident() not in factors
     matrix = threads["sample_product_eigenvalues"]
     assert len(matrix) == 20 and threading.get_ident() not in matrix
-    # with one usable CPU no pool is started: the factors are drawn in place
+    # with one usable CPU no pool is started: the chunks are drawn in place
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     run_experiment(small_cfg(**kw))
-    assert threads["factors"] == [threading.get_ident()] * 2
+    assert threads["factors"] == [threading.get_ident()] * (2 * 2)
 
 
 def test_scalar_run_draws_key_0_in_one_array_and_extends_as_a_prefix(monkeypatch):
     # factor k of every scalar replicate comes from stream (0, k), one row each
-    pooled = []
-
-    def recording(sets, plan, build=cli.build_ecdf):
-        pooled.append(sets)
-        return build(sets, plan)
-
-    monkeypatch.setattr(cli, "build_ecdf", recording)
     drawn = []
+
+    def recording(*args, draw=cli.sample_radial_spectrum):
+        out = draw(*args)
+        # a copy: the run rescales and sorts the drawn array where it lies
+        drawn.append(out.copy())
+        return out
+
+    monkeypatch.setattr(cli, "sample_radial_spectrum", recording)
     for replicates in (7, 8):
         cfg = small_cfg(replicates=replicates)
         report = run_experiment(cfg)
         assert report.scalar_ecdf.n == replicates * cfg.n
-        (sets,) = pooled.pop()
         expected = sample_radial_spectrum(
             cfg.build_spec(), RngStream(cfg.seed).substream(0), replicates
         )
-        assert sets.shape == (replicates, cfg.n)
-        assert sets.tobytes() == expected.tobytes()
-        drawn.append(sets)
+        assert drawn[-1].shape == (replicates, cfg.n)
+        assert drawn[-1].tobytes() == expected.tobytes()
+        # the ECDF built in the run's own array is the one build_ecdf pools
+        pooled = cli.build_ecdf([drawn[-1]], report.plan)
+        assert report.scalar_ecdf.values.tobytes() == pooled.values.tobytes()
     fewer, more = drawn
     assert fewer.tobytes() == more[: len(fewer)].tobytes()
+
+
+def test_scalar_run_holds_about_one_array_of_its_draws(monkeypatch):
+    # (R, n, m) = (2000, 200, 4) on two usable CPUs: the draws are 3.05 MiB,
+    # and the ECDF is built in them rather than in a pooled copy
+    cfg = ExperimentConfig(n=200, signs="++++", gamma="m", replicates=2000)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert report.scalar_ecdf.n == 2000 * 200
+    assert peak < 1.5 * 8 * 2000 * 200
 
 
 def test_matrix_runs_pin_blas_and_restore_it(monkeypatch):
@@ -730,10 +752,46 @@ def test_cli_value_error_on_a_pool_thread_is_exit_2_and_ends_the_pool(monkeypatc
 
     monkeypatch.setattr(RngStream, "gamma", refuse)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    # four chunks of one row, so the first draw's refusal stops eleven more
+    monkeypatch.setattr(scalar_model, "_CHUNK", 10)
     before = threading.active_count()
     assert main(["run", "--n", "10", "--signs", "+-+", "--replicates", "4"]) == 2
     assert capsys.readouterr().err == "error: synthetic refusal\n"
     assert seen and threading.get_ident() not in seen
+    assert threading.active_count() == before
+
+
+def test_cli_value_error_at_a_later_chunks_draw_is_exit_2_and_never_hangs(monkeypatch, capsys):
+    # chunk 1's draw of factor 2 is refused: chunk 0 runs on, and the later
+    # draws, waiting for factor 2's turn or to add in factor order, must stop
+    calls, lock = {}, threading.Lock()
+
+    def refuse_chunk_1_of_factor_2(self, *args, draw=RngStream.gamma, **kwargs):
+        with lock:
+            calls[self.path] = calls.get(self.path, 0) + 1
+            refused = self.path[-1] == 2 and calls[self.path] == 2
+        if refused:
+            raise ValueError("synthetic refusal")
+        return draw(self, *args, **kwargs)
+
+    monkeypatch.setattr(RngStream, "gamma", refuse_chunk_1_of_factor_2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    monkeypatch.setattr(scalar_model, "_CHUNK", 10)
+    before = threading.active_count()
+    codes = []
+    # a hang fails here rather than stalling the suite
+    run = threading.Thread(
+        target=lambda: codes.append(
+            main(["run", "--n", "10", "--signs", "+-+", "--replicates", "4"])
+        ),
+        daemon=True,
+    )
+    run.start()
+    run.join(timeout=60)
+    assert not run.is_alive(), "the run hangs after a refused draw"
+    assert codes == [2]
+    assert capsys.readouterr().err == "error: synthetic refusal\n"
+    assert calls[(0, 2)] == 2
     assert threading.active_count() == before
 
 

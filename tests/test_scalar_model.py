@@ -2,6 +2,10 @@
 
 import math
 import os
+import sys
+import threading
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from hypothesis import strategies as st
 from scipy import special
 from scipy.special import digamma, polygamma
 
+from prodspec import scalar_model
 from prodspec.config import GinibreProductSpec, HaarProductSpec, ProductSpec, SignPattern
 from prodspec.numerics import RngStream
 from prodspec.scalar_model import (
@@ -282,6 +287,10 @@ def test_spectrum_rows_do_not_depend_on_the_count(spec, count, extra, seed):
     assert sample_radial_spectrum(spec, rng).tobytes() == fewer[0].tobytes()
 
 
+def usable_cpus(count):
+    return mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(count)), create=True)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
     spec=product_specs(max_n=40, max_m=8),
@@ -290,19 +299,89 @@ def test_spectrum_rows_do_not_depend_on_the_count(spec, count, extra, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_spectrum_bytes_do_not_depend_on_the_thread_count(spec, count, threads, seed):
-    # each factor owns its stream and the terms are summed in factor order
+    # each factor owns its stream and the terms are summed in factor order;
+    # a chunk of one row gives every replicate tasks of its own
     rng = RngStream(seed).substream(0)
     j = np.arange(1, spec.n + 1, dtype=float)
-    for draw_j, size in ((j, (1, spec.n)), (j, (count, spec.n)), (float(spec.n), None)):
-        # fresh streams per call, as sample_radial_spectrum derives them
-        serial, pooled = (
-            _log_radius_draws(spec, draw_j, [rng.substream(k) for k in range(spec.m)], size, t)
-            for t in (1, threads)
-        )
-        assert np.shape(pooled) == np.shape(serial) == (size or ())
-        assert np.asarray(pooled).tobytes() == np.asarray(serial).tobytes()
+    serial = _log_radius_draws(spec, j, [rng.substream(k) for k in range(spec.m)], (count, spec.n))
+    for cpus in (1, threads):
+        with usable_cpus(cpus), mock.patch.object(scalar_model, "_CHUNK", spec.n):
+            pooled = sample_radial_spectrum(spec, rng, count)
+        assert pooled.shape == serial.shape == (count, spec.n)
+        assert pooled.tobytes() == serial.tobytes()
     # a single index's draw is a scalar, as with a shared stream
-    assert isinstance(pooled, np.float64)
+    single = _log_radius_draws(spec, float(spec.n), [rng.substream(k) for k in range(spec.m)])
+    assert isinstance(single, np.float64)
+
+
+def one_draw_per_factor(spec, rng, count):
+    """Each factor's terms for all rows from one call, summed in factor order."""
+    j = np.arange(1, spec.n + 1, dtype=float)
+    total = None
+    for k, sign in enumerate(spec.signs):
+        shape = j if sign == 1 else spec.n + 1 - j
+        stream = rng.substream(k)
+        if spec.dims is None:
+            draw = stream.gamma(shape, size=(count, spec.n))
+        else:
+            draw = stream.beta(shape, spec.dims[k] - spec.n, size=(count, spec.n))
+        term = 0.5 * sign * np.log(draw)
+        total = term if total is None else total + term
+    return total
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    spec=product_specs(max_n=40),
+    count=st.integers(1, 12),
+    threads=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_spectrum_bytes_do_not_depend_on_the_chunk_size(spec, count, threads, seed, data):
+    # chunks run from one value (a row each) to more than the whole draw,
+    # and their rows need not divide the replicates
+    chunk = data.draw(st.integers(1, (count + 1) * spec.n), label="chunk")
+    rng = RngStream(seed).substream(0)
+    with usable_cpus(threads), mock.patch.object(scalar_model, "_CHUNK", chunk):
+        drawn = sample_radial_spectrum(spec, rng, count)
+    assert drawn.tobytes() == one_draw_per_factor(spec, rng, count).tobytes()
+
+
+def test_chunked_spectrum_draw_under_frequent_thread_switches():
+    # eight threads on eight factors and 200 one-row chunks, with the
+    # interpreter switching threads about every microsecond: a lost turn
+    # would hang the draw or reorder a stream
+    spec = haar(6, "+-+-++--", (9, 7, 12, 8, 10, 7, 11, 9))
+    rng = RngStream(17).substream(0)
+    drawn = []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with usable_cpus(8), mock.patch.object(scalar_model, "_CHUNK", spec.n):
+            run = threading.Thread(
+                target=lambda: drawn.append(sample_radial_spectrum(spec, rng, 200)), daemon=True
+            )
+            run.start()
+            run.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not run.is_alive(), "the chunked draw hangs"
+    assert drawn[0].tobytes() == one_draw_per_factor(spec, rng, 200).tobytes()
+
+
+def test_spectrum_draw_holds_its_output_and_a_chunk_per_thread():
+    # (R, n, m) = (2000, 200, 4) on two usable CPUs: the output is 3.05 MiB
+    # and each of the two threads holds one chunk of 0.5 MiB at a time
+    spec = ginibre(200, "++++")
+    with usable_cpus(2):
+        tracemalloc.start()
+        try:
+            drawn = sample_radial_spectrum(spec, RngStream(1).substream(0), 2000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 1.5 * drawn.nbytes
 
 
 def test_draw_threads_follow_the_factors_and_the_usable_cpus(monkeypatch):

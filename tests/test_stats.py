@@ -92,6 +92,27 @@ def test_build_ecdf_leaves_the_callers_arrays():
         build_ecdf([np.array([0.0, np.nan])], plan)
 
 
+@pytest.mark.parametrize(
+    "bad, error, needle",
+    [
+        (np.nan, ValueError, "values"),
+        (-np.inf, OverflowError, "gamma: rescaled moduli leave the floating-point range"),
+        (np.inf, OverflowError, "gamma: rescaled moduli leave the floating-point range"),
+        (-2000.0, OverflowError, "gamma: rescaled moduli leave the floating-point range"),
+        (2000.0, OverflowError, "gamma: rescaled moduli leave the floating-point range"),
+    ],
+)
+def test_build_ecdf_names_a_single_fault_anywhere_in_the_sample(bad, error, needle):
+    # the range check reads the sample's min and max: a fault at either end
+    # or in the middle keeps its error
+    plan = ScalingPlan(gamma_n=1.0, log_scale=0.0)
+    for at in (0, 5, 9):
+        values = np.linspace(-1.0, 1.0, 10)
+        values[at] = bad
+        with pytest.raises(error, match=needle):
+            build_ecdf([values], plan)
+
+
 def test_build_ecdf_pools_and_commutes():
     plan = ScalingPlan(gamma_n=2.0, log_scale=0.0)
     rng = RngStream(31)
