@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import os
-import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -126,71 +126,39 @@ def _fill_log_radii(spec: ProductSpec, streams, out: np.ndarray) -> None:
     """Write _log_radius_draws' sums for indices 1..n into out's rows.
 
     The rows are split into chunks of about _CHUNK values, and each chunk's
-    draw of each factor is one task on a pool of _draw_threads(m) threads.
-    Factor k of a chunk is drawn from streams[k] only after the chunk
-    before it has drawn factor k, so each stream is drawn in row order, and
-    is added into the chunk's rows only after factor k - 1 has been, so
-    each value is summed in factor order: the bytes do not depend on the
-    chunk size or the thread count. A task that raises stops the tasks
-    waiting for their turn, and the first task's error is raised here once
-    every task has ended.
+    draw of each factor is one task, listed in (chunk, factor) order. A
+    pool of t = _draw_threads(m) threads runs at most t tasks at a time:
+    this thread takes their terms in list order, writes or adds each into
+    its chunk's rows, and only then submits the task t places further on.
+    As t <= m, factor k's draw for a chunk starts only after its draw for
+    the chunk before has ended, so each stream is drawn in row order, and
+    the adds run here in factor order: the bytes do not depend on the
+    chunk size or the thread count. A task's error is raised here once the
+    tasks already started have ended.
     """
     j = np.arange(1, spec.n + 1, dtype=float)
     factors = _factors(spec)
     rows = max(1, _CHUNK // spec.n)
-    starts = range(0, len(out), rows)
-    # turn[k]: the chunk whose turn it is to draw factor k;
-    # added[c]: how many factors chunk c has added into its rows
-    turn = [0] * spec.m
-    added = [0] * len(starts)
-    failed = False
-    ready = threading.Condition()
+    tasks = [(start, k) for start in range(0, len(out), rows) for k in range(spec.m)]
 
-    def wait(turn_has_come):
-        with ready:
-            ready.wait_for(lambda: turn_has_come() or failed)
-            return not failed
-
-    def hand_on(counts, i):
-        with ready:
-            counts[i] += 1
-            ready.notify_all()
-
-    def add(c, k):
-        nonlocal failed
+    def term(start, k):
         sign, b = factors[k]
-        part = out[starts[c]:starts[c] + rows]
-        try:
-            if not wait(lambda: turn[k] == c):
-                return
-            draw = _draw(spec, j, sign, b, streams[k], part.shape)
-            hand_on(turn, k)
-            term = _log_term(draw, sign)
-            if not wait(lambda: added[c] == k):
-                return
-            if k == 0:
-                part[...] = term
-            else:
-                part += term
-            hand_on(added, c)
-        except BaseException:
-            # any error, or the tasks after this one would wait forever
-            with ready:
-                failed = True
-                ready.notify_all()
-            raise
+        draw = _draw(spec, j, sign, b, streams[k], out[start:start + rows].shape)
+        return _log_term(draw, sign)
 
-    # in this order every task waits only for tasks started before it
-    order = [(c, k) for c in range(len(starts)) for k in range(spec.m)]
     threads = _draw_threads(spec.m)
-    if threads == 1:
-        for c, k in order:
-            add(c, k)
-        return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        tasks = [pool.submit(add, c, k) for c, k in order]
-    for task in tasks:
-        task.result()
+        window = deque(pool.submit(term, *task) for task in tasks[:threads])
+        for i, (start, k) in enumerate(tasks):
+            part = out[start:start + rows]
+            if k == 0:
+                part[...] = window.popleft().result()
+            else:
+                part += window.popleft().result()
+            # the term is dropped before the next draw starts, so the pool
+            # holds at most one chunk per thread
+            if i + threads < len(tasks):
+                window.append(pool.submit(term, *tasks[i + threads]))
 
 
 def sample_radial_spectrum(
@@ -200,9 +168,9 @@ def sample_radial_spectrum(
 
     Returns a new array of shape (count, n), or one (n,) row when count is
     None. Factor k fills the rows in order from rng.substream(k), so the
-    first rows are the same whatever count is. The rows are drawn in
-    chunks on _draw_threads(m) threads (_fill_log_radii); the bytes do
-    not depend on how many.
+    first rows are the same whatever count is. The rows' chunks are drawn
+    on a pool of _draw_threads(m) threads and summed on this one
+    (_fill_log_radii); the bytes do not depend on how many threads.
     """
     streams = [rng.substream(k) for k in range(spec.m)]
     out = np.empty((1 if count is None else count, spec.n))

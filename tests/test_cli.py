@@ -356,10 +356,12 @@ def test_scalar_factor_draws_and_matrix_replicates_run_on_pool_threads(monkeypat
     assert len(factors) == 2 * 2 and threading.get_ident() not in factors
     matrix = threads["sample_product_eigenvalues"]
     assert len(matrix) == 20 and threading.get_ident() not in matrix
-    # with one usable CPU no pool is started: the chunks are drawn in place
+    # with one usable CPU the 2 x 2 draws all run on one pool thread
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     run_experiment(small_cfg(**kw))
-    assert threads["factors"] == [threading.get_ident()] * (2 * 2)
+    factors = threads["factors"]
+    assert len(factors) == 2 * 2 and len(set(factors)) == 1
+    assert threading.get_ident() not in factors
 
 
 def test_scalar_run_draws_key_0_in_one_array_and_extends_as_a_prefix(monkeypatch):
@@ -743,56 +745,84 @@ def test_cli_value_error_while_sampling_is_exit_2(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: synthetic refusal\n"
 
 
-def test_cli_value_error_on_a_pool_thread_is_exit_2_and_ends_the_pool(monkeypatch, capsys):
-    seen = []
+# a child runs the CLI on four one-row chunks and 4 usable CPUs, with
+# RngStream.gamma refusing each draw for which the lambda in argv[1],
+# given the stream's path and its call count, holds; it prints what it
+# saw: the draws per stream, whether the calling thread drew, and the
+# threads alive before and after the run
+_REFUSED_DRAW_CHILD = """
+import json, os, sys, threading
+import prodspec.scalar_model as scalar_model
+from prodspec.cli import main
+from prodspec.numerics import RngStream
 
-    def refuse(self, *args, **kwargs):
-        seen.append(threading.get_ident())
+refuse = eval(sys.argv[1])
+calls, drawers, lock = {}, [], threading.Lock()
+
+def gamma(self, *args, draw=RngStream.gamma, **kwargs):
+    with lock:
+        calls[self.path] = calls.get(self.path, 0) + 1
+        drawers.append(threading.get_ident())
+        refused = refuse(self.path, calls[self.path])
+    if refused:
         raise ValueError("synthetic refusal")
+    return draw(self, *args, **kwargs)
 
-    monkeypatch.setattr(RngStream, "gamma", refuse)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
-    # four chunks of one row, so the first draw's refusal stops eleven more
-    monkeypatch.setattr(scalar_model, "_CHUNK", 10)
-    before = threading.active_count()
-    assert main(["run", "--n", "10", "--signs", "+-+", "--replicates", "4"]) == 2
-    assert capsys.readouterr().err == "error: synthetic refusal\n"
-    assert seen and threading.get_ident() not in seen
-    assert threading.active_count() == before
+RngStream.gamma = gamma
+os.sched_getaffinity = lambda pid: set(range(4))
+scalar_model._CHUNK = 10
+before = threading.active_count()
+code = main(["run", "--n", "10", "--signs", "+-+", "--replicates", "4"])
+print(json.dumps({
+    "code": code,
+    "calls": [[path, count] for path, count in calls.items()],
+    "drew": len(drawers),
+    "caller_drew": threading.get_ident() in drawers,
+    "threads": [before, threading.active_count()],
+}))
+"""
 
 
-def test_cli_value_error_at_a_later_chunks_draw_is_exit_2_and_never_hangs(monkeypatch, capsys):
-    # chunk 1's draw of factor 2 is refused: chunk 0 runs on, and the later
-    # draws, waiting for factor 2's turn or to add in factor order, must stop
-    calls, lock = {}, threading.Lock()
+def run_with_refused_draws(refuse):
+    """Run _REFUSED_DRAW_CHILD with the refusal lambda's source; return what
+    it printed, with calls as a dict keyed by path, and its stderr.
 
-    def refuse_chunk_1_of_factor_2(self, *args, draw=RngStream.gamma, **kwargs):
-        with lock:
-            calls[self.path] = calls.get(self.path, 0) + 1
-            refused = self.path[-1] == 2 and calls[self.path] == 2
-        if refused:
-            raise ValueError("synthetic refusal")
-        return draw(self, *args, **kwargs)
-
-    monkeypatch.setattr(RngStream, "gamma", refuse_chunk_1_of_factor_2)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
-    monkeypatch.setattr(scalar_model, "_CHUNK", 10)
-    before = threading.active_count()
-    codes = []
-    # a hang fails here rather than stalling the suite
-    run = threading.Thread(
-        target=lambda: codes.append(
-            main(["run", "--n", "10", "--signs", "+-+", "--replicates", "4"])
-        ),
-        daemon=True,
+    A run that hangs fails here as TimeoutExpired; in this process it would
+    stall pytest at exit, where concurrent.futures joins its threads.
+    """
+    proc = subprocess.run(
+        [sys.executable, "-c", _REFUSED_DRAW_CHILD, refuse], env=_child_env(),
+        capture_output=True, text=True, timeout=60,
     )
-    run.start()
-    run.join(timeout=60)
-    assert not run.is_alive(), "the run hangs after a refused draw"
-    assert codes == [2]
-    assert capsys.readouterr().err == "error: synthetic refusal\n"
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    seen["calls"] = {tuple(path): count for path, count in seen["calls"]}
+    return seen, proc.stderr
+
+
+def test_cli_value_error_on_a_pool_thread_is_exit_2_and_ends_the_pool():
+    # every draw is refused, so the first refusal ends the run
+    seen, err = run_with_refused_draws("lambda path, call: True")
+    assert seen["code"] == 2
+    assert err == "error: synthetic refusal\n"
+    assert seen["drew"] and not seen["caller_drew"]
+    before, after = seen["threads"]
+    assert after == before
+
+
+def test_cli_value_error_at_a_later_chunks_draw_is_exit_2_and_never_hangs():
+    # chunk 1's draw of factor 2 is refused while chunk 0 has been added
+    # and later draws are in flight
+    seen, err = run_with_refused_draws("lambda path, call: path[-1] == 2 and call == 2")
+    assert seen["code"] == 2
+    assert err == "error: synthetic refusal\n"
+    calls = seen["calls"]
     assert calls[(0, 2)] == 2
-    assert threading.active_count() == before
+    # the refused draw is the sixth in (chunk, factor) order: the five
+    # before it have ended, and with 3 threads at most 2 after it start
+    assert 6 <= sum(calls.values()) <= 6 + 2
+    before, after = seen["threads"]
+    assert after == before
 
 
 def test_cli_write_failure_after_sampling_is_exit_2(tmp_path, capsys):

@@ -350,8 +350,9 @@ def test_spectrum_bytes_do_not_depend_on_the_chunk_size(spec, count, threads, se
 
 def test_chunked_spectrum_draw_under_frequent_thread_switches():
     # eight threads on eight factors and 200 one-row chunks, with the
-    # interpreter switching threads about every microsecond: a lost turn
-    # would hang the draw or reorder a stream
+    # interpreter switching threads about every microsecond: a stream
+    # drawn out of row order would change the bytes, and a hang fails
+    # the join
     spec = haar(6, "+-+-++--", (9, 7, 12, 8, 10, 7, 11, 9))
     rng = RngStream(17).substream(0)
     drawn = []
