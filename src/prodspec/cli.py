@@ -16,13 +16,14 @@ import argparse
 import json
 import sys
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, matrix_model
 from .config import ProductSpec, ScalingPlan, SignPattern, resolve_gamma
 from .limit_laws import (
     LIMIT_TERMS,
@@ -37,6 +38,9 @@ from .matrix_model import (
     MAX_PRODUCT_SIZE,
     ConditioningError,
     _one_blas_thread,
+    sample_signed_factors,
+    # not called here since the matrix path draws and solves in two stages;
+    # kept as a name of this module, which perfbench's tracer wraps
     sample_product_eigenvalues,
 )
 from .numerics import RngStream
@@ -60,7 +64,7 @@ DEGENERATE_THRESHOLD = 0.05
 MASS_WINDOW = (0.9, 1.1)
 MASS_THRESHOLD = 0.95
 
-# each matrix-path worker is an OS thread, so --workers is capped
+# each matrix-path solver is an OS thread, so --workers is capped
 MAX_WORKERS = 64
 
 
@@ -289,7 +293,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 
     # stream key (0, k): factor k of the scalar draws, one row per replicate;
     # (1, r): matrix replicate r. The samplers are looked up at call time so
-    # that they can be patched on this module
+    # that they can be patched on this module, and the solver on matrix_model
     for path in ("scalar", "matrix"):
         if cfg.mode not in (path, "both"):
             continue
@@ -301,16 +305,29 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                 sample_radial_spectrum(spec, root.substream(0), cfg.replicates), plan
             )
         else:
-            # LAPACK releases the GIL, so the workers' factorisations overlap;
-            # BLAS runs one thread per worker, so the outputs do not depend on it
+            # this thread draws replicate r's factors and inverts the inverse
+            # ones, in replicate order, so a ConditioningError is raised here;
+            # a pool of cfg.workers threads multiplies and solves them. The
+            # solve releases the interpreter lock (matrix_model._eigvals), so
+            # the next draws overlap it. At most cfg.workers solves are in
+            # flight, and their results are taken in replicate order. BLAS
+            # runs one thread throughout, so the outputs depend on neither
+            # setting
+            ones = [1] * spec.m
+            samples = []
             with (
                 _one_blas_thread as report.blas_threads,
                 ThreadPoolExecutor(max_workers=cfg.workers) as pool,
             ):
-                samples = list(pool.map(
-                    lambda r: sample_product_eigenvalues(spec, root.substream(1, r)),
-                    range(cfg.replicates),
-                ))
+                window = deque()
+                for r in range(cfg.replicates):
+                    factors = sample_signed_factors(spec, root.substream(1, r))
+                    if len(window) == cfg.workers:
+                        samples.append(window.popleft().result())
+                    window.append(
+                        pool.submit(matrix_model.product_eigenvalues, factors, ones)
+                    )
+                samples.extend(future.result() for future in window)
             report.pooled_angles = np.concatenate([s.angles for s in samples])
             report.ks_results["angles"] = angle_uniformity(report.pooled_angles)
             ecdf = build_ecdf([s.log_moduli for s in samples], plan)
@@ -480,7 +497,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--replicates")
     run.add_argument("--mode", help="scalar | matrix | both")
     run.add_argument("--seed")
-    run.add_argument("--workers", help=f"threads that draw matrix replicates, 1..{MAX_WORKERS}"
+    run.add_argument("--workers", help=f"threads that solve matrix replicates, 1..{MAX_WORKERS}"
                      " (scalar draws run on up to one thread per factor, at most the usable"
                      " CPUs)")
     run.add_argument("--limit", help="auto | degenerate | ginibre:a,b | betas:PATH")

@@ -17,10 +17,18 @@ precision for the well-conditioned factors a run draws. The inverse also
 gives the exact condition number for two 1-norms, where an LU solve
 needed a separate estimate.
 
+The eigenvalues come from LAPACK's zgeev, the routine numpy's eigvals
+calls, in the ILP64 OpenBLAS numpy loaded, called through ctypes with
+numpy's jobs, leading dimensions and workspace query (_eigvals). The
+bytes are numpy's, but ctypes releases the interpreter lock for the call,
+which np.linalg.eigvals holds throughout, so other threads run while a
+product is solved. Where no such zgeev is loaded (MKL, Accelerate, an
+LP64 OpenBLAS) np.linalg.eigvals itself is called.
+
 Replicates are parallelised by the caller's threads, not by BLAS:
-product_eigenvalues and sample_product_eigenvalues run inside
-_one_blas_thread, where every loaded OpenBLAS runs one thread, so their
-outputs do not depend on the BLAS thread setting.
+product_eigenvalues, sample_signed_factors and sample_product_eigenvalues
+run inside _one_blas_thread, where every loaded OpenBLAS runs one
+thread, so their outputs do not depend on the BLAS thread setting.
 """
 
 from __future__ import annotations
@@ -54,12 +62,17 @@ _THREAD_SYMBOLS = [
 ]
 
 
+# zgeev in an ILP64 OpenBLAS: numpy 2's scipy-openblas name, then the
+# older wheels' name; an LP64 build's 32-bit integers are never bound
+_ZGEEV_SYMBOLS = ("scipy_zgeev_64_", "zgeev_64_")
+
+
 @functools.cache
-def _openblas_thread_controls() -> tuple[tuple, bool]:
-    """(set, get) pairs of the loaded OpenBLAS builds, and whether each build had one.
+def _openblas_builds() -> tuple[ctypes.CDLL | None, ...]:
+    """The loaded OpenBLAS builds, each opened with ctypes (None where it would not open).
 
     Builds are found by name in /proc/self/maps; where there is no such
-    file, or the BLAS is not OpenBLAS, there is nothing to control.
+    file, or the BLAS is not OpenBLAS, there are none.
     """
     try:
         with open("/proc/self/maps") as maps:
@@ -68,13 +81,22 @@ def _openblas_thread_controls() -> tuple[tuple, bool]:
                 if "openblas" in os.path.basename(line.rstrip()).lower()
             })
     except OSError:
-        return (), False
-    controls = []
+        return ()
+    builds = []
     for path in paths:
         try:
-            lib = ctypes.CDLL(path)
+            builds.append(ctypes.CDLL(path))
         except OSError:
-            continue
+            builds.append(None)
+    return tuple(builds)
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple[tuple, bool]:
+    """(set, get) pairs of the loaded OpenBLAS builds, and whether each build had one."""
+    builds = _openblas_builds()
+    controls = []
+    for lib in filter(None, builds):
         for set_name, get_name in _THREAD_SYMBOLS:
             set_threads = getattr(lib, set_name, None)
             get_threads = getattr(lib, get_name, None)
@@ -83,7 +105,69 @@ def _openblas_thread_controls() -> tuple[tuple, bool]:
                 get_threads.argtypes, get_threads.restype = [], ctypes.c_int
                 controls.append((set_threads, get_threads))
                 break
-    return tuple(controls), bool(paths) and len(controls) == len(paths)
+    return tuple(controls), bool(builds) and len(controls) == len(builds)
+
+
+@functools.cache
+def _zgeev():
+    """zgeev of the first loaded ILP64 OpenBLAS, bound with ctypes, or None.
+
+    Bound on the first solve, not at import, so start-up does not pay for it.
+    """
+    for lib in filter(None, _openblas_builds()):
+        for name in _ZGEEV_SYMBOLS:
+            zgeev = getattr(lib, name, None)
+            if zgeev is not None:
+                int_p, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+                # JOBVL, JOBVR, N, A, LDA, W, VL, LDVL, VR, LDVR, WORK, LWORK,
+                # RWORK, INFO, then gfortran's hidden lengths of the two jobs
+                zgeev.argtypes = [
+                    ctypes.c_char_p, ctypes.c_char_p, int_p, ptr, int_p, ptr, ptr,
+                    int_p, ptr, int_p, ptr, int_p, ptr, int_p, ctypes.c_size_t,
+                    ctypes.c_size_t,
+                ]
+                zgeev.restype = None
+                return zgeev
+    return None
+
+
+def _eigvals(a: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvals of a complex square matrix, solved without the interpreter lock.
+
+    Calls _zgeev() as numpy's eigvals calls it: no eigenvectors, leading
+    dimensions max(n, 1), a workspace query and then a workspace of the
+    queried size, on a Fortran-ordered copy of a. The bytes are therefore
+    numpy's, and non-finite input or a nonzero info raises LinAlgError as
+    numpy does. Where _zgeev() is None, np.linalg.eigvals is called.
+    """
+    zgeev = _zgeev()
+    if zgeev is None:
+        return np.linalg.eigvals(a)
+    if not np.isfinite(a).all():
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    n = a.shape[0]
+    # zgeev overwrites its input; each array below lives until the last call
+    a = np.array(a, dtype=complex, order="F")
+    w = np.empty(n, dtype=complex)
+    rwork = np.empty(2 * n)
+    unused = np.empty(1, dtype=complex)  # VL and VR, which jobs "N" never touch
+    size, ld, info = ctypes.c_int64(n), ctypes.c_int64(max(n, 1)), ctypes.c_int64(0)
+
+    def call(work, lwork):
+        zgeev(
+            b"N", b"N", size, a.ctypes.data, ld, w.ctypes.data, unused.ctypes.data, ld,
+            unused.ctypes.data, ld, work.ctypes.data, ctypes.c_int64(lwork),
+            rwork.ctypes.data, info, 1, 1,
+        )
+
+    query = np.empty(1, dtype=complex)
+    call(query, -1)
+    if info.value == 0:
+        work = np.empty(int(query[0].real), dtype=complex)
+        call(work, len(work))
+    if info.value != 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return w
 
 
 class _SingleBlasThread(contextlib.ContextDecorator):
@@ -180,14 +264,12 @@ def _inverse(a: np.ndarray) -> tuple[np.ndarray | None, float]:
         return inv, np.linalg.norm(a, 1) * np.linalg.norm(inv, 1)
 
 
-@_one_blas_thread
-def product_eigenvalues(factors, signs) -> EigenSample:
-    """Eigenvalues of factors[0]^s0 * factors[1]^s1 * ... with s in {+1,-1}.
+def _signed_factors(factors, signs) -> list[np.ndarray]:
+    """factors[k]^signs[k] for each k, each sign +1 or -1, after checking the
+    count, sizes and shapes; inverse factors are inverted explicitly.
 
-    Inverse factors are inverted explicitly and multiplied from the right.
     Raises ConditioningError when an inverted factor's 1-norm condition
-    number is not at most CONDITION_LIMIT. Runs BLAS on one thread, so the
-    result does not depend on the thread setting.
+    number is not at most CONDITION_LIMIT.
     """
     factors = [np.asarray(a, dtype=complex) for a in factors]
     signs = list(signs)
@@ -203,7 +285,7 @@ def product_eigenvalues(factors, signs) -> EigenSample:
     for k, a in enumerate(factors):
         if a.shape != (n, n):
             raise ValueError(f"factors[{k}]: expected shape {(n, n)}, got {a.shape}")
-    prod = None
+    out = []
     for k, (a, sign) in enumerate(zip(factors, signs)):
         if sign == -1:
             a, cond = _inverse(a)
@@ -213,8 +295,24 @@ def product_eigenvalues(factors, signs) -> EigenSample:
                 )
         elif sign != 1:
             raise ValueError(f"signs[{k}]: must be +-1 (got {sign!r})")
+        out.append(a)
+    return out
+
+
+@_one_blas_thread
+def product_eigenvalues(factors, signs) -> EigenSample:
+    """Eigenvalues of factors[0]^s0 * factors[1]^s1 * ... with s in {+1,-1}.
+
+    Inverse factors are inverted explicitly and multiplied from the right.
+    Raises ConditioningError when an inverted factor's 1-norm condition
+    number is not at most CONDITION_LIMIT. Runs BLAS on one thread, so the
+    result does not depend on the thread setting, and solves the product
+    with _eigvals, so other threads run meanwhile.
+    """
+    prod = None
+    for a in _signed_factors(factors, signs):
         prod = a if prod is None else prod @ a
-    eig = np.linalg.eigvals(prod)
+    eig = _eigvals(prod)
     return EigenSample(
         log_moduli=np.log(np.abs(eig)),
         angles=fold_angles(np.angle(eig)),
@@ -222,11 +320,14 @@ def product_eigenvalues(factors, signs) -> EigenSample:
 
 
 @_one_blas_thread
-def sample_product_eigenvalues(spec: ProductSpec, rng: RngStream) -> EigenSample:
-    """Draw the factors described by a spec and return the product's eigenvalues.
+def sample_signed_factors(spec: ProductSpec, rng: RngStream) -> list[np.ndarray]:
+    """Draw the factors a spec describes, in factor order, and invert the inverse ones.
 
-    Runs BLAS on one thread, as product_eigenvalues does, so that the QR of
-    a truncation does not depend on the thread setting either.
+    Raises ConditioningError as product_eigenvalues does. The product of
+    the result is the spec's product, so product_eigenvalues(result,
+    [1] * spec.m) is sample_product_eigenvalues(spec, rng). Runs BLAS on
+    one thread, so that the QR of a truncation does not depend on the
+    thread setting either.
     """
     if spec.dims is None:
         factors = [sample_ginibre(spec.n, rng) for _ in range(spec.m)]
@@ -235,4 +336,13 @@ def sample_product_eigenvalues(spec: ProductSpec, rng: RngStream) -> EigenSample
         factors = [
             truncate(sample_haar_unitary(d, rng, spec.n), spec.n) for d in spec.dims
         ]
-    return product_eigenvalues(factors, spec.signs)
+    return _signed_factors(factors, spec.signs)
+
+
+@_one_blas_thread
+def sample_product_eigenvalues(spec: ProductSpec, rng: RngStream) -> EigenSample:
+    """Draw the factors described by a spec and return the product's eigenvalues.
+
+    Runs BLAS on one thread, as both steps do.
+    """
+    return product_eigenvalues(sample_signed_factors(spec, rng), [1] * spec.m)

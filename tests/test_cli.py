@@ -2,12 +2,14 @@
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -18,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prodspec.cli as cli
+import prodspec.matrix_model as matrix_model
 import prodspec.scalar_model as scalar_model
 from prodspec.cli import (
     DEGENERATE_THRESHOLD,
@@ -331,17 +334,39 @@ def test_run_experiment_deterministic_across_workers():
 @pytest.mark.parametrize(
     "kw", [{}, {"ensemble": "haar", "dims": (24, 24)}], ids=["gamma", "beta"]
 )
-def test_scalar_factor_draws_and_matrix_replicates_run_on_pool_threads(monkeypatch, kw):
-    threads = {}
-    for name in ("sample_radial_spectrum", "sample_product_eigenvalues"):
-        def recording(*args, draw=getattr(cli, name), seen=threads.setdefault(name, [])):
-            seen.append(threading.get_ident())
-            return draw(*args)
+def test_scalar_factor_draws_and_matrix_solves_run_on_pool_threads(monkeypatch, kw):
+    caller = threading.get_ident()
+    seen, lock = {"draws": [], "solves": [], "done": 0, "peak": 0}, threading.Lock()
 
-        monkeypatch.setattr(cli, name, recording)
+    def radial(*args, draw=cli.sample_radial_spectrum):
+        seen.setdefault("radial", []).append(threading.get_ident())
+        return draw(*args)
+
+    def signed_factors(spec, rng, draw=cli.sample_signed_factors):
+        with lock:
+            # every earlier draw was submitted as a solve; these have not ended
+            seen["peak"] = max(seen["peak"], len(seen["draws"]) - seen["done"])
+            seen["draws"].append((threading.get_ident(), rng.path))
+        return draw(spec, rng)
+
+    def solve(*args, solve=matrix_model.product_eigenvalues):
+        with lock:
+            seen["solves"].append(threading.get_ident())
+            seen["threads"] = max(seen.get("threads", 0), threading.active_count())
+        try:
+            # long enough for the draws to fill the window
+            time.sleep(0.005)
+            return solve(*args)
+        finally:
+            with lock:
+                seen["done"] += 1
+
+    monkeypatch.setattr(cli, "sample_radial_spectrum", radial)
+    monkeypatch.setattr(cli, "sample_signed_factors", signed_factors)
+    monkeypatch.setattr(matrix_model, "product_eigenvalues", solve)
     for name in ("gamma", "beta"):
         def drawing(self, *args, draw=getattr(RngStream, name), **kwargs):
-            threads.setdefault("factors", []).append(threading.get_ident())
+            seen.setdefault("factors", []).append(threading.get_ident())
             return draw(self, *args, **kwargs)
 
         monkeypatch.setattr(RngStream, name, drawing)
@@ -349,19 +374,30 @@ def test_scalar_factor_draws_and_matrix_replicates_run_on_pool_threads(monkeypat
     # and the 20 scalar replicates of n = 12 come in two chunks of 10 rows
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
     monkeypatch.setattr(scalar_model, "_CHUNK", 120)
+    before = threading.active_count()
     run_experiment(small_cfg(mode="both", workers=4, **kw))
     # the 20 scalar replicates are drawn in one call, one draw per factor and chunk
-    assert threads["sample_radial_spectrum"] == [threading.get_ident()]
-    factors = threads.pop("factors")
-    assert len(factors) == 2 * 2 and threading.get_ident() not in factors
-    matrix = threads["sample_product_eigenvalues"]
-    assert len(matrix) == 20 and threading.get_ident() not in matrix
-    # with one usable CPU the 2 x 2 draws all run on one pool thread
+    assert seen["radial"] == [caller]
+    factors = seen.pop("factors")
+    assert len(factors) == 2 * 2 and caller not in factors
+    # matrix replicate r's factors are drawn here from key (1, r), in order;
+    # the 20 solves run on at most 4 pool threads, and at most 4 of them are
+    # pending when a draw starts
+    assert seen["draws"] == [(caller, (1, r)) for r in range(20)]
+    assert len(seen["solves"]) == 20 and caller not in seen["solves"]
+    assert len(set(seen["solves"])) <= 4 and 1 <= seen["peak"] <= 4
+    assert seen["threads"] <= before + 4
+    # with one usable CPU the 2 x 2 scalar draws all run on one pool thread,
+    # and --workers 1 solves on one pool thread while this one draws
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    run_experiment(small_cfg(**kw))
-    factors = threads["factors"]
+    seen.update(draws=[], solves=[], done=0, peak=0, threads=0)
+    run_experiment(small_cfg(mode="both", **kw))
+    factors = seen["factors"]
     assert len(factors) == 2 * 2 and len(set(factors)) == 1
-    assert threading.get_ident() not in factors
+    assert caller not in factors
+    assert seen["draws"] == [(caller, (1, r)) for r in range(20)]
+    assert len(set(seen["solves"])) == 1 and caller not in seen["solves"]
+    assert seen["peak"] <= 1 and seen["threads"] <= before + 1
 
 
 def test_scalar_run_draws_key_0_in_one_array_and_extends_as_a_prefix(monkeypatch):
@@ -411,14 +447,20 @@ def test_matrix_runs_pin_blas_and_restore_it(monkeypatch):
     controls, complete = _openblas_thread_controls()
     seen = []
 
-    def recording(spec, rng, draw=cli.sample_product_eigenvalues):
+    def recording(*args, call):
         seen.append([get() for _, get in controls])
-        return draw(spec, rng)
+        return call(*args)
 
-    monkeypatch.setattr(cli, "sample_product_eigenvalues", recording)
+    # both stages, the draws on this thread and the solves on the pool's
+    monkeypatch.setattr(cli, "sample_signed_factors", functools.partial(
+        recording, call=cli.sample_signed_factors
+    ))
+    monkeypatch.setattr(matrix_model, "product_eigenvalues", functools.partial(
+        recording, call=matrix_model.product_eigenvalues
+    ))
     before = [get() for _, get in controls]
     report = run_experiment(small_cfg(mode="matrix", workers=2))
-    assert seen == [[1] * len(controls)] * 20
+    assert seen == [[1] * len(controls)] * (2 * 20)
     assert [get() for _, get in controls] == before
     assert report.record()["blas_threads"] == (1 if complete else None)
     assert "blas_threads" not in run_experiment(small_cfg()).record()
@@ -725,7 +767,7 @@ def test_cli_conditioning_abort_is_exit_3(monkeypatch, capsys):
     def explode(spec, rng):
         raise ConditioningError("synthetic refusal")
 
-    monkeypatch.setattr("prodspec.cli.sample_product_eigenvalues", explode)
+    monkeypatch.setattr("prodspec.cli.sample_signed_factors", explode)
     code = main(
         [
             "run", "--ensemble", "ginibre", "--n", "10", "--signs", "+",
@@ -734,6 +776,68 @@ def test_cli_conditioning_abort_is_exit_3(monkeypatch, capsys):
     )
     assert code == 3
     assert "conditioning abort" in capsys.readouterr().err
+
+
+# a child runs the CLI on --workers argv[2] with the first factor drawn for
+# matrix replicate argv[1] made singular; that factor is inverted, so the
+# run aborts there. It prints the exit code, the replicates whose factors
+# were drawn, how many solves started, and the threads alive before and
+# after the run
+_SINGULAR_FACTOR_CHILD = """
+import json, sys, threading
+import prodspec.matrix_model as matrix_model
+from prodspec.cli import main
+
+k, workers = int(sys.argv[1]), sys.argv[2]
+drawn, solves, lock = [], [], threading.Lock()
+
+def sample_ginibre(dim, rng, cols=None, draw=matrix_model.sample_ginibre):
+    a = draw(dim, rng, cols)
+    if rng.path == (1, k) and rng.path not in drawn:
+        a[:, 0] = 0.0
+    drawn.append(rng.path)
+    return a
+
+def product_eigenvalues(*args, solve=matrix_model.product_eigenvalues):
+    with lock:
+        solves.append(threading.get_ident())
+    return solve(*args)
+
+matrix_model.sample_ginibre = sample_ginibre
+matrix_model.product_eigenvalues = product_eigenvalues
+before = threading.active_count()
+code = main([
+    "run", "--ensemble", "ginibre", "--signs=-+", "--n", "12", "--mode", "matrix",
+    "--replicates", "20", "--workers", workers,
+])
+print(json.dumps({
+    "code": code,
+    "drawn": sorted({path[1] for path in drawn}),
+    "solves": len(solves),
+    "threads": [before, threading.active_count()],
+}))
+"""
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_cli_conditioning_abort_in_the_pipeline_is_exit_3_and_starts_no_later_solve(workers):
+    # a hang fails here as TimeoutExpired instead of stalling pytest
+    k = 5
+    proc = subprocess.run(
+        [sys.executable, "-c", _SINGULAR_FACTOR_CHILD, str(k), str(workers)],
+        env=_child_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["code"] == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: conditioning abort: factor 0:")
+    assert "Traceback" not in proc.stderr
+    # no draw after replicate k's, and no solve for a replicate past k + workers
+    assert seen["drawn"] == list(range(k + 1))
+    assert seen["solves"] <= k + workers
+    before, after = seen["threads"]
+    assert after == before
 
 
 def test_cli_value_error_while_sampling_is_exit_2(monkeypatch, capsys):

@@ -1,11 +1,14 @@
 """Matrix-product sampling: factor laws, solve accuracy, refusal paths."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy.stats import kstest
 
+import prodspec.matrix_model as matrix_model
+from prodspec.cli import ExperimentConfig, run_experiment, write_outputs
 from prodspec.config import GinibreProductSpec, HaarProductSpec, SignPattern
 from prodspec.matrix_model import (
     CONDITION_LIMIT,
@@ -137,6 +140,92 @@ def test_single_factor_product_is_that_factor_byte_for_byte(sign):
     assert sample.log_moduli.tobytes() == np.log(np.abs(eig)).tobytes()
     assert sample.angles.tobytes() == fold_angles(np.angle(eig)).tobytes()
     assert np.array_equal(a, kept)
+
+
+@pytest.fixture(params=["zgeev", "fallback"])
+def solver(request, monkeypatch):
+    """Each eigen-solve path: the bound zgeev, or np.linalg.eigvals with the
+    binding forced absent."""
+    if request.param == "fallback":
+        monkeypatch.setattr(matrix_model, "_zgeev", lambda: None)
+    elif matrix_model._zgeev() is None:
+        pytest.skip("no ILP64 OpenBLAS zgeev is loaded")
+    return request.param
+
+
+def test_zgeev_is_bound_where_numpy_uses_an_ilp64_openblas():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.25 prints its config only
+        blas = {}
+    if "openblas" not in blas.get("name", "") or "USE64BITINT" not in blas.get(
+        "openblas configuration", ""
+    ):
+        pytest.skip("numpy's BLAS is not an ILP64 OpenBLAS")
+    assert matrix_model._zgeev() is not None
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        *(sample_ginibre(n, RngStream(30).substream(n)) for n in (1, 2, 37, 100, 200)),
+        np.eye(12, dtype=complex),
+        (2.0 * np.eye(9) + np.eye(9, k=1)).astype(complex),
+    ],
+    ids=["n1", "n2", "n37", "n100", "n200", "identity", "jordan"],
+)
+def test_eigvals_returns_numpys_bytes(solver, a):
+    kept = a.copy()
+    with _one_blas_thread:
+        assert matrix_model._eigvals(a).tobytes() == np.linalg.eigvals(a).tobytes()
+    assert np.array_equal(a, kept)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_eigvals_refuses_non_finite_input(solver, bad):
+    a = np.eye(4, dtype=complex)
+    a[2, 1] = bad
+    with pytest.raises(np.linalg.LinAlgError, match="infs or NaNs"):
+        matrix_model._eigvals(a)
+
+
+@pytest.mark.parametrize("failing_call", [1, 2], ids=["query", "solve"])
+def test_eigvals_raises_when_zgeev_reports_a_nonzero_info(monkeypatch, failing_call):
+    zgeev = matrix_model._zgeev()
+    if zgeev is None:
+        pytest.skip("no ILP64 OpenBLAS zgeev is loaded")
+    calls = []
+
+    def failing(*args):
+        zgeev(*args)
+        calls.append(args)
+        if len(calls) == failing_call:
+            args[13].value = 1  # INFO
+
+    monkeypatch.setattr(matrix_model, "_zgeev", lambda: failing)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        matrix_model._eigvals(np.eye(3, dtype=complex))
+    assert len(calls) == failing_call
+
+
+@pytest.mark.parametrize("mode", ["matrix", "both"])
+def test_runs_write_the_same_files_without_the_binding(monkeypatch, tmp_path, mode):
+    cfg = ExperimentConfig(
+        ensemble="haar", n=12, signs="+-", dims=(24, 24), gamma="2", replicates=10,
+        mode=mode, workers=2,
+    )
+    write_outputs(run_experiment(cfg), tmp_path / "zgeev")
+    monkeypatch.setattr(matrix_model, "_zgeev", lambda: None)
+    write_outputs(run_experiment(cfg), tmp_path / "fallback")
+
+    def outputs(out):
+        record = json.loads((out / "report.json").read_text())
+        timings = [k for k in record if k.startswith("runtime_") or k == "wall_clock_s"]
+        for key in timings:
+            del record[key]
+        return record, *((out / name).read_bytes() for name in ("cdf.csv", "angles.csv"))
+
+    assert outputs(tmp_path / "zgeev") == outputs(tmp_path / "fallback")
 
 
 def test_factor_paired_with_its_inverse_cancels():
