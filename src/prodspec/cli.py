@@ -17,7 +17,7 @@ import json
 import sys
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
@@ -64,7 +64,8 @@ DEGENERATE_THRESHOLD = 0.05
 MASS_WINDOW = (0.9, 1.1)
 MASS_THRESHOLD = 0.95
 
-# each matrix-path solver is an OS thread, so --workers is capped
+# --workers sizes the matrix path's solve pool, whose threads are OS threads,
+# so it is capped; the calling thread solves too while a pool solve waits
 MAX_WORKERS = 64
 
 
@@ -306,13 +307,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             )
         else:
             # this thread draws replicate r's factors and inverts the inverse
-            # ones, in replicate order, so a ConditioningError is raised here;
-            # a pool of cfg.workers threads multiplies and solves them. The
-            # solve releases the interpreter lock (matrix_model._eigvals), so
-            # the next draws overlap it. At most cfg.workers solves are in
-            # flight, and their results are taken in replicate order. BLAS
-            # runs one thread throughout, so the outputs depend on neither
-            # setting
+            # ones, in replicate order, so a ConditioningError is raised here.
+            # A pool of cfg.workers threads multiplies and solves them, off
+            # the interpreter lock (matrix_model._eigvals), so the draws
+            # overlap the solves. While a submitted solve waits for a pool
+            # thread, this thread solves replicate r itself instead, so at
+            # most cfg.workers + 1 pool solves are outstanding. Results, and
+            # errors, are taken in replicate order. Each replicate is the
+            # same call on the same factors wherever it runs, and BLAS runs
+            # one thread throughout, so the outputs depend on neither setting
             ones = [1] * spec.m
             samples = []
             with (
@@ -322,11 +325,17 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                 window = deque()
                 for r in range(cfg.replicates):
                     factors = sample_signed_factors(spec, root.substream(1, r))
-                    if len(window) == cfg.workers:
+                    while window and window[0].done():
                         samples.append(window.popleft().result())
-                    window.append(
-                        pool.submit(matrix_model.product_eigenvalues, factors, ones)
-                    )
+                    if any(not (f.running() or f.done()) for f in window):
+                        future = Future()
+                        try:
+                            future.set_result(matrix_model.product_eigenvalues(factors, ones))
+                        except Exception as exc:
+                            future.set_exception(exc)
+                    else:
+                        future = pool.submit(matrix_model.product_eigenvalues, factors, ones)
+                    window.append(future)
                 samples.extend(future.result() for future in window)
             report.pooled_angles = np.concatenate([s.angles for s in samples])
             report.ks_results["angles"] = angle_uniformity(report.pooled_angles)
@@ -400,7 +409,8 @@ PRESETS = {
     ),
     "haar-remark4i": (
         lambda n: {"ensemble": "haar", "signs": "++", "gamma": "2", "dims": (n + 1,) * 2},
-        "two near-square truncations concentrating at 1; --assert passes from about n = 200",
+        "two near-square truncations concentrating at 1; the mean mass in the --assert"
+        " window first reaches 0.95 at n = 160",
     ),
     "haar-remark4ii": (
         lambda n: {"ensemble": "haar", "signs": "+-", "gamma": "2", "dims": (2 * n,) * 2},
@@ -497,9 +507,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--replicates")
     run.add_argument("--mode", help="scalar | matrix | both")
     run.add_argument("--seed")
-    run.add_argument("--workers", help=f"threads that solve matrix replicates, 1..{MAX_WORKERS}"
-                     " (scalar draws run on up to one thread per factor, at most the usable"
-                     " CPUs)")
+    run.add_argument("--workers", help=f"pool threads that solve matrix replicates,"
+                     f" 1..{MAX_WORKERS}; the calling thread draws them, and solves one itself"
+                     " while a pool solve waits (scalar draws run on up to one thread per"
+                     " factor, at most the usable CPUs)")
     run.add_argument("--limit", help="auto | degenerate | ginibre:a,b | betas:PATH")
     run.add_argument("--out", help="directory for cdf.csv, angles.csv, report.json")
     run.add_argument("--preset", help="named scenario (see 'prodspec presets')")

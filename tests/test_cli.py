@@ -334,39 +334,75 @@ def test_run_experiment_deterministic_across_workers():
 @pytest.mark.parametrize(
     "kw", [{}, {"ensemble": "haar", "dims": (24, 24)}], ids=["gamma", "beta"]
 )
-def test_scalar_factor_draws_and_matrix_solves_run_on_pool_threads(monkeypatch, kw):
+def test_scalar_draws_run_on_pool_threads_and_the_caller_solves_only_while_a_solve_waits(
+    monkeypatch, kw
+):
     caller = threading.get_ident()
-    seen, lock = {"draws": [], "solves": [], "done": 0, "peak": 0}, threading.Lock()
+    seen, lock = {}, threading.Lock()
 
     def radial(*args, draw=cli.sample_radial_spectrum):
-        seen.setdefault("radial", []).append(threading.get_ident())
+        seen["radial"].append(threading.get_ident())
         return draw(*args)
 
     def signed_factors(spec, rng, draw=cli.sample_signed_factors):
         with lock:
-            # every earlier draw was submitted as a solve; these have not ended
-            seen["peak"] = max(seen["peak"], len(seen["draws"]) - seen["done"])
-            seen["draws"].append((threading.get_ident(), rng.path))
-        return draw(spec, rng)
-
-    def solve(*args, solve=matrix_model.product_eigenvalues):
+            # each earlier replicate that this thread did not solve went to
+            # the pool; those counted here have not ended
+            r = len(seen["drawn"])
+            pooled = [q for q in range(r) if q not in seen["caller_solved"]]
+            seen["peak"] = max(seen["peak"], len(pooled) - seen["pool_ended"])
+        factors = draw(spec, rng)
         with lock:
-            seen["solves"].append(threading.get_ident())
-            seen["threads"] = max(seen.get("threads", 0), threading.active_count())
+            seen["draws"].append((threading.get_ident(), rng.path))
+            seen["drawn"].append(factors)
+            # the pool's solves not started yet: where replicate r is solved
+            # is decided after this, and a solve that had not started then
+            # had not started here either
+            seen["waiting"].append(any(q not in seen["pool_started"] for q in pooled))
+        return factors
+
+    def solve(factors, signs, solve=matrix_model.product_eigenvalues):
+        on_caller = threading.get_ident() == caller
+        with lock:
+            r = next(q for q, drawn in enumerate(seen["drawn"]) if drawn is factors)
+            seen["solves"].append((r, threading.get_ident()))
+            seen["caller_solved" if on_caller else "pool_started"].add(r)
+            seen["threads"] = max(seen["threads"], threading.active_count())
         try:
-            # long enough for the draws to fill the window
+            # long enough for the draws to fill the pool
             time.sleep(0.005)
-            return solve(*args)
+            return solve(factors, signs)
         finally:
             with lock:
-                seen["done"] += 1
+                seen["pool_ended"] += not on_caller
+
+    def run(workers):
+        seen.update(
+            radial=[], factors=[], draws=[], drawn=[], waiting=[], solves=[],
+            caller_solved=set(), pool_started=set(), pool_ended=0, peak=0, threads=0,
+        )
+        before = threading.active_count()
+        run_experiment(small_cfg(mode="both", workers=workers, **kw))
+        # the 20 scalar replicates are drawn in one call on this thread
+        assert seen["radial"] == [caller]
+        # matrix replicate r's factors are drawn here from key (1, r), in order
+        assert seen["draws"] == [(caller, (1, r)) for r in range(20)]
+        # each replicate is solved once, here only while a pool solve waited;
+        # the pool holds at most workers + 1 solves when a draw starts
+        assert sorted(r for r, _ in seen["solves"]) == list(range(20))
+        assert seen["caller_solved"] and seen["pool_started"]
+        assert all(seen["waiting"][r] for r in seen["caller_solved"])
+        assert len({t for _, t in seen["solves"]} - {caller}) <= workers
+        assert 1 <= seen["peak"] <= workers + 1
+        assert seen["threads"] <= before + workers
+        return seen["factors"]
 
     monkeypatch.setattr(cli, "sample_radial_spectrum", radial)
     monkeypatch.setattr(cli, "sample_signed_factors", signed_factors)
     monkeypatch.setattr(matrix_model, "product_eigenvalues", solve)
     for name in ("gamma", "beta"):
         def drawing(self, *args, draw=getattr(RngStream, name), **kwargs):
-            seen.setdefault("factors", []).append(threading.get_ident())
+            seen["factors"].append(threading.get_ident())
             return draw(self, *args, **kwargs)
 
         monkeypatch.setattr(RngStream, name, drawing)
@@ -374,30 +410,14 @@ def test_scalar_factor_draws_and_matrix_solves_run_on_pool_threads(monkeypatch, 
     # and the 20 scalar replicates of n = 12 come in two chunks of 10 rows
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
     monkeypatch.setattr(scalar_model, "_CHUNK", 120)
-    before = threading.active_count()
-    run_experiment(small_cfg(mode="both", workers=4, **kw))
-    # the 20 scalar replicates are drawn in one call, one draw per factor and chunk
-    assert seen["radial"] == [caller]
-    factors = seen.pop("factors")
+    factors = run(4)
     assert len(factors) == 2 * 2 and caller not in factors
-    # matrix replicate r's factors are drawn here from key (1, r), in order;
-    # the 20 solves run on at most 4 pool threads, and at most 4 of them are
-    # pending when a draw starts
-    assert seen["draws"] == [(caller, (1, r)) for r in range(20)]
-    assert len(seen["solves"]) == 20 and caller not in seen["solves"]
-    assert len(set(seen["solves"])) <= 4 and 1 <= seen["peak"] <= 4
-    assert seen["threads"] <= before + 4
     # with one usable CPU the 2 x 2 scalar draws all run on one pool thread,
-    # and --workers 1 solves on one pool thread while this one draws
+    # and --workers 1 solves on one pool thread and here
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    seen.update(draws=[], solves=[], done=0, peak=0, threads=0)
-    run_experiment(small_cfg(mode="both", **kw))
-    factors = seen["factors"]
+    factors = run(1)
     assert len(factors) == 2 * 2 and len(set(factors)) == 1
     assert caller not in factors
-    assert seen["draws"] == [(caller, (1, r)) for r in range(20)]
-    assert len(set(seen["solves"])) == 1 and caller not in seen["solves"]
-    assert seen["peak"] <= 1 and seen["threads"] <= before + 1
 
 
 def test_scalar_run_draws_key_0_in_one_array_and_extends_as_a_prefix(monkeypatch):
@@ -840,6 +860,106 @@ def test_cli_conditioning_abort_in_the_pipeline_is_exit_3_and_starts_no_later_so
     assert after == before
 
 
+# a child runs the CLI at --workers 1 with two replicates' solves failing
+# with distinct messages. Events fix where each replicate is solved: the
+# pool starts replicate 0 before replicate 1 is drawn, so replicate 1 goes
+# to the pool and replicate 2 is solved on the calling thread, and the pool
+# holds replicate 0 until that solve has failed. In order argv[1]
+# "pool-first" replicate 0 fails too. In order "caller-first" the pool
+# holds replicate 1 until a later replicate has been handed to it, and that
+# one fails. The child prints the exit code, the failed replicates with
+# where each was solved, and the threads alive before and after the run
+_FAILING_SOLVE_CHILD = """
+import json, sys, threading
+import numpy as np
+import prodspec.cli as cli
+import prodspec.matrix_model as matrix_model
+from prodspec.cli import main
+
+order, caller = sys.argv[1], threading.get_ident()
+drawn, solved_here, failed, lock = [], set(), {}, threading.Lock()
+started0, started1, caller_failed, pooled_later = (threading.Event() for _ in range(4))
+
+def wait(event):
+    if not event.wait(30):
+        raise RuntimeError("event never set")
+
+def sample_signed_factors(spec, rng, draw=cli.sample_signed_factors):
+    r = rng.path[1]
+    if r == 1:
+        wait(started0)
+    with lock:
+        # replicate r - 1 has been solved here or handed to the pool
+        if caller_failed.is_set() and r - 1 > min(failed) and r - 1 not in solved_here:
+            pooled_later.set()
+    factors = draw(spec, rng)
+    with lock:
+        drawn.append(factors)
+    return factors
+
+def product_eigenvalues(factors, signs, solve=matrix_model.product_eigenvalues):
+    where = "caller" if threading.get_ident() == caller else "pool"
+    with lock:
+        r = next(q for q, f in enumerate(drawn) if f is factors)
+        if where == "caller":
+            solved_here.add(r)
+            fail = not caller_failed.is_set()
+        elif order == "pool-first":
+            fail = r == 0
+        else:
+            fail = caller_failed.is_set() and len(failed) == 1 and r > min(failed)
+        if fail:
+            failed[r] = where
+    if where == "pool" and r == 0:
+        started0.set()
+        wait(caller_failed)
+    elif where == "pool" and r == 1 and order == "caller-first":
+        started1.set()
+        wait(pooled_later)
+    elif where == "caller" and fail:
+        caller_failed.set()
+    elif where == "caller" and order == "caller-first":
+        # the pool holds replicate 1 before this thread goes on
+        wait(started1)
+    if fail:
+        raise np.linalg.LinAlgError(f"synthetic failure of replicate {r}")
+    return solve(factors, signs)
+
+cli.sample_signed_factors = sample_signed_factors
+matrix_model.product_eigenvalues = product_eigenvalues
+before = threading.active_count()
+code = main([
+    "run", "--ensemble", "ginibre", "--signs=-+", "--n", "12", "--mode", "matrix",
+    "--replicates", "20", "--workers", "1",
+])
+print(json.dumps({
+    "code": code,
+    "failed": sorted(failed.items()),
+    "threads": [before, threading.active_count()],
+}))
+"""
+
+
+@pytest.mark.parametrize("order", ["caller-first", "pool-first"])
+def test_cli_failing_solves_surface_in_replicate_order_as_exit_2(order):
+    # a hang fails here as TimeoutExpired instead of stalling pytest
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAILING_SOLVE_CHILD, order],
+        env=_child_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["code"] == 2
+    (k, first), (later, second) = seen["failed"]
+    assert k < later and {first, second} == {"caller", "pool"}
+    assert first == order.split("-")[0]
+    # the earlier replicate's error is the one reported, whichever thread solved it
+    assert proc.stderr.splitlines() == [f"error: synthetic failure of replicate {k}"]
+    assert "Traceback" not in proc.stderr
+    before, after = seen["threads"]
+    assert after == before
+
+
 def test_cli_value_error_while_sampling_is_exit_2(monkeypatch, capsys):
     def refuse(*args):
         raise ValueError("synthetic refusal")
@@ -961,6 +1081,40 @@ def test_haar_remark4i_assert_passes_from_about_n_200(capsys, n, code):
             "--seed", "1", "--assert"]
     assert main(argv) == code
     capsys.readouterr()
+
+
+def remark4i_window_mass(n):
+    """Expected mass of haar-remark4i's rescaled moduli in MASS_WINDOW.
+
+    With dims n + 1, |lambda_j|^2 is a product of two Beta(j, 1) draws, so
+    -log|lambda_j|^2 is a Gamma(2) sum with rate j, whose CDF at x > 0 is
+    1 - e^(-jx) (1 + jx). The rescaled modulus exp(-(sum + log_scale) /
+    gamma_n) lies in the window while the sum lies between the edges' x;
+    from n = 10 on the upper edge's x is negative, so it drops out.
+    """
+    spec = ExperimentConfig(n=n, **apply_preset("haar-remark4i", n)).build_spec()
+    plan = ScalingPlan.for_spec(spec, resolve_gamma("2", spec.m))
+    j = np.arange(1, n + 1)
+
+    def below(x):
+        jx = j * max(x, 0.0)
+        return 1.0 - np.exp(-jx) * (1.0 + jx)
+
+    lo, hi = (-(plan.gamma_n * np.log(edge) + plan.log_scale) for edge in cli.MASS_WINDOW)
+    return float(np.mean(below(lo) - below(hi)))
+
+
+def test_haar_remark4i_window_mass_first_reaches_the_gate_at_n_160():
+    masses = {n: remark4i_window_mass(n) for n in range(2, 201)}
+    assert masses[100] == pytest.approx(0.9251, abs=1e-4)
+    assert masses[159] == pytest.approx(0.94978, abs=1e-5)
+    assert masses[160] == pytest.approx(0.95006, abs=1e-5)
+    assert masses[200] == pytest.approx(0.9591, abs=1e-4)
+    assert min(n for n, mass in masses.items() if mass >= cli.MASS_THRESHOLD) == 160
+    # the sampled masses the gate reads agree with the exact ones
+    for n in (100, 200):
+        cfg = ExperimentConfig(n=n, replicates=50, seed=1, **apply_preset("haar-remark4i", n))
+        assert run_experiment(cfg).mass_scalar == pytest.approx(masses[n], abs=0.02)
 
 
 def test_cli_assert_passes_on_matching_limit(capsys):
