@@ -39,7 +39,7 @@ def compare(spec, seed):
     )
     t_matrix = time.perf_counter() - t0
     t0 = time.perf_counter()
-    # one draw call per factor for every replicate, as prodspec run does
+    # every replicate in one call, drawn in chunks of rows, as prodspec run does
     scalar = sample_radial_spectrum(spec, root.substream(0), REPLICATES).ravel()
     t_scalar = time.perf_counter() - t0
     report = ks_two_sample(EmpiricalCdf(matrix), EmpiricalCdf(scalar))

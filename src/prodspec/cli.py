@@ -292,7 +292,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     root = RngStream(cfg.seed)
     cdf = report.limit_cdf()
 
-    # stream key (0, k): factor k of the scalar draws, one row per replicate;
+    # stream key (0, k, c): factor k of scalar chunk c, one row per replicate;
     # (1, r): matrix replicate r. The samplers are looked up at call time so
     # that they can be patched on this module, and the solver on matrix_model
     for path in ("scalar", "matrix"):
@@ -510,7 +510,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--workers", help=f"pool threads that solve matrix replicates,"
                      f" 1..{MAX_WORKERS}; the calling thread draws them, and solves one itself"
                      " while a pool solve waits (scalar draws run on up to one thread per"
-                     " factor, at most the usable CPUs)")
+                     " chunk of rows, at most the usable CPUs)")
     run.add_argument("--limit", help="auto | degenerate | ginibre:a,b | betas:PATH")
     run.add_argument("--out", help="directory for cdf.csv, angles.csv, report.json")
     run.add_argument("--preset", help="named scenario (see 'prodspec presets')")

@@ -7,12 +7,13 @@ unitary factors) draw per factor, with shape parameter j for a direct
 factor and n+1-j for an inverted one.
 
 sample_radial_spectrum draws many replicates into one array, one row per
-replicate: factor k fills the rows in order from its own substream (k),
-so the first rows do not depend on how many follow. The rows are drawn
-and summed in chunks, so a draw holds its output and a chunk per thread,
-however many factors there are. Because each factor owns its stream, the
-chunks' draws can run on a thread pool (numpy fills gamma and beta draws
-with the interpreter lock released) without changing a byte.
+replicate, in chunks of rows whose layout depends on n alone: chunk c of
+factor k draws from its own substream (k, c), so the first rows do not
+depend on how many follow. Because no two chunks share a stream, the
+chunks are independent tasks on a thread pool (numpy fills gamma and
+beta draws with the interpreter lock released), and the bytes do not
+depend on how many threads run them. A draw holds its output and a chunk
+per thread, however many factors there are.
 
 Everything here works with the scalars' logarithms; moment generating
 functions are exact gamma/beta ratios and are kept in log form. Ratios of
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -33,7 +33,8 @@ from .config import ProductSpec
 from .numerics import RngStream
 
 # sample_radial_spectrum draws and sums its rows in chunks of about this
-# many values, so a thread holds one chunk of a factor's term at a time
+# many values, so a thread holds one chunk of a factor's term at a time.
+# Each chunk has streams of its own, so a new value changes every byte
 _CHUNK = 1 << 16
 
 
@@ -80,18 +81,21 @@ def _log_term(draw, sign):
     return draw
 
 
-def _log_radius_draws(spec: ProductSpec, j, streams, size=None):
+def _log_radius_draws(spec: ProductSpec, j, streams, size=None, out=None):
     """Half the signed sum of one log draw per factor, factor k from streams[k].
 
-    The terms are drawn one after another and summed in factor order.
+    The terms are drawn one after another and summed in factor order, into
+    out when it is given; each term is dropped before the next is drawn.
     """
-    out = None
-    for (sign, b), rng in zip(_factors(spec), streams):
+    for k, ((sign, b), rng) in enumerate(zip(_factors(spec), streams)):
         term = _log_term(_draw(spec, j, sign, b, rng, size), sign)
         if out is None:
             out = term
+        elif k == 0:
+            out[...] = term
         else:
             out += term
+        del term
     # [()] turns a single index's 0-d sum back into a scalar
     return out[()]
 
@@ -109,56 +113,19 @@ def sample_log_radius_ginibre(spec: ProductSpec, j: int, rng: RngStream, size=No
 sample_log_radius_haar = sample_log_radius_ginibre
 
 
-def _draw_threads(m: int) -> int:
-    """Threads that draw m factors' terms: one per factor, at most the CPUs
-    this process may run on.
+def _draw_threads(chunks: int) -> int:
+    """Threads that draw a spectrum's chunks: one per chunk, at most the
+    CPUs this process may run on, and at least one.
 
     Threads beyond the CPUs add no speed, and each holds a chunk of a term.
     The CPUs are the affinity mask's, or os.cpu_count() where that cannot
     be read; a cgroup's CPU quota is not seen.
     """
     if hasattr(os, "sched_getaffinity"):
-        return min(m, len(os.sched_getaffinity(0)))
-    return min(m, os.cpu_count() or 1)
-
-
-def _fill_log_radii(spec: ProductSpec, streams, out: np.ndarray) -> None:
-    """Write _log_radius_draws' sums for indices 1..n into out's rows.
-
-    The rows are split into chunks of about _CHUNK values, and each chunk's
-    draw of each factor is one task, listed in (chunk, factor) order. A
-    pool of t = _draw_threads(m) threads runs at most t tasks at a time:
-    this thread takes their terms in list order, writes or adds each into
-    its chunk's rows, and only then submits the task t places further on.
-    As t <= m, factor k's draw for a chunk starts only after its draw for
-    the chunk before has ended, so each stream is drawn in row order, and
-    the adds run here in factor order: the bytes do not depend on the
-    chunk size or the thread count. A task's error is raised here once the
-    tasks already started have ended.
-    """
-    j = np.arange(1, spec.n + 1, dtype=float)
-    factors = _factors(spec)
-    rows = max(1, _CHUNK // spec.n)
-    tasks = [(start, k) for start in range(0, len(out), rows) for k in range(spec.m)]
-
-    def term(start, k):
-        sign, b = factors[k]
-        draw = _draw(spec, j, sign, b, streams[k], out[start:start + rows].shape)
-        return _log_term(draw, sign)
-
-    threads = _draw_threads(spec.m)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        window = deque(pool.submit(term, *task) for task in tasks[:threads])
-        for i, (start, k) in enumerate(tasks):
-            part = out[start:start + rows]
-            if k == 0:
-                part[...] = window.popleft().result()
-            else:
-                part += window.popleft().result()
-            # the term is dropped before the next draw starts, so the pool
-            # holds at most one chunk per thread
-            if i + threads < len(tasks):
-                window.append(pool.submit(term, *tasks[i + threads]))
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(chunks, cpus))
 
 
 def sample_radial_spectrum(
@@ -167,14 +134,26 @@ def sample_radial_spectrum(
     """Draw the logs of count replicates' n surrogates, index j in column j-1.
 
     Returns a new array of shape (count, n), or one (n,) row when count is
-    None. Factor k fills the rows in order from rng.substream(k), so the
-    first rows are the same whatever count is. The rows' chunks are drawn
-    on a pool of _draw_threads(m) threads and summed on this one
-    (_fill_log_radii); the bytes do not depend on how many threads.
+    None. Chunk c holds rows [c * rows, (c + 1) * rows), rows = _CHUNK // n
+    or 1, and factor k draws them from rng.substream(k, c), so the first
+    rows are the same whatever count is. A pool of _draw_threads(chunks)
+    threads fills the chunks, each summing its terms in factor order
+    straight into its rows; the bytes do not depend on how many threads.
+    The first failed chunk's error, in chunk order, is raised here: the
+    chunks not started by then are cancelled, and the started ones end.
     """
-    streams = [rng.substream(k) for k in range(spec.m)]
     out = np.empty((1 if count is None else count, spec.n))
-    _fill_log_radii(spec, streams, out)
+    j = np.arange(1, spec.n + 1, dtype=float)
+    rows = max(1, _CHUNK // spec.n)
+
+    def fill(c):
+        part = out[c * rows:(c + 1) * rows]
+        streams = [rng.substream(k, c) for k in range(spec.m)]
+        _log_radius_draws(spec, j, streams, part.shape, part)
+
+    chunks = range(-(-len(out) // rows))
+    with ThreadPoolExecutor(max_workers=_draw_threads(len(chunks))) as pool:
+        list(pool.map(fill, chunks))
     return out[0] if count is None else out
 
 

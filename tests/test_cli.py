@@ -406,8 +406,8 @@ def test_scalar_draws_run_on_pool_threads_and_the_caller_solves_only_while_a_sol
             return draw(self, *args, **kwargs)
 
         monkeypatch.setattr(RngStream, name, drawing)
-    # the two factors get a thread each on a machine with 4 usable CPUs,
-    # and the 20 scalar replicates of n = 12 come in two chunks of 10 rows
+    # the 20 scalar replicates of n = 12 come in two chunks of 10 rows,
+    # which get a thread each on a machine with 4 usable CPUs
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
     monkeypatch.setattr(scalar_model, "_CHUNK", 120)
     factors = run(4)
@@ -421,7 +421,7 @@ def test_scalar_draws_run_on_pool_threads_and_the_caller_solves_only_while_a_sol
 
 
 def test_scalar_run_draws_key_0_in_one_array_and_extends_as_a_prefix(monkeypatch):
-    # factor k of every scalar replicate comes from stream (0, k), one row each
+    # factor k of scalar chunk c comes from stream (0, k, c), one row per replicate
     drawn = []
 
     def recording(*args, draw=cli.sample_radial_spectrum):
@@ -969,13 +969,15 @@ def test_cli_value_error_while_sampling_is_exit_2(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: synthetic refusal\n"
 
 
-# a child runs the CLI on four one-row chunks and 4 usable CPUs, with
-# RngStream.gamma refusing each draw for which the lambda in argv[1],
-# given the stream's path and its call count, holds; it prints what it
-# saw: the draws per stream, whether the calling thread drew, and the
-# threads alive before and after the run
+# a child runs the CLI on 2000 one-row chunks of three factors and 4
+# usable CPUs, with RngStream.gamma refusing each draw for which the
+# lambda in argv[1], given the stream's path and its call count, holds;
+# it prints what it saw: the draws per stream, whether the calling thread
+# drew, and the threads alive before and after the run. Each draw it lets
+# through first sleeps for 1 ms, with the interpreter lock released, so the
+# calling thread takes a refusal's error without waiting for the lock
 _REFUSED_DRAW_CHILD = """
-import json, os, sys, threading
+import json, os, sys, threading, time
 import prodspec.scalar_model as scalar_model
 from prodspec.cli import main
 from prodspec.numerics import RngStream
@@ -990,13 +992,14 @@ def gamma(self, *args, draw=RngStream.gamma, **kwargs):
         refused = refuse(self.path, calls[self.path])
     if refused:
         raise ValueError("synthetic refusal")
+    time.sleep(0.001)
     return draw(self, *args, **kwargs)
 
 RngStream.gamma = gamma
 os.sched_getaffinity = lambda pid: set(range(4))
 scalar_model._CHUNK = 10
 before = threading.active_count()
-code = main(["run", "--n", "10", "--signs", "+-+", "--replicates", "4"])
+code = main(["run", "--n", "10", "--signs", "+-+", "--replicates", "2000"])
 print(json.dumps({
     "code": code,
     "calls": [[path, count] for path, count in calls.items()],
@@ -1034,17 +1037,18 @@ def test_cli_value_error_on_a_pool_thread_is_exit_2_and_ends_the_pool():
     assert after == before
 
 
-def test_cli_value_error_at_a_later_chunks_draw_is_exit_2_and_never_hangs():
-    # chunk 1's draw of factor 2 is refused while chunk 0 has been added
-    # and later draws are in flight
-    seen, err = run_with_refused_draws("lambda path, call: path[-1] == 2 and call == 2")
+def test_cli_value_error_in_chunk_0_is_exit_2_and_cancels_the_chunks_not_started():
+    # factor 1's draw in chunk 0 is refused while other chunks are in flight
+    seen, err = run_with_refused_draws("lambda path, call: path == (0, 1, 0)")
     assert seen["code"] == 2
+    # one error line and no traceback
     assert err == "error: synthetic refusal\n"
     calls = seen["calls"]
-    assert calls[(0, 2)] == 2
-    # the refused draw is the sixth in (chunk, factor) order: the five
-    # before it have ended, and with 3 threads at most 2 after it start
-    assert 6 <= sum(calls.values()) <= 6 + 2
+    # chunk 0 draws its factors in order and stops at the refusal
+    assert calls[(0, 0, 0)] == calls[(0, 1, 0)] == 1 and (0, 2, 0) not in calls
+    # the chunks not started when the error reached the run never drew;
+    # were none cancelled, the other 1999 chunks would make 3 draws each
+    assert sum(calls.values()) < 2000 * 3 // 2
     before, after = seen["threads"]
     assert after == before
 

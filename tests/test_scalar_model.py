@@ -1,5 +1,6 @@
 """Radial surrogates: shapes, exact moments, and sampler consistency."""
 
+import contextlib
 import math
 import os
 import sys
@@ -9,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 from scipy.special import digamma, polygamma
@@ -291,6 +292,27 @@ def usable_cpus(count):
     return mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(count)), create=True)
 
 
+def draw_per_chunk_and_factor(spec, rng, count, rows):
+    """The spectrum drawn serially: chunk c's rows [c * rows, (c + 1) * rows)
+    of factor k from rng.substream(k, c), summed in factor order."""
+    j = np.arange(1, spec.n + 1, dtype=float)
+    total = np.empty((count, spec.n))
+    for c, start in enumerate(range(0, count, rows)):
+        size = (min(rows, count - start), spec.n)
+        part = None
+        for k, sign in enumerate(spec.signs):
+            shape = j if sign == 1 else spec.n + 1 - j
+            stream = rng.substream(k, c)
+            if spec.dims is None:
+                draw = stream.gamma(shape, size=size)
+            else:
+                draw = stream.beta(shape, spec.dims[k] - spec.n, size=size)
+            term = 0.5 * sign * np.log(draw)
+            part = term if part is None else part + term
+        total[start:start + size[0]] = part
+    return total
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
     spec=product_specs(max_n=40, max_m=8),
@@ -299,11 +321,9 @@ def usable_cpus(count):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_spectrum_bytes_do_not_depend_on_the_thread_count(spec, count, threads, seed):
-    # each factor owns its stream and the terms are summed in factor order;
-    # a chunk of one row gives every replicate tasks of its own
+    # a chunk of one row gives every replicate a task and streams of its own
     rng = RngStream(seed).substream(0)
-    j = np.arange(1, spec.n + 1, dtype=float)
-    serial = _log_radius_draws(spec, j, [rng.substream(k) for k in range(spec.m)], (count, spec.n))
+    serial = draw_per_chunk_and_factor(spec, rng, count, 1)
     for cpus in (1, threads):
         with usable_cpus(cpus), mock.patch.object(scalar_model, "_CHUNK", spec.n):
             pooled = sample_radial_spectrum(spec, rng, count)
@@ -314,22 +334,6 @@ def test_spectrum_bytes_do_not_depend_on_the_thread_count(spec, count, threads, 
     assert isinstance(single, np.float64)
 
 
-def one_draw_per_factor(spec, rng, count):
-    """Each factor's terms for all rows from one call, summed in factor order."""
-    j = np.arange(1, spec.n + 1, dtype=float)
-    total = None
-    for k, sign in enumerate(spec.signs):
-        shape = j if sign == 1 else spec.n + 1 - j
-        stream = rng.substream(k)
-        if spec.dims is None:
-            draw = stream.gamma(shape, size=(count, spec.n))
-        else:
-            draw = stream.beta(shape, spec.dims[k] - spec.n, size=(count, spec.n))
-        term = 0.5 * sign * np.log(draw)
-        total = term if total is None else total + term
-    return total
-
-
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     spec=product_specs(max_n=40),
@@ -338,21 +342,76 @@ def one_draw_per_factor(spec, rng, count):
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
-def test_spectrum_bytes_do_not_depend_on_the_chunk_size(spec, count, threads, seed, data):
+def test_spectrum_chunk_c_of_factor_k_draws_from_key_k_c(spec, count, threads, seed, data):
     # chunks run from one value (a row each) to more than the whole draw,
-    # and their rows need not divide the replicates
+    # and their rows need not divide the replicates; each chunk size is its
+    # own layout, so the bytes do depend on it
     chunk = data.draw(st.integers(1, (count + 1) * spec.n), label="chunk")
     rng = RngStream(seed).substream(0)
     with usable_cpus(threads), mock.patch.object(scalar_model, "_CHUNK", chunk):
         drawn = sample_radial_spectrum(spec, rng, count)
-    assert drawn.tobytes() == one_draw_per_factor(spec, rng, count).tobytes()
+    rows = max(1, chunk // spec.n)
+    assert drawn.tobytes() == draw_per_chunk_and_factor(spec, rng, count, rows).tobytes()
+
+
+@contextlib.contextmanager
+def first_two_chunks_meet():
+    """Make factor 0's draws in chunks 0 and 1 wait for each other, so that
+    a draw running them on one thread fails with BrokenBarrierError; yields
+    the set of threads that made those two draws."""
+    barrier, threads = threading.Barrier(2, timeout=10), set()
+
+    def meeting(draw):
+        def wrapped(self, *args, **kwargs):
+            if self.path[-2:] in ((0, 0), (0, 1)):
+                threads.add(threading.get_ident())
+                barrier.wait()
+            return draw(self, *args, **kwargs)
+
+        return wrapped
+
+    with (
+        mock.patch.object(RngStream, "gamma", meeting(RngStream.gamma)),
+        mock.patch.object(RngStream, "beta", meeting(RngStream.beta)),
+    ):
+        yield threads
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    spec=product_specs(max_n=40, max_m=8),
+    count=st.integers(1, 12),
+    cpus=st.integers(1, 4),
+    rows=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(spec=ginibre(12, "-"), count=5, cpus=2, rows=2, seed=0)
+@example(spec=haar(7, "+", (9,)), count=12, cpus=4, rows=1, seed=1)
+def test_spectrum_draw_is_the_same_on_any_cpus_and_a_smaller_count_is_a_prefix(
+    spec, count, cpus, rows, seed
+):
+    rng = RngStream(seed).substream(0)
+    with mock.patch.object(scalar_model, "_CHUNK", rows * spec.n):
+        with usable_cpus(1):
+            alone = sample_radial_spectrum(spec, rng, count)
+        # with more than one chunk and more than one CPU, even a single
+        # factor's chunks draw on two threads at once
+        meet = first_two_chunks_meet() if cpus > 1 and count > rows else contextlib.nullcontext()
+        with usable_cpus(cpus), meet as threads:
+            pooled = sample_radial_spectrum(spec, rng, count)
+        assert threads is None or len(threads) == 2
+        assert pooled.tobytes() == alone.tobytes()
+        for fewer in range(count):
+            first = sample_radial_spectrum(spec, rng, fewer)
+            assert first.shape == (fewer, spec.n)
+            assert first.tobytes() == pooled[:fewer].tobytes()
 
 
 def test_chunked_spectrum_draw_under_frequent_thread_switches():
-    # eight threads on eight factors and 200 one-row chunks, with the
-    # interpreter switching threads about every microsecond: a stream
-    # drawn out of row order would change the bytes, and a hang fails
-    # the join
+    # eight threads on 200 one-row chunks of eight factors, with the
+    # interpreter switching threads about every microsecond: a chunk drawn
+    # from another chunk's streams would change the bytes, and a hang
+    # fails the join
     spec = haar(6, "+-+-++--", (9, 7, 12, 8, 10, 7, 11, 9))
     rng = RngStream(17).substream(0)
     drawn = []
@@ -368,7 +427,7 @@ def test_chunked_spectrum_draw_under_frequent_thread_switches():
     finally:
         sys.setswitchinterval(switch)
     assert not run.is_alive(), "the chunked draw hangs"
-    assert drawn[0].tobytes() == one_draw_per_factor(spec, rng, 200).tobytes()
+    assert drawn[0].tobytes() == draw_per_chunk_and_factor(spec, rng, 200, 1).tobytes()
 
 
 def test_spectrum_draw_holds_its_output_and_a_chunk_per_thread():
@@ -385,9 +444,11 @@ def test_spectrum_draw_holds_its_output_and_a_chunk_per_thread():
     assert peak < 1.5 * drawn.nbytes
 
 
-def test_draw_threads_follow_the_factors_and_the_usable_cpus(monkeypatch):
+def test_draw_threads_follow_the_chunks_and_the_usable_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(5)), raising=False)
-    assert [_draw_threads(m) for m in (1, 4, 5, 8)] == [1, 4, 5, 5]
+    assert [_draw_threads(chunks) for chunks in (1, 4, 5, 8)] == [1, 4, 5, 5]
+    # an empty draw still gets a pool of one thread
+    assert _draw_threads(0) == 1
     # without an affinity call the CPU count stands in, or 1 when it is unknown
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
