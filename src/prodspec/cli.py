@@ -16,14 +16,12 @@ import argparse
 import json
 import sys
 import time
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, matrix_model
+from . import __version__
 from .config import ProductSpec, ScalingPlan, SignPattern, resolve_gamma
 from .limit_laws import (
     LIMIT_TERMS,
@@ -38,12 +36,9 @@ from .matrix_model import (
     MAX_PRODUCT_SIZE,
     ConditioningError,
     _one_blas_thread,
-    sample_signed_factors,
-    # not called here since the matrix path draws and solves in two stages;
-    # kept as a name of this module, which perfbench's tracer wraps
     sample_product_eigenvalues,
 )
-from .numerics import RngStream
+from .numerics import RngStream, map_tasks
 from .scalar_model import sample_radial_spectrum
 from .stats import (
     TWO_PI,
@@ -64,8 +59,8 @@ DEGENERATE_THRESHOLD = 0.05
 MASS_WINDOW = (0.9, 1.1)
 MASS_THRESHOLD = 0.95
 
-# --workers sizes the matrix path's solve pool, whose threads are OS threads,
-# so it is capped; the calling thread solves too while a pool solve waits
+# --workers sizes no pool: the threads follow the usable CPUs. Its range is
+# kept so that the values it accepts and the exit codes stay the same
 MAX_WORKERS = 64
 
 
@@ -293,8 +288,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     cdf = report.limit_cdf()
 
     # stream key (0, k, c): factor k of scalar chunk c, one row per replicate;
-    # (1, r): matrix replicate r. The samplers are looked up at call time so
-    # that they can be patched on this module, and the solver on matrix_model
+    # (1, r): matrix replicate r, one task of map_tasks. The samplers are
+    # looked up on this module at call time, so that they can be patched here
     for path in ("scalar", "matrix"):
         if cfg.mode not in (path, "both"):
             continue
@@ -306,37 +301,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                 sample_radial_spectrum(spec, root.substream(0), cfg.replicates), plan
             )
         else:
-            # this thread draws replicate r's factors and inverts the inverse
-            # ones, in replicate order, so a ConditioningError is raised here.
-            # A pool of cfg.workers threads multiplies and solves them, off
-            # the interpreter lock (matrix_model._eigvals), so the draws
-            # overlap the solves. While a submitted solve waits for a pool
-            # thread, this thread solves replicate r itself instead, so at
-            # most cfg.workers + 1 pool solves are outstanding. Results, and
-            # errors, are taken in replicate order. Each replicate is the
-            # same call on the same factors wherever it runs, and BLAS runs
-            # one thread throughout, so the outputs depend on neither setting
-            ones = [1] * spec.m
-            samples = []
-            with (
-                _one_blas_thread as report.blas_threads,
-                ThreadPoolExecutor(max_workers=cfg.workers) as pool,
-            ):
-                window = deque()
-                for r in range(cfg.replicates):
-                    factors = sample_signed_factors(spec, root.substream(1, r))
-                    while window and window[0].done():
-                        samples.append(window.popleft().result())
-                    if any(not (f.running() or f.done()) for f in window):
-                        future = Future()
-                        try:
-                            future.set_result(matrix_model.product_eigenvalues(factors, ones))
-                        except Exception as exc:
-                            future.set_exception(exc)
-                    else:
-                        future = pool.submit(matrix_model.product_eigenvalues, factors, ones)
-                    window.append(future)
-                samples.extend(future.result() for future in window)
+            # each replicate draws, inverts and solves on one pool thread; the
+            # solve runs off the interpreter lock (matrix_model._eigvals) and
+            # BLAS runs one thread throughout, so no output depends on either
+            with _one_blas_thread as report.blas_threads:
+                samples = map_tasks(
+                    lambda r: sample_product_eigenvalues(spec, root.substream(1, r)),
+                    cfg.replicates,
+                )
             report.pooled_angles = np.concatenate([s.angles for s in samples])
             report.ks_results["angles"] = angle_uniformity(report.pooled_angles)
             ecdf = build_ecdf([s.log_moduli for s in samples], plan)
@@ -507,10 +479,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--replicates")
     run.add_argument("--mode", help="scalar | matrix | both")
     run.add_argument("--seed")
-    run.add_argument("--workers", help=f"pool threads that solve matrix replicates,"
-                     f" 1..{MAX_WORKERS}; the calling thread draws them, and solves one itself"
-                     " while a pool solve waits (scalar draws run on up to one thread per"
-                     " chunk of rows, at most the usable CPUs)")
+    run.add_argument("--workers", help=f"1..{MAX_WORKERS}, recorded in report.json; it sizes"
+                     " nothing: scalar chunks and matrix replicates run on up to one thread"
+                     " each, at most the usable CPUs")
     run.add_argument("--limit", help="auto | degenerate | ginibre:a,b | betas:PATH")
     run.add_argument("--out", help="directory for cdf.csv, angles.csv, report.json")
     run.add_argument("--preset", help="named scenario (see 'prodspec presets')")

@@ -25,10 +25,11 @@ which np.linalg.eigvals holds throughout, so other threads run while a
 product is solved. Where no such zgeev is loaded (MKL, Accelerate, an
 LP64 OpenBLAS) np.linalg.eigvals itself is called.
 
-Replicates are parallelised by the caller's threads, not by BLAS:
-product_eigenvalues, sample_signed_factors and sample_product_eigenvalues
-run inside _one_blas_thread, where every loaded OpenBLAS runs one
-thread, so their outputs do not depend on the BLAS thread setting.
+Replicates are parallelised by threads that each run whole replicates
+(cli runs them through numerics.map_tasks), not by BLAS:
+product_eigenvalues and sample_product_eigenvalues run inside
+_one_blas_thread, where every loaded OpenBLAS runs one thread, so their
+outputs do not depend on the BLAS thread setting.
 """
 
 from __future__ import annotations
@@ -224,9 +225,12 @@ def sample_ginibre(dim: int, rng: RngStream, cols: int | None = None) -> np.ndar
         raise ValueError(f"dim: must be >= 1 (got {dim})")
     if cols < 1:
         raise ValueError(f"cols: must be >= 1 (got {cols})")
-    re = rng.standard_normal((dim, cols))
-    im = rng.standard_normal((dim, cols))
-    return (re + 1j * im) / np.sqrt(2.0)
+    # filled in place, real parts drawn first, so the only complex array is the result
+    out = np.empty((dim, cols), dtype=complex)
+    out.real = rng.standard_normal((dim, cols))
+    out.imag = rng.standard_normal((dim, cols))
+    out /= np.sqrt(2.0)
+    return out
 
 
 def sample_haar_unitary(dim: int, rng: RngStream, cols: int | None = None) -> np.ndarray:
@@ -239,7 +243,7 @@ def sample_haar_unitary(dim: int, rng: RngStream, cols: int | None = None) -> np
         raise ValueError(f"cols: must lie in 1..{dim} (got {cols})")
     q, r = np.linalg.qr(sample_ginibre(dim, rng, cols))
     d = np.diagonal(r)
-    q = q * (d / np.abs(d))
+    q *= d / np.abs(d)
     return q
 
 
@@ -264,12 +268,16 @@ def _inverse(a: np.ndarray) -> tuple[np.ndarray | None, float]:
         return inv, np.linalg.norm(a, 1) * np.linalg.norm(inv, 1)
 
 
-def _signed_factors(factors, signs) -> list[np.ndarray]:
-    """factors[k]^signs[k] for each k, each sign +1 or -1, after checking the
-    count, sizes and shapes; inverse factors are inverted explicitly.
+@_one_blas_thread
+def product_eigenvalues(factors, signs) -> EigenSample:
+    """Eigenvalues of factors[0]^s0 * factors[1]^s1 * ... with s in {+1,-1}.
 
+    The count, sizes and shapes are checked first. Inverse factors are
+    inverted explicitly and multiplied from the right, in factor order.
     Raises ConditioningError when an inverted factor's 1-norm condition
-    number is not at most CONDITION_LIMIT.
+    number is not at most CONDITION_LIMIT. Runs BLAS on one thread, so the
+    result does not depend on the thread setting, and solves the product
+    with _eigvals, so other threads run meanwhile.
     """
     factors = [np.asarray(a, dtype=complex) for a in factors]
     signs = list(signs)
@@ -285,7 +293,7 @@ def _signed_factors(factors, signs) -> list[np.ndarray]:
     for k, a in enumerate(factors):
         if a.shape != (n, n):
             raise ValueError(f"factors[{k}]: expected shape {(n, n)}, got {a.shape}")
-    out = []
+    prod = None
     for k, (a, sign) in enumerate(zip(factors, signs)):
         if sign == -1:
             a, cond = _inverse(a)
@@ -295,22 +303,6 @@ def _signed_factors(factors, signs) -> list[np.ndarray]:
                 )
         elif sign != 1:
             raise ValueError(f"signs[{k}]: must be +-1 (got {sign!r})")
-        out.append(a)
-    return out
-
-
-@_one_blas_thread
-def product_eigenvalues(factors, signs) -> EigenSample:
-    """Eigenvalues of factors[0]^s0 * factors[1]^s1 * ... with s in {+1,-1}.
-
-    Inverse factors are inverted explicitly and multiplied from the right.
-    Raises ConditioningError when an inverted factor's 1-norm condition
-    number is not at most CONDITION_LIMIT. Runs BLAS on one thread, so the
-    result does not depend on the thread setting, and solves the product
-    with _eigvals, so other threads run meanwhile.
-    """
-    prod = None
-    for a in _signed_factors(factors, signs):
         prod = a if prod is None else prod @ a
     eig = _eigvals(prod)
     return EigenSample(
@@ -320,14 +312,13 @@ def product_eigenvalues(factors, signs) -> EigenSample:
 
 
 @_one_blas_thread
-def sample_signed_factors(spec: ProductSpec, rng: RngStream) -> list[np.ndarray]:
-    """Draw the factors a spec describes, in factor order, and invert the inverse ones.
+def sample_product_eigenvalues(spec: ProductSpec, rng: RngStream) -> EigenSample:
+    """Draw the factors a spec describes, in factor order, from rng, and
+    return the eigenvalues of the spec's product of them.
 
-    Raises ConditioningError as product_eigenvalues does. The product of
-    the result is the spec's product, so product_eigenvalues(result,
-    [1] * spec.m) is sample_product_eigenvalues(spec, rng). Runs BLAS on
-    one thread, so that the QR of a truncation does not depend on the
-    thread setting either.
+    Raises ConditioningError as product_eigenvalues does. Runs BLAS on one
+    thread, so that the QR of a truncation does not depend on the thread
+    setting either.
     """
     if spec.dims is None:
         factors = [sample_ginibre(spec.n, rng) for _ in range(spec.m)]
@@ -336,13 +327,4 @@ def sample_signed_factors(spec: ProductSpec, rng: RngStream) -> list[np.ndarray]
         factors = [
             truncate(sample_haar_unitary(d, rng, spec.n), spec.n) for d in spec.dims
         ]
-    return _signed_factors(factors, spec.signs)
-
-
-@_one_blas_thread
-def sample_product_eigenvalues(spec: ProductSpec, rng: RngStream) -> EigenSample:
-    """Draw the factors described by a spec and return the product's eigenvalues.
-
-    Runs BLAS on one thread, as both steps do.
-    """
-    return product_eigenvalues(sample_signed_factors(spec, rng), [1] * spec.m)
+    return product_eigenvalues(factors, spec.signs)

@@ -1,11 +1,38 @@
-"""Seeded random streams with checked gamma and beta draws."""
+"""Seeded random streams with checked gamma and beta draws, and map_tasks,
+the thread pool that runs the scalar chunks and the matrix replicates.
+
+Each of those tasks owns its streams' keys, so it draws the same values
+on whichever thread runs it.
+"""
 
 from __future__ import annotations
+
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 # numpy loads its random module on first use; loading it here keeps that
 # import in a program's start-up rather than in its first draw
 import numpy.random
+
+
+def map_tasks(task, count: int) -> list:
+    """[task(i) for i in range(count)], computed on a pool of threads.
+
+    The pool has one thread per task, at most the CPUs this process may
+    run on, and at least one: threads beyond the CPUs add no speed. The
+    CPUs are the affinity mask's, or os.cpu_count() where that cannot be
+    read; a cgroup's CPU quota is not seen. Every task is submitted at
+    once and the results come back in index order. The first failed task's
+    error, in index order, is raised once the started tasks have ended;
+    the tasks not started by then are cancelled.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    with ThreadPoolExecutor(max_workers=max(1, min(count, cpus))) as pool:
+        return list(pool.map(task, range(count)))
 
 
 def _positive(name: str, *args):

@@ -10,8 +10,8 @@ sample_radial_spectrum draws many replicates into one array, one row per
 replicate, in chunks of rows whose layout depends on n alone: chunk c of
 factor k draws from its own substream (k, c), so the first rows do not
 depend on how many follow. Because no two chunks share a stream, the
-chunks are independent tasks on a thread pool (numpy fills gamma and
-beta draws with the interpreter lock released), and the bytes do not
+chunks are independent tasks for numerics.map_tasks (numpy fills gamma
+and beta draws with the interpreter lock released), and the bytes do not
 depend on how many threads run them. A draw holds its output and a chunk
 per thread, however many factors there are.
 
@@ -24,13 +24,11 @@ statistics become interesting, so plain Gamma is never formed.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .config import ProductSpec
-from .numerics import RngStream
+from .numerics import RngStream, map_tasks
 
 # sample_radial_spectrum draws and sums its rows in chunks of about this
 # many values, so a thread holds one chunk of a factor's term at a time.
@@ -113,21 +111,6 @@ def sample_log_radius_ginibre(spec: ProductSpec, j: int, rng: RngStream, size=No
 sample_log_radius_haar = sample_log_radius_ginibre
 
 
-def _draw_threads(chunks: int) -> int:
-    """Threads that draw a spectrum's chunks: one per chunk, at most the
-    CPUs this process may run on, and at least one.
-
-    Threads beyond the CPUs add no speed, and each holds a chunk of a term.
-    The CPUs are the affinity mask's, or os.cpu_count() where that cannot
-    be read; a cgroup's CPU quota is not seen.
-    """
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return max(1, min(chunks, cpus))
-
-
 def sample_radial_spectrum(
     spec: ProductSpec, rng: RngStream, count: int | None = None
 ) -> np.ndarray:
@@ -136,11 +119,11 @@ def sample_radial_spectrum(
     Returns a new array of shape (count, n), or one (n,) row when count is
     None. Chunk c holds rows [c * rows, (c + 1) * rows), rows = _CHUNK // n
     or 1, and factor k draws them from rng.substream(k, c), so the first
-    rows are the same whatever count is. A pool of _draw_threads(chunks)
-    threads fills the chunks, each summing its terms in factor order
-    straight into its rows; the bytes do not depend on how many threads.
-    The first failed chunk's error, in chunk order, is raised here: the
-    chunks not started by then are cancelled, and the started ones end.
+    rows are the same whatever count is. map_tasks fills the chunks, each
+    summing its terms in factor order straight into its rows; the bytes
+    do not depend on how many threads run them. The first failed chunk's
+    error, in chunk order, is raised here: the chunks not started by then
+    are cancelled, and the started ones end.
     """
     out = np.empty((1 if count is None else count, spec.n))
     j = np.arange(1, spec.n + 1, dtype=float)
@@ -151,9 +134,7 @@ def sample_radial_spectrum(
         streams = [rng.substream(k, c) for k in range(spec.m)]
         _log_radius_draws(spec, j, streams, part.shape, part)
 
-    chunks = range(-(-len(out) // rows))
-    with ThreadPoolExecutor(max_workers=_draw_threads(len(chunks))) as pool:
-        list(pool.map(fill, chunks))
+    map_tasks(fill, -(-len(out) // rows))
     return out[0] if count is None else out
 
 

@@ -1,12 +1,15 @@
 """Special-function accuracy and stream reproducibility."""
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy import special
 
-from prodspec.numerics import RngStream
+from prodspec import numerics
+from prodspec.numerics import RngStream, map_tasks
 from prodspec.scalar_model import _log_norm
 
 
@@ -128,3 +131,28 @@ def test_sampler_rejects_bad_parameters():
     with pytest.raises(ValueError):
         rng.beta(1.0, 0.0)
 
+
+def test_map_tasks_threads_follow_the_tasks_and_the_usable_cpus(monkeypatch):
+    sizes = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    def threads(count):
+        # the results come back in index order, whatever the pool's size
+        assert map_tasks(lambda i: i * i, count) == [i * i for i in range(count)]
+        return sizes[-1]
+
+    monkeypatch.setattr(numerics, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(5)), raising=False)
+    assert [threads(count) for count in (1, 4, 5, 8)] == [1, 4, 5, 5]
+    # no task still gets a pool of one thread
+    assert threads(0) == 1
+    # without an affinity call the CPU count stands in, or 1 when it is unknown
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert threads(8) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert threads(8) == 1

@@ -19,7 +19,6 @@ from prodspec import scalar_model
 from prodspec.config import GinibreProductSpec, HaarProductSpec, ProductSpec, SignPattern
 from prodspec.numerics import RngStream
 from prodspec.scalar_model import (
-    _draw_threads,
     _log_radius_draws,
     _shape,
     log_mgf_ginibre,
@@ -442,19 +441,6 @@ def test_spectrum_draw_holds_its_output_and_a_chunk_per_thread():
         finally:
             tracemalloc.stop()
     assert peak < 1.5 * drawn.nbytes
-
-
-def test_draw_threads_follow_the_chunks_and_the_usable_cpus(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(5)), raising=False)
-    assert [_draw_threads(chunks) for chunks in (1, 4, 5, 8)] == [1, 4, 5, 5]
-    # an empty draw still gets a pool of one thread
-    assert _draw_threads(0) == 1
-    # without an affinity call the CPU count stands in, or 1 when it is unknown
-    monkeypatch.delattr(os, "sched_getaffinity")
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert _draw_threads(8) == 3
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert _draw_threads(8) == 1
 
 
 def exact_pooled_cdf(spec, x):
