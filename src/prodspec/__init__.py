@@ -1,4 +1,23 @@
-"""Radial and angular statistics of products of random matrices and their inverses."""
+"""Radial and angular statistics of products of random matrices and their inverses.
+
+prodspec makes no use of BLAS threads: the scalar path calls no BLAS, and
+the matrix path runs every OpenBLAS on one thread (matrix_model) and
+spreads its replicates over threads of its own. Importing the package
+therefore sets OPENBLAS_NUM_THREADS to 1, before any of its modules
+imports numpy, unless the variable is already set; a value given is
+kept. The variable stays set for processes started later. OpenBLAS reads
+it when numpy loads the library, so it starts no worker thread. An idle
+worker busy-waits before it sleeps: left to start, it kept a CPU busy
+for about the first 100 ms after the import (measured on 2 vCPUs), while
+a run's own threads started, and setting the count to 1 after the load
+does not stop it. Where numpy was imported before prodspec, its OpenBLAS
+keeps the count it was loaded with; the matrix path still holds it to
+one thread while it runs. No output depends on the variable either way.
+"""
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 

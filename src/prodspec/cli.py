@@ -303,7 +303,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         else:
             # each replicate draws, inverts and solves on one pool thread; the
             # solve runs off the interpreter lock (matrix_model._eigvals) and
-            # BLAS runs one thread throughout, so no output depends on either
+            # BLAS runs one thread throughout, so no output depends on either.
+            # Importing prodspec set OPENBLAS_NUM_THREADS to 1 where it was
+            # unset, so no idle OpenBLAS worker spins beside these threads;
+            # where numpy was loaded first, or the variable was set, the pin
+            # below is what holds BLAS to one thread
             with _one_blas_thread as report.blas_threads:
                 samples = map_tasks(
                     lambda r: sample_product_eigenvalues(spec, root.substream(1, r)),

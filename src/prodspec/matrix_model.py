@@ -29,7 +29,12 @@ Replicates are parallelised by threads that each run whole replicates
 (cli runs them through numerics.map_tasks), not by BLAS:
 product_eigenvalues and sample_product_eigenvalues run inside
 _one_blas_thread, where every loaded OpenBLAS runs one thread, so their
-outputs do not depend on the BLAS thread setting.
+outputs do not depend on the BLAS thread setting. Importing prodspec sets
+OPENBLAS_NUM_THREADS to 1 where it is unset, so an OpenBLAS that numpy
+loads afterwards starts no worker thread to spin idle beside the
+replicates' own threads; a value already set is kept. Where numpy was
+imported first, its OpenBLAS keeps the count it was loaded with, and
+_one_blas_thread is what holds it to one thread during the matrix path.
 """
 
 from __future__ import annotations

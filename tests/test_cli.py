@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -323,9 +324,20 @@ def test_record_keys_for_each_law(tmp_path, kw, kind, limit_keys):
     assert rec["dims"] == ("24,24" if "dims" in kw else "") and rec["preset"] == ""
 
 
-def test_run_experiment_deterministic_across_workers():
-    a = run_experiment(small_cfg(mode="both"))
-    b = run_experiment(small_cfg(mode="both", workers=4))
+def usable_cpus(count):
+    """os.sched_getaffinity patched to report count CPUs, which bound map_tasks' threads."""
+    return mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(count)), create=True)
+
+
+def test_run_experiment_deterministic_across_workers(monkeypatch):
+    # one thread per path against up to four: the 20 scalar replicates of
+    # n = 12 come in four chunks of 5 rows here, and --workers, which sizes
+    # nothing, is varied alongside
+    monkeypatch.setattr(scalar_model, "_CHUNK", 60)
+    with usable_cpus(1):
+        a = run_experiment(small_cfg(mode="both"))
+    with usable_cpus(4):
+        b = run_experiment(small_cfg(mode="both", workers=4))
     assert np.array_equal(a.scalar_ecdf.values, b.scalar_ecdf.values)
     assert np.array_equal(a.matrix_ecdf.values, b.matrix_ecdf.values)
     assert np.array_equal(np.sort(a.pooled_angles), np.sort(b.pooled_angles))
@@ -353,7 +365,7 @@ def test_matrix_run_is_its_replicates_drawn_one_by_one(cfg, cpus):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True):
+        with usable_cpus(cpus):
             report = run_experiment(cfg)
     finally:
         sys.setswitchinterval(interval)
@@ -505,15 +517,19 @@ def test_matrix_runs_pin_blas_and_restore_it(monkeypatch):
     assert "blas_threads" not in run_experiment(small_cfg()).record()
 
 
-# a child hashes ten replicates drawn by direct library calls, outside any
-# run, and then runs the CLI on its arguments
+# a child reads the OpenBLAS thread counts it loaded with, hashes ten
+# replicates drawn by direct library calls, outside any run, and then runs
+# the CLI on its arguments
 _BLAS_CHILD = """
-import hashlib, sys
+import hashlib, json, sys
 from prodspec.cli import main
 from prodspec.config import ProductSpec, SignPattern
-from prodspec.matrix_model import product_eigenvalues, sample_ginibre, sample_product_eigenvalues
+from prodspec.matrix_model import (
+    _openblas_thread_controls, product_eigenvalues, sample_ginibre, sample_product_eigenvalues,
+)
 from prodspec.numerics import RngStream
 
+loaded = [get() for _, get in _openblas_thread_controls()[0]]
 spec = ProductSpec(100, SignPattern.parse("-+-"))
 digest = hashlib.sha256()
 for r in range(10):
@@ -523,13 +539,21 @@ for r in range(10):
         digest.update(sample.log_moduli.tobytes() + sample.angles.tobytes())
 code = main(sys.argv[1:])
 print(digest.hexdigest())
+print(json.dumps(loaded))
 sys.exit(code)
 """
 
 
 def _child_env():
-    """This environment, without OMP_NUM_THREADS and with prodspec importable."""
-    env = {k: v for k, v in os.environ.items() if k != "OMP_NUM_THREADS"}
+    """This environment, without the BLAS thread variables and with prodspec importable.
+
+    Importing prodspec here set OPENBLAS_NUM_THREADS, so a child would
+    otherwise inherit it; without it a child gets prodspec's own default.
+    """
+    env = {
+        k: v for k, v in os.environ.items()
+        if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
+    }
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(cli.__file__).resolve().parents[1])]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
@@ -540,8 +564,11 @@ def _child_env():
 def test_matrix_outputs_do_not_depend_on_blas_threads(tmp_path):
     # n = 100: at n = 40 OpenBLAS runs on one thread anyway, so bytes could not differ
     env = _child_env()
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     outputs = {}
-    for threads in ("1", "2"):
+    # unset is prodspec's default of one thread; a value set is kept, so the
+    # "2" child loads OpenBLAS with two threads (OpenBLAS caps it at the CPUs)
+    for threads, loaded in (("unset", 1), ("1", 1), ("2", min(2, cpus))):
         out = tmp_path / threads
         argv = [
             sys.executable, "-c", _BLAS_CHILD, "run", "--ensemble", "ginibre",
@@ -549,13 +576,69 @@ def test_matrix_outputs_do_not_depend_on_blas_threads(tmp_path):
             "--seed", "1", "--out", str(out),
         ]
         proc = subprocess.run(
-            argv, env={**env, "OPENBLAS_NUM_THREADS": threads},
+            argv, env=env if threads == "unset" else {**env, "OPENBLAS_NUM_THREADS": threads},
             capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
+        *_, digest, counts = proc.stdout.splitlines()
+        assert all(count == loaded for count in json.loads(counts))
         outputs[threads] = [(out / name).read_bytes() for name in ("cdf.csv", "angles.csv")]
-        outputs[threads].append(proc.stdout.splitlines()[-1])
-    assert outputs["1"] == outputs["2"]
+        outputs[threads].append(digest)
+    assert outputs["unset"] == outputs["1"] == outputs["2"]
+
+
+# a child imports prodspec, after numpy when asked, and reports each loaded
+# OpenBLAS's thread count and its own thread count, then runs the matrix
+# path and reports the counts again
+_DEFAULT_BLAS_CHILD = """
+import json, os, sys
+tasks = lambda: len(os.listdir("/proc/self/task"))
+if sys.argv[1] == "numpy-first":
+    import numpy
+    numpy_loaded = tasks()
+import prodspec.cli as cli
+from prodspec.matrix_model import _openblas_thread_controls
+
+controls, complete = _openblas_thread_controls()
+counts = lambda: [get() for _, get in controls]
+state = {"env": os.environ["OPENBLAS_NUM_THREADS"], "counts": counts(), "tasks": tasks()}
+if sys.argv[1] == "numpy-first":
+    state["numpy_loaded"] = numpy_loaded
+cfg = cli.ExperimentConfig(n=100, signs="-+", gamma="2", replicates=2, mode="matrix")
+state["blas_threads"] = cli.run_experiment(cfg).blas_threads
+state["counts_after"] = counts()
+print(json.dumps({**state, "complete": complete, "controls": len(controls)}))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
+@pytest.mark.parametrize("case", ["unset", "set-2", "numpy-first"])
+def test_import_loads_openblas_with_one_thread_unless_set_or_numpy_came_first(case):
+    env = _child_env()
+    if case == "set-2":
+        env["OPENBLAS_NUM_THREADS"] = "2"
+    proc = subprocess.run(
+        [sys.executable, "-c", _DEFAULT_BLAS_CHILD, case], env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    state = json.loads(proc.stdout.splitlines()[-1])
+    counts = state["counts"]
+    if case == "unset":
+        # no OpenBLAS worker was started: the interpreter is the one thread
+        assert state["env"] == "1" and counts == [1] * state["controls"]
+        assert state["tasks"] == 1
+    elif case == "set-2":
+        assert state["env"] == "2"
+        assert counts == [min(2, len(os.sched_getaffinity(0)))] * state["controls"]
+    else:
+        # numpy's OpenBLAS was loaded before the variable was set, and keeps
+        # its count: its workers are every thread but the interpreter's
+        assert state["env"] == "1"
+        assert counts == [state["numpy_loaded"]] * state["controls"]
+    # the matrix path pins every OpenBLAS to one thread and restores it
+    assert state["blas_threads"] == (1 if state["complete"] else None)
+    assert state["counts_after"] == counts
 
 
 # a child imports the CLI, builds scalar, matrix and both configs, and then
@@ -623,10 +706,15 @@ def test_run_experiment_degenerate_skips_ks():
     assert report.threshold_failures()
 
 
-def test_write_outputs_and_byte_determinism(tmp_path):
-    out1, out2 = tmp_path / "w1", tmp_path / "w8"
-    write_outputs(run_experiment(small_cfg(mode="both")), out1)
-    write_outputs(run_experiment(small_cfg(mode="both", workers=8)), out2)
+def test_write_outputs_and_byte_determinism(tmp_path, monkeypatch):
+    out1, out2 = tmp_path / "c1", tmp_path / "c4"
+    # as in test_run_experiment_deterministic_across_workers: one thread per
+    # path against up to four, over four scalar chunks, --workers varied too
+    monkeypatch.setattr(scalar_model, "_CHUNK", 60)
+    with usable_cpus(1):
+        write_outputs(run_experiment(small_cfg(mode="both")), out1)
+    with usable_cpus(4):
+        write_outputs(run_experiment(small_cfg(mode="both", workers=8)), out2)
     cdf = (out1 / "cdf.csv").read_text()
     assert cdf.splitlines()[0] == "y,empirical,limit"
     assert (out1 / "angles.csv").read_text().splitlines()[0] == "theta,empirical,uniform"
@@ -1114,47 +1202,94 @@ def test_cli_assert_passes_on_matching_limit(capsys):
 
 _MISSING_BETAS = Path(__file__).with_name("no-such-betas-file.txt")
 
+# config files each drawn run finds in its working directory, by name; the
+# first is valid, the second names an unknown key
+_DRAWN_CONFIGS = {"good.cfg": "replicates = 2\nseed = 3\n", "bad.cfg": "bogus = 1\n"}
+
 
 @st.composite
 def run_argvs(draw):
-    """`run` argv lists over small value pools, invalid values included."""
+    """`run` argv lists that mix valid and invalid values of every flag.
+
+    Each flag given draws an invalid value one time in eight, so that many
+    lists reach a run. n stays at most 8 and replicates at most 3. Paths
+    are relative to the run's working directory, apart from an --out below
+    this test file, which cannot be made.
+    """
+    # flag -> (valid values, invalid values)
     pools = {
-        "ensemble": st.sampled_from(["ginibre", "haar"]),
-        "n": st.integers(0, 6).map(str),
-        "signs": st.sampled_from(["", "x", "+", "-", "+-", "-+", "-+-", "+-+-+-+-+"]),
-        "dims": st.one_of(
-            st.just("a"),
-            st.lists(st.integers(1, 9), min_size=1, max_size=3).map(
-                lambda ds: ",".join(map(str, ds))
+        "ensemble": (st.sampled_from(["ginibre", "haar"]), st.just("bogus")),
+        "n": (st.integers(2, 8).map(str), st.sampled_from(["0", "1", "x"])),
+        "signs": (
+            st.sampled_from(["+-", "-+", "+", "-", "-+-"]),
+            st.sampled_from(["", "x", "+-+-+-+-+"]),
+        ),
+        # valid dims depend on n and signs: see below
+        "dims": (None, st.sampled_from(["a", "0", "1,,2", "9,9,9,9"])),
+        "gamma": (st.sampled_from(["m", "2", "1e-300"]), st.sampled_from(["nan", "-1", "x"])),
+        "replicates": (st.integers(1, 3).map(str), st.sampled_from(["0", "x"])),
+        "mode": (st.sampled_from(["scalar", "matrix", "both"]), st.just("bogus")),
+        "seed": (st.sampled_from(["0", "7"]), st.sampled_from(["-1", "x"])),
+        "workers": (st.sampled_from(["1", "2"]), st.sampled_from(["0", "65", "x"])),
+        "limit": (
+            st.sampled_from(["auto", "degenerate", "ginibre:0.5,1"]),
+            st.sampled_from(
+                ["ginibre:0.5,0", "ginibre:a", "bogus", f"betas:{_MISSING_BETAS}"]
             ),
         ),
-        "gamma": st.sampled_from(["m", "2", "nan", "-1", "1e-300"]),
-        "replicates": st.integers(0, 3).map(str),
-        "mode": st.sampled_from(["scalar", "matrix", "both"]),
-        "workers": st.sampled_from(["0", "1", "2"]),
-        "limit": st.sampled_from(
-            ["auto", "degenerate", "ginibre:0.5,1", "ginibre:0.5,0", "ginibre:a",
-             "bogus", f"betas:{_MISSING_BETAS}"]
+        "out": (
+            st.sampled_from(["out", "out/sub"]), st.just(str(Path(__file__) / "out"))
         ),
+        "preset": (st.sampled_from(list(PRESETS)), st.just("bogus")),
+        "config": (st.just("good.cfg"), st.sampled_from(["bad.cfg", "missing.cfg"])),
     }
-    # argparse parses a lone "--" value to [], so every flag also draws it
-    pools = {name: st.one_of(pool, st.just("--")) for name, pool in pools.items()}
-    argv = ["run"]
-    for name, pool in pools.items():
-        # n and signs are required, so always give them to reach the run
-        if name in ("n", "signs") or draw(st.booleans()):
-            argv.append(f"--{name}={draw(pool)}")
+    argv, values = ["run"], {}
+    for name, (valid, invalid) in pools.items():
+        if name == "dims":
+            # one source dimension per sign, above n, for the haar
+            # ensemble, and now and then given to ginibre or left out
+            n, signs = values.get("n", ""), values.get("signs", "")
+            valid = st.lists(
+                st.integers(int(n) + 1, int(n) + 4) if n.isdigit() else st.integers(2, 12),
+                min_size=max(1, len(signs)), max_size=max(1, len(signs)),
+            ).map(lambda ds: ",".join(map(str, ds)))
+            given = (values.get("ensemble") == "haar") != (draw(st.integers(0, 7)) == 7)
+        else:
+            # n, signs and replicates are always given: the first two to
+            # reach the run, the last to keep it small
+            given = name in ("n", "signs", "replicates") or draw(st.booleans())
+        if given:
+            # argparse parses a lone "--" value to [], so that is drawn too
+            bad = draw(st.integers(0, 7)) == 7
+            values[name] = draw(st.one_of(invalid, st.just("--")) if bad else valid)
+            argv.append(f"--{name}={values[name]}")
     if draw(st.booleans()):
         argv.append("--assert")
+    # now and then an argv that argparse itself rejects
+    if draw(st.integers(0, 19)) == 7:
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(["--bogus=1", "x"])))
     return argv
 
 
-@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(argv=run_argvs())
 def test_cli_contract_on_drawn_run_flags(argv):
-    # coverage of the documented contract: exit 0/2/3/4, never a traceback
+    # the documented contract: exit 0/2/3/4, or argparse's exit 2, and never
+    # a traceback; a RuntimeWarning fails the test (pyproject's filterwarnings)
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in _DRAWN_CONFIGS.items():
+            Path(tmp, name).write_text(text)
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        except SystemExit as exc:
+            # only argparse exits instead of returning
+            assert exc.code == 2 and err.getvalue().startswith("usage:"), argv
+            code = exc.code
+        finally:
+            os.chdir(cwd)
     assert code in (0, 2, 3, 4), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
