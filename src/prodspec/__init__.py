@@ -57,7 +57,6 @@ from .matrix_model import (
     sample_ginibre,
     sample_haar_unitary,
     sample_product_eigenvalues,
-    truncate,
 )
 from .numerics import RngStream
 from .scalar_model import (

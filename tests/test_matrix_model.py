@@ -1,11 +1,15 @@
 """Matrix-product sampling: factor laws, solve accuracy, refusal paths."""
 
+import ctypes
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import kstest
+from test_scalar_model import product_specs
 
 import prodspec.matrix_model as matrix_model
 from prodspec.cli import ExperimentConfig, run_experiment, write_outputs
@@ -22,7 +26,6 @@ from prodspec.matrix_model import (
     sample_ginibre,
     sample_haar_unitary,
     sample_product_eigenvalues,
-    truncate,
 )
 from prodspec.numerics import RngStream
 from prodspec.stats import EmpiricalCdf, fold_angles, ks_two_sample
@@ -42,9 +45,132 @@ def test_ginibre_rejects_bad_dim():
         sample_ginibre(0, RngStream(0))
 
 
-def test_haar_unitary_is_unitary():
+@pytest.fixture(params=["lapack", "fallback"])
+def factoring(request, monkeypatch):
+    """Each Haar factoring path: the bound zgeqrf and ztrsm, or the Q of
+    np.linalg.qr with the binding forced absent."""
+    if request.param == "fallback":
+        monkeypatch.setattr(matrix_model, "_qr_routines", lambda: None)
+    elif matrix_model._qr_routines() is None:
+        pytest.skip("no ILP64 OpenBLAS zgeqrf and ztrsm are loaded")
+    return request.param
+
+
+def q_route_corner(dim, rng, n):
+    """The corner as Q of the reduced QR, phases moved into Q, top n rows."""
+    q, r = np.linalg.qr(sample_ginibre(dim, rng, n))
+    d = np.diagonal(r)
+    return (q * (d / np.abs(d)))[:n]
+
+
+def test_haar_unitary_is_unitary(factoring):
     u = sample_haar_unitary(60, RngStream(12))
+    assert u.shape == (60, 60)
     assert np.allclose(u @ u.conj().T, np.eye(60), atol=1e-12)
+
+
+@pytest.mark.parametrize("dim, n", [(200, 100), (101, 100), (400, 200), (21, 20)])
+def test_corner_agrees_with_the_q_route(factoring, dim, n):
+    # the R-only corner carries QR's backward error through R's inverse, so
+    # it may differ by about eps * cond(G); the bound holds at every size
+    for seed in range(3):
+        corner = sample_haar_unitary(dim, RngStream(seed), n)
+        expect = q_route_corner(dim, RngStream(seed), n)
+        cond = np.linalg.cond(sample_ginibre(dim, RngStream(seed), n))
+        gap = np.abs(corner - expect).max()
+        assert gap <= 1e-13
+        assert gap <= np.finfo(float).eps * cond
+
+
+@pytest.mark.parametrize("n, seeds", [(200, 8), (400, 3)])
+def test_one_row_deep_corner_is_a_contraction_up_to_the_gaussian_condition(factoring, n, seeds):
+    # at d = n + 1 the corner has n - 1 unit singular values, so the error
+    # shows in its norm; 1 + 1e-13 is exceeded on 10 of 200 seeds at n = 200
+    # (at most 2.8e-13) and reached 4.7e-13 over 40 seeds at n = 400, while
+    # the excess stayed below 0.82 * eps * cond(G) on all
+    for seed in range(seeds):
+        t = sample_haar_unitary(n + 1, RngStream(seed), n)
+        cond = np.linalg.cond(sample_ginibre(n + 1, RngStream(seed), n))
+        assert np.linalg.norm(t, 2) <= 1.0 + np.finfo(float).eps * cond
+
+
+@pytest.mark.parametrize("dim, n", [(30, 12), (13, 12), (9, None)])
+def test_corner_draw_uses_the_stream_as_the_q_route_does(factoring, dim, n):
+    rng, reference = RngStream(6), RngStream(6)
+    sample_haar_unitary(dim, rng, n)
+    q_route_corner(dim, reference, dim if n is None else n)
+    assert np.array_equal(rng.standard_normal(5), reference.standard_normal(5))
+
+
+@pytest.mark.parametrize("n", [None, 30])
+def test_whole_unitary_is_the_q_route_byte_for_byte(factoring, n):
+    # Q is the whole answer, unitary to about eps, so it is kept on both paths
+    u = sample_haar_unitary(30, RngStream(8), n)
+    assert u.tobytes() == q_route_corner(30, RngStream(8), 30).tobytes()
+
+
+@pytest.mark.parametrize("dim, n", [(30, 12), (13, 12), (201, 200)])
+def test_fallback_corner_is_the_q_route_byte_for_byte(monkeypatch, dim, n):
+    monkeypatch.setattr(matrix_model, "_qr_routines", lambda: None)
+    corner = sample_haar_unitary(dim, RngStream(4), n)
+    assert corner.shape == (n, n) and corner.flags.c_contiguous
+    assert corner.tobytes() == q_route_corner(dim, RngStream(4), n).tobytes()
+
+
+def test_bound_haar_replicate_calls_no_numpy_factoring(monkeypatch):
+    # numpy's qr holds the interpreter lock while its zgeqrf runs
+    if matrix_model._qr_routines() is None:
+        pytest.skip("no ILP64 OpenBLAS zgeqrf and ztrsm are loaded")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy factoring on the bound path")
+
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    spec = HaarProductSpec(15, SignPattern.parse("+-"), (30, 16))
+    assert len(sample_product_eigenvalues(spec, RngStream(3)).log_moduli) == 15
+
+
+@pytest.mark.parametrize("dim, n", [(400, 200), (200, 100), (21, 20), (5, 1)])
+def test_bound_factoring_solves_with_numpys_r(monkeypatch, dim, n):
+    # zgeqrf gets numpy's workspace, so the R that ztrsm reads is numpy's byte
+    # for byte; past n = 128 a smaller workspace would change zgeqrf's blocking
+    routines = matrix_model._qr_routines()
+    if routines is None:
+        pytest.skip("no ILP64 OpenBLAS zgeqrf and ztrsm are loaded")
+    zgeqrf, ztrsm = routines
+    seen = []
+
+    def recording(*args):
+        # A and LDA, as ztrsm reads them: n columns of lda entries each
+        lda = args[8].value
+        buf = (ctypes.c_double * (2 * lda * n)).from_address(args[7])
+        seen.append(np.triu(np.frombuffer(buf, dtype=complex).reshape(n, lda).T[:n]))
+        ztrsm(*args)
+
+    monkeypatch.setattr(matrix_model, "_qr_routines", lambda: (zgeqrf, recording))
+    sample_haar_unitary(dim, RngStream(2), n)
+    expect = np.linalg.qr(sample_ginibre(dim, RngStream(2), n), mode="r")
+    assert len(seen) == 1 and seen[0].tobytes() == np.ascontiguousarray(expect).tobytes()
+
+
+@pytest.mark.parametrize("failing_call", [1, 2], ids=["query", "factor"])
+def test_corner_raises_when_zgeqrf_reports_a_nonzero_info(monkeypatch, failing_call):
+    routines = matrix_model._qr_routines()
+    if routines is None:
+        pytest.skip("no ILP64 OpenBLAS zgeqrf and ztrsm are loaded")
+    zgeqrf, ztrsm = routines
+    calls = []
+
+    def failing(*args):
+        zgeqrf(*args)
+        calls.append(args)
+        if len(calls) == failing_call:
+            args[7].value = -4  # INFO
+
+    monkeypatch.setattr(matrix_model, "_qr_routines", lambda: (failing, ztrsm))
+    with pytest.raises(np.linalg.LinAlgError, match="zgeqrf"):
+        sample_haar_unitary(6, RngStream(0), 3)
+    assert len(calls) == failing_call
 
 
 def test_haar_unitary_eigen_angles_uniform():
@@ -58,16 +184,17 @@ def test_haar_unitary_eigen_angles_uniform():
     assert stat < 1.63 / math.sqrt(pooled.size)
 
 
-def test_haar_unitary_reproducible():
-    a = sample_haar_unitary(20, RngStream(3).substream(5))
-    b = sample_haar_unitary(20, RngStream(3).substream(5))
-    assert np.array_equal(a, b)
+@pytest.mark.parametrize("n", [None, 7])
+def test_haar_unitary_reproducible(factoring, n):
+    a = sample_haar_unitary(20, RngStream(3).substream(5), n)
+    b = sample_haar_unitary(20, RngStream(3).substream(5), n)
+    assert a.tobytes() == b.tobytes()
 
 
-def test_thin_haar_draw_has_orthonormal_columns():
-    q = sample_haar_unitary(60, RngStream(12), 25)
-    assert q.shape == (60, 25)
-    assert np.allclose(q.conj().T @ q, np.eye(25), atol=1e-12)
+def test_haar_corner_is_an_n_by_n_contraction():
+    t = sample_haar_unitary(60, RngStream(12), 25)
+    assert t.shape == (25, 25)
+    assert np.linalg.norm(t, 2) < 1.0
 
 
 def test_thin_haar_draw_with_all_columns_is_the_square_draw():
@@ -81,23 +208,21 @@ def test_thin_haar_draw_with_all_columns_is_the_square_draw():
 def test_thin_draws_reject_bad_column_counts():
     with pytest.raises(ValueError, match="cols"):
         sample_ginibre(5, RngStream(0), 0)
-    with pytest.raises(ValueError, match="cols"):
-        sample_haar_unitary(5, RngStream(0), 6)
 
 
-def test_truncate_corner_and_bounds():
-    u = np.arange(16.0).reshape(4, 4)
-    assert np.array_equal(truncate(u, 2), [[0.0, 1.0], [4.0, 5.0]])
-    with pytest.raises(ValueError, match="n:"):
-        truncate(u, 5)
-    with pytest.raises(ValueError, match="n:"):
-        truncate(u, 0)
+@pytest.mark.parametrize("n", [0, -1, 6])
+def test_corner_size_must_lie_in_one_to_dim(n):
+    with pytest.raises(ValueError, match=r"n: must lie in 1\.\.5"):
+        sample_haar_unitary(5, RngStream(0), n)
 
 
 def test_truncated_haar_is_contraction():
-    # strictly inside the unit ball once at least n rows are removed
-    for cols in (None, 25):
-        t = truncate(sample_haar_unitary(60, RngStream(14), cols), 25)
+    # strictly inside the unit ball once at least n rows are removed; the
+    # corner drawn alone and the corner of the whole unitary
+    for t in (
+        sample_haar_unitary(60, RngStream(14), 25),
+        sample_haar_unitary(60, RngStream(14))[:25, :25],
+    ):
         s = np.linalg.svd(t, compute_uv=False)
         assert np.all(s < 1.0)
         assert np.all(s > 0.0)
@@ -105,8 +230,10 @@ def test_truncated_haar_is_contraction():
 
 def test_shallow_truncation_pins_singular_values_at_one():
     # removing d - n < n rows leaves 2n - d exact unit singular values
-    for cols in (None, 25):
-        t = truncate(sample_haar_unitary(40, RngStream(14), cols), 25)
+    for t in (
+        sample_haar_unitary(40, RngStream(14), 25),
+        sample_haar_unitary(40, RngStream(14))[:25, :25],
+    ):
         s = np.linalg.svd(t, compute_uv=False)
         assert np.sum(np.abs(s - 1.0) < 1e-12) == 10
         assert np.all(s <= 1.0 + 1e-12)
@@ -246,6 +373,41 @@ def test_log_determinant_consistency():
         s * np.linalg.slogdet(a)[1] for a, s in zip(factors, signs)
     )
     assert np.sum(sample.log_moduli) == pytest.approx(expect, abs=1e-8 * 40)
+
+
+def draw_factors(spec, seed):
+    """The factors sample_product_eigenvalues draws for spec from RngStream(seed)."""
+    rng = RngStream(seed)
+    if spec.dims is None:
+        return [sample_ginibre(spec.n, rng) for _ in range(spec.m)]
+    return [sample_haar_unitary(d, rng, spec.n) for d in spec.dims]
+
+
+# Largest gap in the sorted log-moduli between two orderings of one
+# product. Over 300 drawn specs like those below the largest seen was
+# 1.5e-11, at n = 38 with four Gaussian factors.
+IDENTITY_TOLERANCE = 1e-9
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(spec=product_specs(max_n=40), seed=st.integers(0, 2**32 - 1))
+def test_reversed_product_with_flipped_signs_has_reciprocal_eigenvalues(spec, seed):
+    factors, signs = draw_factors(spec, seed), list(spec.signs)
+    forward = product_eigenvalues(factors, signs)
+    inverse = product_eigenvalues(factors[::-1], [-s for s in reversed(signs)])
+    assert np.abs(
+        np.sort(forward.log_moduli) - np.sort(-inverse.log_moduli)
+    ).max() <= IDENTITY_TOLERANCE
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(spec=product_specs(max_n=40), seed=st.integers(0, 2**32 - 1))
+def test_cyclic_rotation_of_the_factors_keeps_the_log_moduli(spec, seed):
+    factors, signs = draw_factors(spec, seed), list(spec.signs)
+    expect = np.sort(product_eigenvalues(factors, signs).log_moduli)
+    for k in range(1, spec.m):
+        rotated = product_eigenvalues(factors[k:] + factors[:k], signs[k:] + signs[:k])
+        assert np.abs(np.sort(rotated.log_moduli) - expect).max() <= IDENTITY_TOLERANCE
 
 
 def test_angles_live_in_the_half_open_period():
