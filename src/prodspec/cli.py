@@ -295,8 +295,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             continue
         t0 = time.perf_counter()
         if path == "scalar":
-            # sample_radial_spectrum draws on threads of its own, into a new
-            # (R, n) array that nothing else holds, so the ECDF is built in it
+            # sample_radial_spectrum draws through map_tasks into a new (R, n)
+            # array that nothing else holds, so the ECDF is rescaled and
+            # sorted in it, in segments through map_tasks when it is large
             ecdf = _ecdf_in_place(
                 sample_radial_spectrum(spec, root.substream(0), cfg.replicates), plan
             )

@@ -1,8 +1,9 @@
 """Seeded random streams with checked gamma and beta draws, and map_tasks,
-the thread pool that runs the scalar chunks and the matrix replicates.
+the thread pool that runs the scalar chunks, the matrix replicates and the
+ECDF's segments on at most one thread per usable CPU (usable_cpus).
 
-Each of those tasks owns its streams' keys, so it draws the same values
-on whichever thread runs it.
+Each draw task owns its streams' keys, so it draws the same values on
+whichever thread runs it; each ECDF segment is a slice of its own.
 """
 
 from __future__ import annotations
@@ -16,22 +17,25 @@ import numpy as np
 import numpy.random
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: the affinity mask's, or
+    os.cpu_count() where that cannot be read, or 1 where neither is known.
+    A cgroup's CPU quota is not seen."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def map_tasks(task, count: int) -> list:
     """[task(i) for i in range(count)], computed on a pool of threads.
 
-    The pool has one thread per task, at most the CPUs this process may
-    run on, and at least one: threads beyond the CPUs add no speed. The
-    CPUs are the affinity mask's, or os.cpu_count() where that cannot be
-    read; a cgroup's CPU quota is not seen. Every task is submitted at
+    The pool has one thread per task, at most usable_cpus(), and at least
+    one: threads beyond the CPUs add no speed. Every task is submitted at
     once and the results come back in index order. The first failed task's
     error, in index order, is raised once the started tasks have ended;
     the tasks not started by then are cancelled.
     """
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    with ThreadPoolExecutor(max_workers=max(1, min(count, cpus))) as pool:
+    with ThreadPoolExecutor(max_workers=max(1, min(count, usable_cpus()))) as pool:
         return list(pool.map(task, range(count)))
 
 
@@ -62,7 +66,10 @@ class RngStream:
         return RngStream(self.seed, self.path + tuple(indices))
 
     def gamma(self, shape, size=None):
-        return self._gen.gamma(*_positive("gamma", shape), size=size)
+        """Gamma(shape) draws of unit scale. numpy's gamma is scale times
+        standard_gamma, so these are its bytes at scale 1.0, without
+        broadcasting a scale that changes nothing."""
+        return self._gen.standard_gamma(*_positive("gamma", shape), size=size)
 
     def beta(self, a, b, size=None):
         return self._gen.beta(*_positive("beta", a, b), size=size)

@@ -14,9 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ScalingPlan
+from .numerics import map_tasks, usable_cpus
 
 TWO_PI = 2.0 * np.pi
 
+# _ecdf_in_place works one segment per usable CPU, each of at least this
+# many values: a pool costs more than sorting fewer (two segments lost to
+# one sort at 131k values and broke even near 400k)
+_SEGMENT = 1 << 18
 # ks_one_sample first reads the reference at this many evenly spaced sorted
 # indices, so a sample of at most this size is read whole: below about 10k
 # points the split's rounds cost more than reading even the closed Haar
@@ -82,15 +87,35 @@ def _ecdf_in_place(log_moduli: np.ndarray, plan: ScalingPlan) -> EmpiricalCdf:
     """The ECDF of a new float array's rescaled entries, built in the array.
 
     The array is rescaled and sorted where it lies, not copied, so it must
-    be the caller's own and not be read as log-moduli again.
+    be the caller's own and not be read as log-moduli again. It is worked
+    in s = min(usable CPUs, len // _SEGMENT) contiguous segments, at least
+    one, on numerics.map_tasks. Each segment is rescaled and returns its
+    min and max, and their combined range is checked before anything is
+    reordered. A partition at the s - 1 interior cuts then leaves in each
+    segment the values of its sorted ranks, and each segment is sorted.
+    Positive finite doubles that compare equal have equal bytes, so the
+    result is np.sort's however many segments there are. One segment is
+    worked on the calling thread.
     """
     values = log_moduli.reshape(-1)
     if len(values) == 0:
         raise ValueError("values: need a nonempty 1-d sample")
-    with np.errstate(over="ignore", under="ignore"):
-        _rescale_in_place(values, plan)
-    # the reductions pass a NaN on; they hold no temporary of the sample's size
-    lo, hi = values.min(), values.max()
+    count = max(1, min(usable_cpus(), len(values) // _SEGMENT))
+    cuts = [len(values) * s // count for s in range(count + 1)]
+    segments = [values[a:b] for a, b in zip(cuts, cuts[1:])]
+
+    def each(task):
+        return map_tasks(task, count) if count > 1 else [task(0)]
+
+    def rescale(s):
+        # the error state is the thread's own, so each task sets it
+        with np.errstate(over="ignore", under="ignore"):
+            _rescale_in_place(segments[s], plan)
+        # the reductions pass a NaN on; they hold no temporary of the segment's size
+        return segments[s].min(), segments[s].max()
+
+    extremes = np.array(each(rescale))
+    lo, hi = extremes.min(), extremes.max()
     if np.isnan(lo):
         raise ValueError("values: sample contains non-finite entries")
     # a modulus rounded to 0 or inf has lost its order against the others
@@ -99,7 +124,9 @@ def _ecdf_in_place(log_moduli: np.ndarray, plan: ScalingPlan) -> EmpiricalCdf:
             f"gamma: rescaled moduli leave the floating-point range at "
             f"gamma_n={plan.gamma_n!r}; a larger gamma is needed"
         )
-    values.sort()
+    if count > 1:
+        values.partition(cuts[1:-1])
+    each(lambda s: segments[s].sort())
     ecdf = EmpiricalCdf.__new__(EmpiricalCdf)
     object.__setattr__(ecdf, "values", values)
     return ecdf

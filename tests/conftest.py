@@ -1,9 +1,12 @@
-"""Shared fixtures: the acceptance-criteria verdict log.
+"""Shared fixtures: the acceptance-criteria verdict log, and usable_cpus.
 
 Criterion tests record one line each; the terminal summary replays them
 so every pass/fail verdict is visible in ordinary pytest output, where
 per-test capture would otherwise swallow prints from passing tests.
 """
+
+import os
+from unittest import mock
 
 import pytest
 
@@ -20,6 +23,12 @@ def verdict(request):
         assert ok, line
 
     return log
+
+
+def usable_cpus(count):
+    """os.sched_getaffinity patched to report count CPUs, which bound the
+    threads of numerics.map_tasks and the segments of the ECDF sort."""
+    return mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(count)), create=True)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -14,16 +14,17 @@ import time
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import usable_cpus
 
 import prodspec.cli as cli
 import prodspec.matrix_model as matrix_model
 import prodspec.scalar_model as scalar_model
+import prodspec.stats as stats
 from prodspec.cli import (
     DEGENERATE_THRESHOLD,
     PRESETS,
@@ -324,16 +325,13 @@ def test_record_keys_for_each_law(tmp_path, kw, kind, limit_keys):
     assert rec["dims"] == ("24,24" if "dims" in kw else "") and rec["preset"] == ""
 
 
-def usable_cpus(count):
-    """os.sched_getaffinity patched to report count CPUs, which bound map_tasks' threads."""
-    return mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(count)), create=True)
-
-
 def test_run_experiment_deterministic_across_workers(monkeypatch):
     # one thread per path against up to four: the 20 scalar replicates of
-    # n = 12 come in four chunks of 5 rows here, and --workers, which sizes
+    # n = 12 come in four chunks of 5 rows here, each path's 240 values are
+    # sorted in one segment against three, and --workers, which sizes
     # nothing, is varied alongside
     monkeypatch.setattr(scalar_model, "_CHUNK", 60)
+    monkeypatch.setattr(stats, "_SEGMENT", 64)
     with usable_cpus(1):
         a = run_experiment(small_cfg(mode="both"))
     with usable_cpus(4):
@@ -709,8 +707,10 @@ def test_run_experiment_degenerate_skips_ks():
 def test_write_outputs_and_byte_determinism(tmp_path, monkeypatch):
     out1, out2 = tmp_path / "c1", tmp_path / "c4"
     # as in test_run_experiment_deterministic_across_workers: one thread per
-    # path against up to four, over four scalar chunks, --workers varied too
+    # path against up to four, over four scalar chunks and one ECDF segment
+    # against three, --workers varied too
     monkeypatch.setattr(scalar_model, "_CHUNK", 60)
+    monkeypatch.setattr(stats, "_SEGMENT", 64)
     with usable_cpus(1):
         write_outputs(run_experiment(small_cfg(mode="both")), out1)
     with usable_cpus(4):

@@ -90,6 +90,20 @@ def test_stream_independence_is_statistical():
     assert abs(np.corrcoef(x, y)[0, 1]) < 0.03
 
 
+@pytest.mark.parametrize("size", [None, (327, 200)])
+@pytest.mark.parametrize("shape", [0.3, 1.0, 6.0, "j"])
+def test_gamma_draws_are_numpys_gamma_bytes(shape, size):
+    # standard_gamma is numpy's gamma at scale 1.0, draw for draw; "j" is
+    # the 1..200 shape array of a Gaussian factor's surrogates
+    if shape == "j":
+        shape = np.arange(1, 201, dtype=float)
+    drawn = RngStream(11, path=(0, 2, 5)).gamma(shape, size=size)
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(11, spawn_key=(0, 2, 5))))
+    expect = gen.gamma(shape, size=size)
+    assert type(drawn) is type(expect) and np.shape(drawn) == np.shape(expect)
+    assert np.asarray(drawn).tobytes() == np.asarray(expect).tobytes()
+
+
 def test_gamma_sampler_moments():
     rng = RngStream(3)
     n = 200_000
@@ -147,12 +161,13 @@ def test_map_tasks_threads_follow_the_tasks_and_the_usable_cpus(monkeypatch):
 
     monkeypatch.setattr(numerics, "ThreadPoolExecutor", Recording)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(5)), raising=False)
+    assert numerics.usable_cpus() == 5
     assert [threads(count) for count in (1, 4, 5, 8)] == [1, 4, 5, 5]
     # no task still gets a pool of one thread
     assert threads(0) == 1
     # without an affinity call the CPU count stands in, or 1 when it is unknown
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert threads(8) == 3
+    assert (numerics.usable_cpus(), threads(8)) == (3, 3)
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert threads(8) == 1
+    assert (numerics.usable_cpus(), threads(8)) == (1, 1)

@@ -2,7 +2,6 @@
 
 import contextlib
 import math
-import os
 import sys
 import threading
 import tracemalloc
@@ -14,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 from scipy.special import digamma, polygamma
+from conftest import usable_cpus
 
 from prodspec import scalar_model
 from prodspec.config import GinibreProductSpec, HaarProductSpec, ProductSpec, SignPattern
@@ -285,10 +285,6 @@ def test_spectrum_rows_do_not_depend_on_the_count(spec, count, extra, seed):
     assert fewer.shape == (count, spec.n) and more.shape == (count + extra, spec.n)
     assert fewer.tobytes() == more[:count].tobytes()
     assert sample_radial_spectrum(spec, rng).tobytes() == fewer[0].tobytes()
-
-
-def usable_cpus(count):
-    return mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(count)), create=True)
 
 
 def draw_per_chunk_and_factor(spec, rng, count, rows):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 from scipy import stats as sps
+from conftest import usable_cpus
 
 from prodspec import stats
 from prodspec.cli import (
@@ -22,7 +23,7 @@ from prodspec.cli import (
 )
 from prodspec.config import ScalingPlan
 from prodspec.limit_laws import GinibreLimit, HaarLimit, haar_limit_from_spec
-from prodspec.numerics import RngStream
+from prodspec.numerics import RngStream, map_tasks
 from prodspec.stats import (
     TWO_PI,
     EmpiricalCdf,
@@ -102,15 +103,60 @@ def test_build_ecdf_leaves_the_callers_arrays():
         (2000.0, OverflowError, "gamma: rescaled moduli leave the floating-point range"),
     ],
 )
-def test_build_ecdf_names_a_single_fault_anywhere_in_the_sample(bad, error, needle):
+def test_build_ecdf_names_a_single_fault_anywhere_in_the_sample(bad, error, needle, monkeypatch):
     # the range check reads the sample's min and max: a fault at either end
-    # or in the middle keeps its error
+    # or in the middle keeps its error. Three CPUs cut the 10 values into
+    # segments [0, 3), [3, 6) and [6, 10), so the fault lands in the first,
+    # a middle and the last, whose ranges are combined before the check
+    monkeypatch.setattr(stats, "_SEGMENT", 3)
     plan = ScalingPlan(gamma_n=1.0, log_scale=0.0)
-    for at in (0, 5, 9):
-        values = np.linspace(-1.0, 1.0, 10)
-        values[at] = bad
-        with pytest.raises(error, match=needle):
-            build_ecdf([values], plan)
+    for cpus in (1, 3):
+        for at in (0, 5, 9):
+            values = np.linspace(-1.0, 1.0, 10)
+            values[at] = bad
+            with usable_cpus(cpus), pytest.raises(error, match=needle):
+                build_ecdf([values], plan)
+
+
+def test_ecdf_in_place_rejects_an_empty_sample():
+    with pytest.raises(ValueError, match="values: need a nonempty"):
+        stats._ecdf_in_place(np.empty(0), ScalingPlan(gamma_n=1.0, log_scale=0.0))
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+def test_segmented_ecdf_is_np_sort_byte_for_byte(cpus, monkeypatch):
+    # segments of at least 64 values, one per CPU, mostly at lengths the
+    # segment count does not divide; values rounded to 3 and to 1 decimals
+    # put cuts inside runs of equal values
+    monkeypatch.setattr(stats, "_SEGMENT", 64)
+    pools = []
+
+    def recording(task, count):
+        pools.append(count)
+        return map_tasks(task, count)
+
+    monkeypatch.setattr(stats, "map_tasks", recording)
+    plan = ScalingPlan(gamma_n=2.0, log_scale=0.3)
+    rng = RngStream(40)
+    tied_cut = False
+    for length in (1, 63, 129, 255, 1001, 4099):
+        segments = max(1, min(cpus, length // 64))
+        cuts = [length * s // segments for s in range(1, segments)]
+        for decimals in (None, 3, 1):
+            lm = rng.standard_normal(length)
+            if decimals is not None:
+                lm = np.round(lm, decimals)
+            expect = np.sort(rescale_moduli(lm, plan))
+            tied_cut |= any(expect[c - 1] == expect[c] for c in cuts)
+            pools.clear()
+            with usable_cpus(cpus):
+                ecdf = stats._ecdf_in_place(lm, plan)
+            assert ecdf.values.tobytes() == expect.tobytes()
+            # sorted where it lies, not copied
+            assert np.shares_memory(ecdf.values, lm)
+            # rescaled and sorted on the pool, or on the calling thread alone
+            assert pools == ([segments, segments] if segments > 1 else [])
+    assert tied_cut == (cpus > 1)
 
 
 def test_build_ecdf_pools_and_commutes():
