@@ -59,7 +59,7 @@ DEGENERATE_THRESHOLD = 0.05
 MASS_WINDOW = (0.9, 1.1)
 MASS_THRESHOLD = 0.95
 
-# --workers sizes no pool: the threads follow the usable CPUs. Its range is
+# --workers sizes nothing: the threads follow the usable CPUs. Its range is
 # kept so that the values it accepts and the exit codes stay the same
 MAX_WORKERS = 64
 
@@ -302,9 +302,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                 sample_radial_spectrum(spec, root.substream(0), cfg.replicates), plan
             )
         else:
-            # each replicate draws, inverts and solves on one pool thread; the
-            # solve runs off the interpreter lock (matrix_model._eigvals) and
-            # BLAS runs one thread throughout, so no output depends on either.
+            # each replicate draws, inverts and solves on one thread, the
+            # calling one or one that map_tasks started; the solve runs off
+            # the interpreter lock (matrix_model._eigvals) and BLAS runs one
+            # thread throughout, so no output depends on either.
             # Importing prodspec set OPENBLAS_NUM_THREADS to 1 where it was
             # unset, so no idle OpenBLAS worker spins beside these threads;
             # where numpy was loaded first, or the variable was set, the pin
@@ -347,11 +348,15 @@ def _quantile_grid(values: np.ndarray, points: int = 1001) -> np.ndarray:
 
 
 def _write_cdf_csv(path: Path, header: str, ecdf: EmpiricalCdf, reference) -> None:
-    """One row per quantile-grid point: the point, the ECDF, reference(grid)."""
+    """One row per quantile-grid point: the point, the ECDF, reference(grid).
+
+    Each value is the repr of its Python float, taken a column at a time
+    from tolist(), which gives the same floats as converting each value.
+    """
     grid = _quantile_grid(ecdf.values)
-    rows = zip(grid, ecdf.evaluate(grid), np.asarray(reference(grid), dtype=float))
-    lines = [header] + [",".join(repr(float(v)) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    columns = (grid, ecdf.evaluate(grid), np.asarray(reference(grid), dtype=float))
+    rows = map(",".join, zip(*(map(repr, c.tolist()) for c in columns)))
+    path.write_text("\n".join([header, *rows]) + "\n")
 
 
 def write_outputs(report: ExperimentReport, out_dir) -> None:
@@ -485,8 +490,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--mode", help="scalar | matrix | both")
     run.add_argument("--seed")
     run.add_argument("--workers", help=f"1..{MAX_WORKERS}, recorded in report.json; it sizes"
-                     " nothing: scalar chunks and matrix replicates run on up to one thread"
-                     " each, at most the usable CPUs")
+                     " nothing: scalar chunks and matrix replicates run on at most one"
+                     " thread per usable CPU, the calling thread among them")
     run.add_argument("--limit", help="auto | degenerate | ginibre:a,b | betas:PATH")
     run.add_argument("--out", help="directory for cdf.csv, angles.csv, report.json")
     run.add_argument("--preset", help="named scenario (see 'prodspec presets')")

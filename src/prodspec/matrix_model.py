@@ -39,7 +39,8 @@ eps * cond(G). cond(G) grows as d approaches n: the error stays below
 n = 200 and 4.7e-13 at n = 400, where Q's rows stay within 1e-15.
 
 Replicates are parallelised by threads that each run whole replicates
-(cli runs them through numerics.map_tasks), not by BLAS:
+(cli runs them through numerics.map_tasks, on the calling thread and up
+to one started thread per further usable CPU), not by BLAS:
 product_eigenvalues and sample_product_eigenvalues run inside
 _one_blas_thread, where every loaded OpenBLAS runs one thread, so their
 outputs do not depend on the BLAS thread setting. Importing prodspec sets

@@ -1,6 +1,7 @@
 """Seeded random streams with checked gamma and beta draws, and map_tasks,
-the thread pool that runs the scalar chunks, the matrix replicates and the
-ECDF's segments on at most one thread per usable CPU (usable_cpus).
+which runs the scalar chunks, the matrix replicates and the ECDF's
+segments on at most one thread per usable CPU (usable_cpus), the calling
+thread being one of them.
 
 Each draw task owns its streams' keys, so it draws the same values on
 whichever thread runs it; each ECDF segment is a slice of its own.
@@ -9,7 +10,7 @@ whichever thread runs it; each ECDF segment is a slice of its own.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 
 import numpy as np
 # numpy loads its random module on first use; loading it here keeps that
@@ -27,16 +28,55 @@ def usable_cpus() -> int:
 
 
 def map_tasks(task, count: int) -> list:
-    """[task(i) for i in range(count)], computed on a pool of threads.
+    """[task(i) for i in range(count)], computed on k = min(count,
+    usable_cpus()) threads, at least one: threads beyond the CPUs add no
+    speed.
 
-    The pool has one thread per task, at most usable_cpus(), and at least
-    one: threads beyond the CPUs add no speed. Every task is submitted at
-    once and the results come back in index order. The first failed task's
-    error, in index order, is raised once the started tasks have ended;
-    the tasks not started by then are cancelled.
+    The calling thread is one of the k; the other k - 1 are started here,
+    so one task or one usable CPU starts none. Each thread takes the next
+    index in increasing order until none is left. Once a task has failed
+    no thread takes a new index, and when every thread has ended the
+    error of the lowest failed index is raised. An exception on the
+    calling thread outside a task, such as a KeyboardInterrupt, also
+    stops new tasks, and the started ones end before it propagates.
     """
-    with ThreadPoolExecutor(max_workers=max(1, min(count, usable_cpus()))) as pool:
-        return list(pool.map(task, range(count)))
+    results = [None] * count
+    failures = []
+    lock = threading.Lock()
+    indices = iter(range(count))
+
+    def run():
+        while True:
+            with lock:
+                i = next(indices, None) if not failures else None
+            if i is None:
+                return
+            try:
+                results[i] = task(i)
+            except BaseException as exc:
+                with lock:
+                    failures.append((i, exc))
+
+    threads = []
+    try:
+        for _ in range(min(count, usable_cpus()) - 1):
+            thread = threading.Thread(target=run)
+            thread.start()
+            threads.append(thread)
+        run()
+        for thread in threads:
+            thread.join()
+    except BaseException:
+        # the calling thread is leaving on an exception of its own: no
+        # index is taken from here on, and the started tasks end first
+        with lock:
+            indices = iter(())
+        for thread in threads:
+            thread.join()
+        raise
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return results
 
 
 def _positive(name: str, *args):

@@ -122,8 +122,8 @@ def sample_radial_spectrum(
     rows are the same whatever count is. map_tasks fills the chunks, each
     summing its terms in factor order straight into its rows; the bytes
     do not depend on how many threads run them. The first failed chunk's
-    error, in chunk order, is raised here: the chunks not started by then
-    are cancelled, and the started ones end.
+    error, in chunk order, is raised here: no chunk starts after a failure,
+    and the started ones end first.
     """
     out = np.empty((1 if count is None else count, spec.n))
     j = np.arange(1, spec.n + 1, dtype=float)

@@ -19,9 +19,10 @@ from .numerics import map_tasks, usable_cpus
 TWO_PI = 2.0 * np.pi
 
 # _ecdf_in_place works one segment per usable CPU, each of at least this
-# many values: a pool costs more than sorting fewer (two segments lost to
-# one sort at 131k values and broke even near 400k)
-_SEGMENT = 1 << 18
+# many values: below it a started thread costs more than it saves (on two
+# CPUs, two segments broke even with one sort at 131k-160k values and took
+# 12% less time at 262k, 20% less at 400k)
+_SEGMENT = 1 << 17
 # ks_one_sample first reads the reference at this many evenly spaced sorted
 # indices, so a sample of at most this size is read whole: below about 10k
 # points the split's rounds cost more than reading even the closed Haar
@@ -104,9 +105,6 @@ def _ecdf_in_place(log_moduli: np.ndarray, plan: ScalingPlan) -> EmpiricalCdf:
     cuts = [len(values) * s // count for s in range(count + 1)]
     segments = [values[a:b] for a, b in zip(cuts, cuts[1:])]
 
-    def each(task):
-        return map_tasks(task, count) if count > 1 else [task(0)]
-
     def rescale(s):
         # the error state is the thread's own, so each task sets it
         with np.errstate(over="ignore", under="ignore"):
@@ -114,7 +112,7 @@ def _ecdf_in_place(log_moduli: np.ndarray, plan: ScalingPlan) -> EmpiricalCdf:
         # the reductions pass a NaN on; they hold no temporary of the segment's size
         return segments[s].min(), segments[s].max()
 
-    extremes = np.array(each(rescale))
+    extremes = np.array(map_tasks(rescale, count))
     lo, hi = extremes.min(), extremes.max()
     if np.isnan(lo):
         raise ValueError("values: sample contains non-finite entries")
@@ -126,7 +124,7 @@ def _ecdf_in_place(log_moduli: np.ndarray, plan: ScalingPlan) -> EmpiricalCdf:
         )
     if count > 1:
         values.partition(cuts[1:-1])
-    each(lambda s: segments[s].sort())
+    map_tasks(lambda s: segments[s].sort(), count)
     ecdf = EmpiricalCdf.__new__(EmpiricalCdf)
     object.__setattr__(ecdf, "values", values)
     return ecdf

@@ -29,6 +29,7 @@ from prodspec.cli import (
     DEGENERATE_THRESHOLD,
     PRESETS,
     ConfigError,
+    EmpiricalCdf,
     ExperimentConfig,
     _build_parser,
     apply_preset,
@@ -396,7 +397,7 @@ def test_scalar_chunks_and_matrix_replicates_run_as_tasks_on_pool_threads(monkey
             seen["peak"] = max(seen["peak"], seen["running"])
             seen["threads"] = max(seen["threads"], threading.active_count())
         try:
-            # long enough for every pool thread to take a replicate
+            # long enough for every thread to take a replicate
             time.sleep(0.005)
             return sample(spec, rng)
         finally:
@@ -415,15 +416,18 @@ def test_scalar_chunks_and_matrix_replicates_run_as_tasks_on_pool_threads(monkey
         run_experiment(small_cfg(mode="both", workers=1, **kw))
         # the 20 scalar replicates are drawn in one call on this thread
         assert seen["radial"] == [caller]
-        # matrix replicate r is drawn from key (1, r) once, on a pool thread,
-        # and solved on the thread that drew it
+        # matrix replicate r is drawn from key (1, r) once, on one of the
+        # map_tasks threads, and solved on the thread that drew it
         assert sorted(path for path, _ in seen["replicates"]) == [(1, r) for r in range(20)]
         assert sorted(seen["solves"]) == sorted(seen["replicates"])
+        # the calling thread is one of them: it runs replicates beside the
+        # threads started for the stage, at most cpus - 1 of them
         threads = {t for _, t in seen["replicates"]}
-        assert caller not in threads and len(threads) <= cpus
+        assert caller in threads and len(threads - {caller}) <= cpus - 1
         # at most min(replicates, usable CPUs) threads run, whatever --workers is
         assert 1 <= seen["peak"] <= cpus
-        assert seen["threads"] <= before + cpus
+        assert seen["threads"] <= before + cpus - 1
+        assert threading.active_count() == before
         return seen["factors"]
 
     monkeypatch.setattr(cli, "sample_radial_spectrum", radial)
@@ -436,17 +440,17 @@ def test_scalar_chunks_and_matrix_replicates_run_as_tasks_on_pool_threads(monkey
 
         monkeypatch.setattr(RngStream, name, drawing)
     # the 20 scalar replicates of n = 12 come in two chunks of 10 rows,
-    # which get a thread each on a machine with 4 usable CPUs
+    # which two threads share on a machine with 4 usable CPUs: the calling
+    # thread and one started thread
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
     monkeypatch.setattr(scalar_model, "_CHUNK", 120)
     factors = run(4)
-    assert len(factors) == 2 * 2 and caller not in factors
-    # with one usable CPU the 2 x 2 scalar draws, and every matrix replicate,
-    # run on one pool thread
+    assert len(factors) == 2 * 2 and len(set(factors) - {caller}) <= 1
+    # with one usable CPU no thread is started: the 2 x 2 scalar draws, and
+    # every matrix replicate, run on the calling thread
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     factors = run(1)
-    assert len(factors) == 2 * 2 and len(set(factors)) == 1
-    assert caller not in factors
+    assert len(factors) == 2 * 2 and set(factors) == {caller}
 
 
 def test_scalar_run_draws_key_0_in_one_array_and_extends_as_a_prefix(monkeypatch):
@@ -729,6 +733,40 @@ def test_write_outputs_and_byte_determinism(tmp_path, monkeypatch):
     }
     assert drop(rec1) == drop(rec2)
     assert rec1["version"] and rec1["limit_kind"] == "ginibre"
+
+
+def test_cdf_csv_rows_are_the_repr_of_each_value(tmp_path):
+    # the file is the per-value formula's, byte for byte: moduli spread over
+    # many magnitudes, ties, the extreme doubles, and a reference of other
+    # values than the grid's
+    rng = RngStream(5)
+    values = np.concatenate([
+        np.exp(8.0 * rng.standard_normal(3000)),
+        np.round(rng.uniform(0.0, 2.0, 2000), 2),
+        [5e-324, 2.2250738585072014e-308, 1.0, 1e16, 1.7976931348623157e308],
+    ])
+    ecdf = EmpiricalCdf(values=values)
+    for reference in (lambda y: y / (1.0 + y), lambda y: np.minimum(y, 1.0) / 3.0):
+        cli._write_cdf_csv(tmp_path / "cdf.csv", "y,empirical,limit", ecdf, reference)
+        grid = cli._quantile_grid(ecdf.values)
+        rows = zip(grid, ecdf.evaluate(grid), np.asarray(reference(grid), dtype=float))
+        lines = ["y,empirical,limit"] + [",".join(repr(float(v)) for v in row) for row in rows]
+        assert (tmp_path / "cdf.csv").read_text() == "\n".join(lines) + "\n"
+        assert len(lines) == 1 + len(grid) > 700
+
+
+def test_importing_the_cli_loads_no_thread_pool_logging_or_scipy():
+    # a fresh interpreter, so that nothing this test process loaded counts
+    code = (
+        "import sys, prodspec.cli; print([m for m in ('concurrent.futures', 'logging',"
+        " 'scipy') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -1040,8 +1078,8 @@ def test_cli_value_error_while_sampling_is_exit_2(monkeypatch, capsys):
 # a child runs the CLI on 2000 one-row chunks of three factors and 4
 # usable CPUs, with RngStream.gamma refusing each draw for which the
 # lambda in argv[1], given the stream's path and its call count, holds;
-# it prints what it saw: the draws per stream, whether the calling thread
-# drew, and the threads alive before and after the run. Each draw it lets
+# it prints what it saw: the draws per stream, how many threads other than
+# the calling one drew, and the threads alive before and after the run. Each draw it lets
 # through first sleeps for 1 ms, with the interpreter lock released, so the
 # calling thread takes a refusal's error without waiting for the lock
 _REFUSED_DRAW_CHILD = """
@@ -1072,7 +1110,7 @@ print(json.dumps({
     "code": code,
     "calls": [[path, count] for path, count in calls.items()],
     "drew": len(drawers),
-    "caller_drew": threading.get_ident() in drawers,
+    "other_drawers": len(set(drawers) - {threading.get_ident()}),
     "threads": [before, threading.active_count()],
 }))
 """
@@ -1083,7 +1121,7 @@ def run_with_refused_draws(refuse):
     it printed, with calls as a dict keyed by path, and its stderr.
 
     A run that hangs fails here as TimeoutExpired; in this process it would
-    stall pytest at exit, where concurrent.futures joins its threads.
+    stall pytest, since map_tasks joins its threads before it returns.
     """
     proc = subprocess.run(
         [sys.executable, "-c", _REFUSED_DRAW_CHILD, refuse], env=_child_env(),
@@ -1100,7 +1138,9 @@ def test_cli_value_error_on_a_pool_thread_is_exit_2_and_ends_the_pool():
     seen, err = run_with_refused_draws("lambda path, call: True")
     assert seen["code"] == 2
     assert err == "error: synthetic refusal\n"
-    assert seen["drew"] and not seen["caller_drew"]
+    # at most min(chunks, usable CPUs) = 4 threads drew, the calling one
+    # among them, so at most 3 others
+    assert seen["drew"] and seen["other_drawers"] <= 3
     before, after = seen["threads"]
     assert after == before
 

@@ -2,7 +2,9 @@
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from scipy import special
 from prodspec import numerics
 from prodspec.numerics import RngStream, map_tasks
 from prodspec.scalar_model import _log_norm
+
+from conftest import usable_cpus
 
 
 def log_gamma(x):
@@ -146,28 +150,219 @@ def test_sampler_rejects_bad_parameters():
         rng.beta(1.0, 0.0)
 
 
-def test_map_tasks_threads_follow_the_tasks_and_the_usable_cpus(monkeypatch):
-    sizes = []
+class _RecordingThread(threading.Thread):
+    """threading.Thread that records each thread started."""
 
-    class Recording(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers)
+    started = []
+
+    def start(self):
+        self.started.append(self)
+        super().start()
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The threads started while the test runs, a list that grows."""
+    monkeypatch.setattr(_RecordingThread, "started", [])
+    monkeypatch.setattr(threading, "Thread", _RecordingThread)
+    return _RecordingThread.started
+
+
+def test_map_tasks_threads_follow_the_tasks_and_the_usable_cpus(monkeypatch, started):
+    caller = threading.get_ident()
 
     def threads(count):
-        # the results come back in index order, whatever the pool's size
-        assert map_tasks(lambda i: i * i, count) == [i * i for i in range(count)]
-        return sizes[-1]
+        # the first min(count, CPUs) tasks meet at a barrier, so that many
+        # threads run at once, the calling thread among them
+        k = max(1, min(count, numerics.usable_cpus()))
+        barrier, ran = threading.Barrier(k, timeout=10), set()
 
-    monkeypatch.setattr(numerics, "ThreadPoolExecutor", Recording)
+        def task(i):
+            ran.add(threading.get_ident())
+            if i < k:
+                barrier.wait()
+            return i * i
+
+        started.clear()
+        before = threading.active_count()
+        # the results come back in index order, whatever the thread count
+        assert map_tasks(task, count) == [i * i for i in range(count)]
+        assert threading.active_count() == before
+        assert all(not t.is_alive() for t in started)
+        assert len(ran) == min(count, k) and (count == 0 or caller in ran)
+        # the calling thread is one of the k, so k - 1 are started
+        assert len(started) == k - 1
+        return k
+
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(5)), raising=False)
     assert numerics.usable_cpus() == 5
     assert [threads(count) for count in (1, 4, 5, 8)] == [1, 4, 5, 5]
-    # no task still gets a pool of one thread
-    assert threads(0) == 1
+    # no task starts no thread
+    assert threads(0) == 1 and started == []
     # without an affinity call the CPU count stands in, or 1 when it is unknown
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert (numerics.usable_cpus(), threads(8)) == (3, 3)
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert (numerics.usable_cpus(), threads(8)) == (1, 1)
+    # one usable CPU starts no thread: every task runs on the calling thread
+    assert started == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+def test_map_tasks_returns_results_in_index_order(cpus):
+    # later indices end first: each task sleeps the longer the lower its index
+    count = 24
+
+    def task(i):
+        time.sleep(0.0005 * (count - i))
+        return (i, threading.get_ident())
+
+    with usable_cpus(cpus):
+        out = map_tasks(task, count)
+    assert [i for i, _ in out] == list(range(count))
+    assert len({t for _, t in out}) <= min(count, cpus)
+
+
+def test_map_tasks_runs_each_index_once_under_fast_thread_switches():
+    # more threads than cores and a short switch interval: an index taken
+    # twice or skipped by a lost update of the shared counter shows here
+    calls = [0] * 5000
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with usable_cpus(8):
+            out = map_tasks(lambda i: calls.__setitem__(i, calls[i] + 1) or i, len(calls))
+    finally:
+        sys.setswitchinterval(interval)
+    assert out == list(range(len(calls)))
+    assert calls == [1] * len(calls)
+
+
+def test_map_tasks_of_no_task_is_empty_and_starts_no_thread(started):
+    with usable_cpus(8):
+        assert map_tasks(lambda i: 1 / 0, 0) == []
+    assert started == []
+
+
+def test_map_tasks_raises_the_lowest_failed_index_not_the_first_to_fail():
+    # task 0 fails only once task 1 has failed
+    later_failed = threading.Event()
+
+    def task(i):
+        if i == 1:
+            later_failed.set()
+            raise KeyError("task 1")
+        if i == 0:
+            assert later_failed.wait(10)
+            raise ValueError("task 0")
+        return i
+
+    with usable_cpus(2), pytest.raises(ValueError, match="task 0"):
+        map_tasks(task, 6)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_map_tasks_starts_no_task_after_a_failure(cpus):
+    # on one CPU the tasks run in index order on the calling thread. On two,
+    # tasks 0 and 1 are taken first; task 0 ends well after task 1 has
+    # failed, so the thread that ran either finds the failure
+    began, failed = [], threading.Event()
+
+    def task(i):
+        began.append(i)
+        if i == 1:
+            failed.set()
+            raise ValueError("task 1")
+        if i == 0 and cpus > 1:
+            assert failed.wait(10)
+            time.sleep(0.1)
+        return i
+
+    with usable_cpus(cpus), pytest.raises(ValueError, match="task 1"):
+        map_tasks(task, 50)
+    assert sorted(began) == [0, 1]
+
+
+def test_map_tasks_runs_a_task_that_calls_map_tasks(started):
+    before = threading.active_count()
+    with usable_cpus(2):
+        out = map_tasks(lambda i: map_tasks(lambda j: (i, j), 3), 4)
+    assert out == [[(i, j) for j in range(3)] for i in range(4)]
+    assert threading.active_count() == before
+    # one thread for the outer call and one for each inner call, at most
+    assert 1 <= len(started) <= 1 + 4
+
+
+@pytest.mark.parametrize("on_caller", [False, True], ids=["task", "caller"])
+def test_map_tasks_after_a_keyboard_interrupt_leaves_no_thread_alive(on_caller, started):
+    # the interrupt is raised in task 5, or on the calling thread by
+    # _thread.interrupt_main, where it may land in a task or between tasks
+    import _thread
+
+    began = []
+
+    def task(i):
+        began.append(i)
+        if i == 5:
+            if on_caller:
+                _thread.interrupt_main()
+            else:
+                raise KeyboardInterrupt
+        time.sleep(0.002)
+        return i
+
+    before = threading.active_count()
+    with usable_cpus(4), pytest.raises(KeyboardInterrupt):
+        map_tasks(task, 200)
+        # the interrupt may land after the last task; it is raised here then
+        time.sleep(1)
+    assert threading.active_count() == before
+    assert started and all(not t.is_alive() for t in started)
+    assert len(began) < 200
+
+
+def test_map_tasks_interrupted_while_joining_stops_and_joins_the_threads(monkeypatch, started):
+    # the first join raises a KeyboardInterrupt at once: map_tasks still
+    # waits for the started thread's task before the interrupt propagates
+    caller = threading.get_ident()
+    join = _RecordingThread.join
+    calls = []
+
+    def interrupted(self, *args):
+        calls.append(self)
+        if len(calls) == 1:
+            raise KeyboardInterrupt
+        return join(self, *args)
+
+    monkeypatch.setattr(_RecordingThread, "join", interrupted)
+    before = threading.active_count()
+    with usable_cpus(2), pytest.raises(KeyboardInterrupt):
+        map_tasks(lambda i: time.sleep(0.2 * (threading.get_ident() != caller)), 2)
+    assert threading.active_count() == before
+    assert len(started) == 1 and not started[0].is_alive()
+
+
+def test_map_tasks_that_cannot_start_a_thread_stops_the_started_ones(monkeypatch, started):
+    # the second thread fails to start while the first is taking tasks: no
+    # task starts after that, and the first thread ends before the error
+    # propagates
+    start, began = _RecordingThread.start, []
+
+    def failing(self):
+        if len(started) == 1:
+            time.sleep(0.01)
+            raise RuntimeError("can't start new thread")
+        start(self)
+
+    def task(i):
+        began.append(i)
+        time.sleep(0.001)
+
+    monkeypatch.setattr(_RecordingThread, "start", failing)
+    before = threading.active_count()
+    with usable_cpus(3), pytest.raises(RuntimeError, match="can't start"):
+        map_tasks(task, 200)
+    assert threading.active_count() == before
+    assert len(started) == 1 and not started[0].is_alive()
+    assert 1 <= len(began) < 200

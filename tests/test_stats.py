@@ -2,6 +2,7 @@
 
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -129,11 +130,19 @@ def test_segmented_ecdf_is_np_sort_byte_for_byte(cpus, monkeypatch):
     # segment count does not divide; values rounded to 3 and to 1 decimals
     # put cuts inside runs of equal values
     monkeypatch.setattr(stats, "_SEGMENT", 64)
+    caller = threading.get_ident()
     pools = []
 
     def recording(task, count):
-        pools.append(count)
-        return map_tasks(task, count)
+        # the count, and the threads that ran this call's tasks
+        threads = set()
+        pools.append((count, threads))
+
+        def on_thread(s):
+            threads.add(threading.get_ident())
+            return task(s)
+
+        return map_tasks(on_thread, count)
 
     monkeypatch.setattr(stats, "map_tasks", recording)
     plan = ScalingPlan(gamma_n=2.0, log_scale=0.3)
@@ -154,8 +163,12 @@ def test_segmented_ecdf_is_np_sort_byte_for_byte(cpus, monkeypatch):
             assert ecdf.values.tobytes() == expect.tobytes()
             # sorted where it lies, not copied
             assert np.shares_memory(ecdf.values, lm)
-            # rescaled and sorted on the pool, or on the calling thread alone
-            assert pools == ([segments, segments] if segments > 1 else [])
+            # rescaled and sorted in one map_tasks call each, on at most one
+            # thread per segment; one segment runs on the calling thread alone
+            assert [count for count, _ in pools] == [segments, segments]
+            for _, threads in pools:
+                assert len(threads - {caller}) <= segments - 1
+                assert segments > 1 or threads == {caller}
     assert tied_cut == (cpus > 1)
 
 
