@@ -8,6 +8,7 @@ factors the source dimensions the truncations are cut from.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -64,8 +65,9 @@ class ProductSpec:
     dims: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(self.n, numbers.Integral) or self.n < 1:
             raise ValueError(f"n: must be a positive integer (got {self.n!r})")
+        object.__setattr__(self, "n", int(self.n))
         if self.dims is None:
             return
         if len(self.dims) != self.signs.m:
@@ -73,7 +75,7 @@ class ProductSpec:
                 f"dims: length {len(self.dims)} does not match {self.signs.m} signs"
             )
         for k, d in enumerate(self.dims):
-            if not isinstance(d, int) or d <= self.n:
+            if not isinstance(d, numbers.Integral) or d <= self.n:
                 raise ValueError(f"dims[{k}]: need an integer > n (got {d!r})")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
 

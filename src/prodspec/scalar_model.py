@@ -50,18 +50,18 @@ def _factors(spec: ProductSpec):
     """(sign, b) per factor: b = dims[k] - n, or None for a Gaussian factor."""
     if spec.dims is None:
         return [(sign, None) for sign in spec.signs]
-    return [(sign, float(d - spec.n)) for sign, d in zip(spec.signs, spec.dims)]
+    return [(sign, d - spec.n) for sign, d in zip(spec.signs, spec.dims)]
 
 
 def _log_norm(shape, b):
     """log of the surrogate draw's normalizer: Gamma(shape), or B(shape, b).
 
-    The callers check the domain: shape > 0 and b > 0. scipy.special is
-    imported here, off a run's path: only the log-moment helpers need it.
+    Callers pass scalars, shape > 0 and whole b > 0: 1 / B(shape, b) is then
+    shape times the product over 0 < i < b of 1 + shape / i, each log > 0.
     """
-    from scipy import special
-
-    return special.gammaln(shape) if b is None else special.betaln(shape, b)
+    if b is None:
+        return math.lgamma(shape)
+    return -math.log(shape) - math.fsum(math.log1p(shape / i) for i in range(1, b))
 
 
 def _draw(spec: ProductSpec, j, sign, b, rng, size):

@@ -40,7 +40,7 @@ from prodspec.cli import (
     run_experiment,
     write_outputs,
 )
-from prodspec.config import ScalingPlan, resolve_gamma
+from prodspec.config import ProductSpec, ScalingPlan, SignPattern, resolve_gamma
 from prodspec.limit_laws import GinibreLimit, HaarLimit
 from prodspec.matrix_model import ConditioningError, _openblas_thread_controls
 from prodspec.numerics import RngStream
@@ -753,6 +753,47 @@ def test_cdf_csv_rows_are_the_repr_of_each_value(tmp_path):
         lines = ["y,empirical,limit"] + [",".join(repr(float(v)) for v in row) for row in rows]
         assert (tmp_path / "cdf.csv").read_text() == "\n".join(lines) + "\n"
         assert len(lines) == 1 + len(grid) > 700
+
+
+_NO_SCIPY_CHILD = r"""
+import json, sys, tempfile
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from prodspec import scalar_model
+from prodspec.cli import main
+from prodspec.config import ProductSpec, SignPattern
+
+gauss = ProductSpec(12, SignPattern.parse("+-+"))
+haar = ProductSpec(6, SignPattern.parse("+-"), (9, 8))
+values = [
+    scalar_model.log_mgf_ginibre(gauss, 4, 1.5),
+    scalar_model.log_mgf_haar(haar, 2, 2.0),
+    scalar_model.log_weight_moment(gauss, 2.5),
+    scalar_model.log_weight_moment(haar, 3.0),
+    scalar_model.scaled_mean_ginibre(gauss, 4),
+]
+with tempfile.TemporaryDirectory() as out:
+    code = main(["run", "--preset", "haar-remark4ii", "--n", "20", "--replicates", "40",
+                 "--seed", "3", "--mode", "both", "--out", out, "--assert"])
+print(json.dumps({"code": code, "values": values}))
+"""
+
+
+def test_log_moments_and_an_asserted_run_need_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_CHILD], env=_child_env(),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    gauss = ProductSpec(12, SignPattern.parse("+-+"))
+    haar = ProductSpec(6, SignPattern.parse("+-"), (9, 8))
+    assert result == {"code": 0, "values": [
+        scalar_model.log_mgf_ginibre(gauss, 4, 1.5),
+        scalar_model.log_mgf_haar(haar, 2, 2.0),
+        scalar_model.log_weight_moment(gauss, 2.5),
+        scalar_model.log_weight_moment(haar, 3.0),
+        scalar_model.scaled_mean_ginibre(gauss, 4),
+    ]}
 
 
 def test_importing_the_cli_loads_no_thread_pool_logging_or_scipy():

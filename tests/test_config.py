@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from prodspec.config import (
@@ -77,6 +78,27 @@ def test_n_must_be_positive_integer():
         GinibreProductSpec(0, SignPattern.parse("+"))
     with pytest.raises(ValueError, match="n:"):
         GinibreProductSpec(3.5, SignPattern.parse("+"))
+
+
+@pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint16])
+def test_numpy_integers_build_the_spec_of_python_ints(integer):
+    signs = SignPattern.parse("+-")
+    for spec, ref in (
+        (GinibreProductSpec(integer(10), signs), GinibreProductSpec(10, signs)),
+        (
+            HaarProductSpec(integer(10), signs, np.array([21, 15], dtype=integer)),
+            HaarProductSpec(10, signs, (21, 15)),
+        ),
+    ):
+        assert spec == ref and hash(spec) == hash(ref)
+        assert type(spec.n) is int
+        assert spec.dims is None or all(type(d) is int for d in spec.dims)
+    with pytest.raises(ValueError, match="n:"):
+        GinibreProductSpec(10.0, signs)
+    with pytest.raises(ValueError, match="n:"):
+        GinibreProductSpec(np.float64(10.0), signs)
+    with pytest.raises(ValueError, match=r"dims\[0\]"):
+        HaarProductSpec(10, signs, (21.0, 15))
 
 
 def test_scaling_plan_requires_positive_gamma():

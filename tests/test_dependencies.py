@@ -1,0 +1,45 @@
+"""The runtime needs numpy alone: the sources import nothing else, and the
+package metadata asks for nothing else."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+import prodspec
+
+PACKAGE = Path(prodspec.__file__).resolve().parent
+
+
+def imported_roots(path):
+    """Top-level names of the absolute imports in one source file."""
+    roots = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+def test_sources_import_only_the_standard_library_and_numpy():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert len(sources) > 1
+    outside = {
+        path.name: sorted(imported_roots(path) - sys.stdlib_module_names - {"numpy"})
+        for path in sources
+    }
+    assert {name: roots for name, roots in outside.items() if roots} == {}
+
+
+def names(requirements):
+    return [re.match(r"[A-Za-z0-9._-]+", req).group() for req in requirements]
+
+
+def test_pyproject_lists_numpy_alone_and_scipy_for_the_tests():
+    tomllib = pytest.importorskip("tomllib")  # new in Python 3.11
+    project = tomllib.loads((PACKAGE.parents[1] / "pyproject.toml").read_text())["project"]
+    assert names(project["dependencies"]) == ["numpy"]
+    assert "scipy" in names(project["optional-dependencies"]["test"])

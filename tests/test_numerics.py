@@ -2,24 +2,30 @@
 
 import math
 import os
+import random
 import sys
 import threading
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special
 
 from prodspec import numerics
+from prodspec.config import ProductSpec, SignPattern
 from prodspec.numerics import RngStream, map_tasks
-from prodspec.scalar_model import _log_norm
+from prodspec.scalar_model import _log_norm, log_mgf_ginibre, log_mgf_haar
 
 from conftest import usable_cpus
 
 
 def log_gamma(x):
-    # the normalizer of a Gaussian factor's gamma draw
-    return _log_norm(x, None)
+    # the normalizer of a Gaussian factor's gamma draw; it takes scalars,
+    # so an array is mapped over elementwise
+    if np.ndim(x) == 0:
+        return _log_norm(x, None)
+    return np.array([_log_norm(v, None) for v in x])
 
 
 # high-precision references (40-digit arithmetic, rounded to double)
@@ -63,10 +69,78 @@ def test_log_gamma_ratio_asymptotic():
 
 
 def test_log_beta_consistency():
-    for a, b in ((1.0, 2.0), (0.5, 0.5), (3.0, 7.0), (40.0, 2.5)):
+    # b is the whole number of rows cut from the unitary
+    for a, b in ((1.0, 2), (0.5, 1), (3.0, 7), (40.0, 3)):
         expect = log_gamma(a) + log_gamma(b) - log_gamma(a + b)
         assert _log_norm(a, b) == pytest.approx(expect, rel=1e-12)
-    assert _log_norm(1.0, 2.0) == pytest.approx(math.log(0.5), rel=1e-14)
+    assert _log_norm(1.0, 2) == pytest.approx(math.log(0.5), rel=1e-14)
+
+
+def mp_log_beta(a, b):
+    return mpmath.loggamma(a) + mpmath.loggamma(b) - mpmath.loggamma(a + b)
+
+
+def drawn_indices(rnd):
+    """n <= 400, j in 1..n and a rows-cut count b in 1..2n, as the log-MGF
+    helpers meet them."""
+    n = rnd.randint(1, 400)
+    return n, rnd.randint(1, n), rnd.randint(1, 2 * n)
+
+
+def test_log_beta_matches_mpmath_at_integer_b():
+    # shape j or n+1-j, as a direct or an inverted truncation's draw has it
+    rnd, worst = random.Random(1), 0.0
+    with mpmath.workdps(40):
+        for _ in range(3000):
+            n, j, b = drawn_indices(rnd)
+            shape = float(rnd.choice((j, n + 1 - j)))
+            ref = mp_log_beta(mpmath.mpf(shape), b)
+            got = _log_norm(shape, b)
+            # B(1, 1) = 1 is the one case with log B = 0, and it is exact
+            worst = max(worst, float(abs(got - ref) / abs(ref)) if ref else abs(got))
+    # -log(shape) minus a sum of positive log1p terms; log Gamma(b) minus
+    # the logs of shape + i cancels, and lost 8e-14 here at B(1, 547)
+    assert worst <= 1e-15
+
+
+def test_log_mgf_matches_mpmath_to_1e12_of_its_size():
+    # t strictly inside the domain; it is unbounded on a side without a
+    # factor of that orientation, so t is drawn up to 4n there
+    rnd, worst = random.Random(2), 0.0
+    with mpmath.workdps(40):
+        for _ in range(2000):
+            n, j, _ = drawn_indices(rnd)
+            signs = SignPattern(tuple(rnd.choice((-1, 1)) for _ in range(rnd.randint(1, 4))))
+            truncated = rnd.random() < 0.5
+            dims = tuple(n + rnd.randint(1, 2 * n) for _ in signs) if truncated else None
+            spec = ProductSpec(n, signs, dims)
+            lo = -2 * j if spec.plus_count > 0 else -4 * n
+            hi = 2 * (n + 1 - j) if spec.plus_count < spec.m else 4 * n
+            t = lo + (hi - lo) * rnd.uniform(1e-6, 1 - 1e-6)
+            got = (log_mgf_haar if truncated else log_mgf_ginibre)(spec, j, t)
+            ref = mpmath.mpf(0)
+            for k, sign in enumerate(signs):
+                shape = j if sign == 1 else n + 1 - j
+                moved = shape + sign * mpmath.mpf(t) / 2
+                if truncated:
+                    ref += mp_log_beta(moved, dims[k] - n) - mp_log_beta(shape, dims[k] - n)
+                else:
+                    ref += mpmath.loggamma(moved) - mpmath.loggamma(shape)
+            worst = max(worst, float(abs(got - ref)) / max(1.0, abs(float(ref))))
+    assert worst <= 1e-12
+
+
+def test_log_gamma_matches_mpmath_away_from_its_zeros():
+    # near its zeros at 1 and 2 log Gamma is accurate in absolute, not in
+    # relative terms; arguments span the helpers' shapes and rows cut
+    rnd, worst = random.Random(3), 0.0
+    with mpmath.workdps(40):
+        for _ in range(3000):
+            x = math.exp(rnd.uniform(math.log(1e-3), math.log(2000.0)))
+            ref = mpmath.loggamma(x)
+            if abs(ref) > 0.5:
+                worst = max(worst, float(abs((log_gamma(x) - ref) / ref)))
+    assert worst <= 4e-15
 
 
 def test_stream_reproducible():
