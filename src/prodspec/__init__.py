@@ -81,4 +81,8 @@ from .stats import (
     rescale_moduli,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above; the submodules and os are attributes, not exports
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, type(os))
+)

@@ -378,6 +378,8 @@ class HaarLimit:
 def _haar_limit(pairs, terms: int, gamma_n: float = 1.0) -> HaarLimit:
     """The pairs' curve over gamma_n: its prefix, capped by the first
     coefficient, and its closed form, which the prefix matches by construction."""
+    if not (isinstance(terms, (int, np.integer)) and terms >= 1):
+        raise ValueError(f"terms: must be a positive integer (got {terms!r})")
     pairs = tuple((s, w / gamma_n, q) for s, w, q in pairs)
     betas = tuple(_coeff(pairs, j) for j in range(1, terms + 1))
     lim = HaarLimit(betas=betas, tail_bound=betas[0])

@@ -64,29 +64,21 @@ def _log_norm(shape, b):
     return -math.log(shape) - math.fsum(math.log1p(shape / i) for i in range(1, b))
 
 
-def _draw(spec: ProductSpec, j, sign, b, rng, size):
-    """One factor's draw for index (or indices) j: Gamma(shape) for a
-    Gaussian factor and Beta(shape, b) for a truncation, with its _shape."""
-    shape = _shape(spec.n, j, sign)
-    return np.asarray(rng.gamma(shape, size=size) if b is None else rng.beta(shape, b, size=size))
-
-
-def _log_term(draw, sign):
-    """Half of sign times the log of a draw, worked out in place, so a
-    factor's term holds one array of the draw's size."""
-    np.log(draw, out=draw)
-    draw *= 0.5 * sign
-    return draw
-
-
 def _log_radius_draws(spec: ProductSpec, j, streams, size=None, out=None):
     """Half the signed sum of one log draw per factor, factor k from streams[k].
 
-    The terms are drawn one after another and summed in factor order, into
-    out when it is given; each term is dropped before the next is drawn.
+    Factor k draws Gamma(shape) if Gaussian and Beta(shape, b) if
+    truncated, with _shape's shape for index (or indices) j. Each term is
+    worked out in place in its draw and summed in factor order, into out
+    when it is given; it is dropped before the next is drawn, so a term
+    holds one array of the draw's size.
     """
     for k, ((sign, b), rng) in enumerate(zip(_factors(spec), streams)):
-        term = _log_term(_draw(spec, j, sign, b, rng, size), sign)
+        shape = _shape(spec.n, j, sign)
+        term = rng.gamma(shape, size=size) if b is None else rng.beta(shape, b, size=size)
+        term = np.asarray(term)
+        np.log(term, out=term)
+        term *= 0.5 * sign
         if out is None:
             out = term
         elif k == 0:

@@ -33,14 +33,6 @@ _KS_FIRST_POINTS = 8192
 _KS_SLACK = 1e-12
 
 
-def _checked_sample(v: np.ndarray) -> np.ndarray:
-    if v.ndim != 1 or len(v) == 0:
-        raise ValueError("values: need a nonempty 1-d sample")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("values: sample contains non-finite entries")
-    return v
-
-
 @dataclass(frozen=True)
 class EmpiricalCdf:
     """Right-continuous step CDF of a pooled sample, values kept sorted."""
@@ -48,8 +40,14 @@ class EmpiricalCdf:
     values: np.ndarray
 
     def __post_init__(self):
-        v = _checked_sample(np.asarray(self.values, dtype=float))
-        object.__setattr__(self, "values", np.sort(v))
+        v = np.asarray(self.values, dtype=float)
+        if v.ndim != 1 or len(v) == 0:
+            raise ValueError("values: need a nonempty 1-d sample")
+        v = np.sort(v)
+        # np.sort puts -inf first and +inf and NaN last
+        if not (np.isfinite(v[0]) and np.isfinite(v[-1])):
+            raise ValueError("values: sample contains non-finite entries")
+        object.__setattr__(self, "values", v)
 
     @property
     def n(self) -> int:
@@ -90,13 +88,13 @@ def _ecdf_in_place(log_moduli: np.ndarray, plan: ScalingPlan) -> EmpiricalCdf:
     The array is rescaled and sorted where it lies, not copied, so it must
     be the caller's own and not be read as log-moduli again. It is worked
     in s = min(usable CPUs, len // _SEGMENT) contiguous segments, at least
-    one, on numerics.map_tasks. Each segment is rescaled and returns its
-    min and max, and their combined range is checked before anything is
-    reordered. A partition at the s - 1 interior cuts then leaves in each
-    segment the values of its sorted ranks, and each segment is sorted.
-    Positive finite doubles that compare equal have equal bytes, so the
-    result is np.sort's however many segments there are. One segment is
-    worked on the calling thread.
+    one, on numerics.map_tasks. Each segment is rescaled, a partition at
+    the s - 1 interior cuts leaves in each segment the values of its
+    sorted ranks, and each segment is sorted. Positive finite doubles that
+    compare equal have equal bytes, so the result is np.sort's however
+    many segments there are. One segment is worked on the calling thread.
+    The checks then read the sorted ends, where partition and sort put
+    NaN after inf, so a NaN is named before a 0 or an inf.
     """
     values = log_moduli.reshape(-1)
     if len(values) == 0:
@@ -109,22 +107,19 @@ def _ecdf_in_place(log_moduli: np.ndarray, plan: ScalingPlan) -> EmpiricalCdf:
         # the error state is the thread's own, so each task sets it
         with np.errstate(over="ignore", under="ignore"):
             _rescale_in_place(segments[s], plan)
-        # the reductions pass a NaN on; they hold no temporary of the segment's size
-        return segments[s].min(), segments[s].max()
 
-    extremes = np.array(map_tasks(rescale, count))
-    lo, hi = extremes.min(), extremes.max()
-    if np.isnan(lo):
+    map_tasks(rescale, count)
+    if count > 1:
+        values.partition(cuts[1:-1])
+    map_tasks(lambda s: segments[s].sort(), count)
+    if np.isnan(values[-1]):
         raise ValueError("values: sample contains non-finite entries")
     # a modulus rounded to 0 or inf has lost its order against the others
-    if lo == 0.0 or hi == np.inf:
+    if values[0] == 0.0 or values[-1] == np.inf:
         raise OverflowError(
             f"gamma: rescaled moduli leave the floating-point range at "
             f"gamma_n={plan.gamma_n!r}; a larger gamma is needed"
         )
-    if count > 1:
-        values.partition(cuts[1:-1])
-    map_tasks(lambda s: segments[s].sort(), count)
     ecdf = EmpiricalCdf.__new__(EmpiricalCdf)
     object.__setattr__(ecdf, "values", values)
     return ecdf

@@ -43,3 +43,10 @@ def test_pyproject_lists_numpy_alone_and_scipy_for_the_tests():
     project = tomllib.loads((PACKAGE.parents[1] / "pyproject.toml").read_text())["project"]
     assert names(project["dependencies"]) == ["numpy"]
     assert "scipy" in names(project["optional-dependencies"]["test"])
+
+
+def test_the_package_root_exports_its_public_names_and_no_module():
+    # `from prodspec import *` binds the 49 public names, and neither os nor a submodule
+    assert len(prodspec.__all__) == len(set(prodspec.__all__)) == 49
+    for name in prodspec.__all__:
+        assert not isinstance(getattr(prodspec, name), type(sys)), name

@@ -376,6 +376,22 @@ def test_haar_limit_from_spec_scales_coefficients():
         haar_limit_from_spec(spec, 0.0)
 
 
+@pytest.mark.parametrize("terms", [0, -3, 2.5])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda terms: haar_limit_from_spec(haar(6, "+-", (9, 11)), 2.0, terms=terms),
+        lambda terms: haar_limit_from_ratios([1, -1], [0.5, 0.5], terms=terms),
+        lambda terms: haar_limit_growing(0.5, 0.5, terms=terms),
+    ],
+    ids=["haar_limit_from_spec", "haar_limit_from_ratios", "haar_limit_growing"],
+)
+def test_haar_limit_builders_reject_a_bad_term_count(build, terms):
+    # the message log_mean_curve gives, not an empty prefix's IndexError or a TypeError
+    with pytest.raises(ValueError, match=rf"terms: must be a positive integer \(got {terms!r}\)"):
+        build(terms)
+
+
 def test_haar_limit_from_ratios_hand_values():
     lim = haar_limit_from_ratios([1, -1], [0.5, 0.5], terms=3)
     assert lim.betas == pytest.approx((2.0 / 3.0, 0.0, 26.0 / 81.0))

@@ -58,8 +58,17 @@ def test_ecdf_validation():
         EmpiricalCdf(values=np.array([]))
     with pytest.raises(ValueError, match="values"):
         EmpiricalCdf(values=np.array([[1.0, 2.0]]))
-    with pytest.raises(ValueError, match="values"):
-        EmpiricalCdf(values=np.array([1.0, np.nan]))
+    # np.sort puts -inf first and +inf and NaN last, where the check reads
+    for bad in (
+        [1.0, np.nan],
+        [-np.inf, 0.0, 1.0],
+        [0.0, 1.0, np.inf],
+        [0.0, np.nan, 1.0],
+        [np.inf, 0.0, np.nan, 1.0],
+        [np.nan, 0.0, -np.inf, 1.0],
+    ):
+        with pytest.raises(ValueError, match="values: sample contains non-finite entries"):
+            EmpiricalCdf(values=np.array(bad))
 
 
 def test_rescale_moduli_formula():
@@ -102,19 +111,25 @@ def test_build_ecdf_leaves_the_callers_arrays():
         (np.inf, OverflowError, "gamma: rescaled moduli leave the floating-point range"),
         (-2000.0, OverflowError, "gamma: rescaled moduli leave the floating-point range"),
         (2000.0, OverflowError, "gamma: rescaled moduli leave the floating-point range"),
+        # two faults, NaN and an overflow: the NaN sorts last and names the error
+        ((np.nan, np.inf), ValueError, "values"),
+        ((np.nan, -2000.0), ValueError, "values"),
+        # a run of NaNs longer than the last segment
+        ((np.nan,) * 5, ValueError, "values"),
     ],
 )
 def test_build_ecdf_names_a_single_fault_anywhere_in_the_sample(bad, error, needle, monkeypatch):
-    # the range check reads the sample's min and max: a fault at either end
-    # or in the middle keeps its error. Three CPUs cut the 10 values into
-    # segments [0, 3), [3, 6) and [6, 10), so the fault lands in the first,
-    # a middle and the last, whose ranges are combined before the check
+    # the checks read the sorted sample's ends: a fault at either end or in
+    # the middle keeps its error. Three CPUs cut the 10 values into segments
+    # [0, 3), [3, 6) and [6, 10), so the fault starts in the first, a middle
+    # and the last, and the partition at the cuts must carry it to its end.
+    # Several faults fill the places from `at` on, wrapping past the last
     monkeypatch.setattr(stats, "_SEGMENT", 3)
     plan = ScalingPlan(gamma_n=1.0, log_scale=0.0)
     for cpus in (1, 3):
         for at in (0, 5, 9):
             values = np.linspace(-1.0, 1.0, 10)
-            values[at] = bad
+            np.put(values, range(at, at + np.size(bad)), bad, mode="wrap")
             with usable_cpus(cpus), pytest.raises(error, match=needle):
                 build_ecdf([values], plan)
 
