@@ -6,8 +6,8 @@ the resolved limit law, and writes cdf.csv, angles.csv, and report.json
 into --out. prodspec presets lists the named scenarios.
 
 Exit codes: 0 success, 2 invalid configuration, a size too large to
-allocate or an unwritable --out, 3 conditioning abort, 4 threshold
-failure under --assert.
+allocate, an unwritable --out or a thread the system refuses to start,
+3 conditioning abort, 4 threshold failure under --assert.
 """
 
 from __future__ import annotations
@@ -531,7 +531,7 @@ def _cmd_run(args) -> int:
     except ConditioningError as exc:
         print(f"error: conditioning abort: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OverflowError, MemoryError) as exc:
+    except (ValueError, OverflowError, MemoryError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for key, val in sorted(report.record().items()):

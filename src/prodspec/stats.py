@@ -8,7 +8,6 @@ monotone and therefore leaves KS statistics untouched.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +30,11 @@ _KS_FIRST_POINTS = 8192
 # rounding slack of ks_one_sample's block bounds, and the largest fall
 # between evaluated neighbours it takes for rounding noise in the reference
 _KS_SLACK = 1e-12
+# ks_threshold's terms: the 99% quantile of Kolmogorov's distribution
+# (Kolmogorov 1933), scipy.special.kolmogi(1.0 - 0.99) to the bit, and the
+# flat allowance added to it
+_KS_QUANTILE = 1.6276236115189502
+_KS_ALLOWANCE = 0.02
 
 
 @dataclass(frozen=True)
@@ -226,50 +230,9 @@ def mgf_estimate(log_values, t: float):
     return mean, stderr
 
 
-def _kolmogorov_sf_cdf(x: float) -> tuple[float, float]:
-    """P(K > x) and P(K <= x) of the Kolmogorov distribution at x > 0, each
-    from the form that is accurate where it is small, as scipy's kolmogorov."""
-    if x <= 0.82:
-        # sqrt(2 pi)/x * sum_k exp(-(2k-1)^2 pi^2 / (8 x^2)), through k = 4
-        u8 = math.exp(-math.pi * math.pi / (x * x))
-        cdf = math.sqrt(2.0 * math.pi) / x * math.exp(-math.pi * math.pi / (8.0 * x * x)) * (
-            1.0 + u8 * (1.0 + u8 * u8 * (1.0 + u8**3))
-        )
-        return 1.0 - cdf, cdf
-    # 2 * sum_k (-1)^(k-1) v^(k^2) with v = exp(-2 x^2); k = 5 adds below 5e-15
-    v = math.exp(-2.0 * x * x)
-    sf = 2.0 * (v - v**4 + v**9 - v**16)
-    return sf, 1.0 - sf
-
-
-def _kolmogorov_isf(p: float) -> float:
-    """x with P(K > x) = p for the Kolmogorov distribution, 0 < p < 1.
-
-    Bisected until the midpoint equals an end, then the end whose
-    probability lies nearer p; within 2 ulp of scipy.special.kolmogi.
-    """
-
-    def excess(x):
-        # decreasing in x and 0 at the quantile; compared as CDFs when p > 1/2
-        sf, cdf = _kolmogorov_sf_cdf(x)
-        return (1.0 - p) - cdf if p > 0.5 else sf - p
-
-    # the quantile lies inside: P(K > 8) < 1e-55 and P(K <= x) -> 0 as x -> 0,
-    # while a threshold's p and 1 - p are at least 2^-53
-    lo, hi = 0.0, 8.0
-    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        if excess(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo if abs(excess(lo)) < abs(excess(hi)) else hi
-
-
-def ks_threshold(n: int, level: float = 0.99, allowance: float = 0.02) -> float:
-    """Asymptotic Kolmogorov quantile at the given level plus a flat allowance."""
+def ks_threshold(n: int) -> float:
+    """The --assert bound on a KS statistic of sample size n: the 99%
+    asymptotic Kolmogorov quantile over sqrt(n), plus a flat allowance."""
     if n < 1:
         raise ValueError(f"n: must be >= 1 (got {n})")
-    p = 1.0 - level
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"level: must lie in (0, 1) (got {level!r})")
-    return float(_kolmogorov_isf(p) / np.sqrt(n) + allowance)
+    return float(_KS_QUANTILE / np.sqrt(n) + _KS_ALLOWANCE)

@@ -45,6 +45,7 @@ from prodspec.limit_laws import GinibreLimit, HaarLimit
 from prodspec.matrix_model import ConditioningError, _openblas_thread_controls
 from prodspec.numerics import RngStream
 from prodspec.scalar_model import sample_radial_spectrum
+from prodspec.stats import KsReport, ks_threshold
 
 
 def parse_run(*argv):
@@ -708,6 +709,32 @@ def test_run_experiment_degenerate_skips_ks():
     assert report.threshold_failures()
 
 
+def test_threshold_failures_at_the_edges():
+    # --assert gates the scalar, matrix and angle KS at ks_threshold(n)
+    # itself, reports the two-sample paths KS without gating it, and in a
+    # degenerate run gates each mass at MASS_THRESHOLD itself
+    def failures(limit, **results):
+        return cli.ExperimentReport(
+            config=small_cfg(), plan=ScalingPlan(2.0, 0.0), limit=limit, **results
+        ).threshold_failures()
+
+    limit, n = GinibreLimit(alpha=1.0, beta=1.0), 4000
+    at = ks_threshold(n)
+    above = float(np.nextafter(at, 1.0))
+    for name in ("scalar", "matrix", "angles"):
+        assert failures(limit, ks_results={name: KsReport(at, n)}) == []
+        assert failures(limit, ks_results={name: KsReport(above, n)}) == [
+            f"ks_{name}={above:.4f} > {at:.4f}"
+        ]
+    assert failures(limit, ks_results={"paths": KsReport(1.0, n)}) == []
+    mass = cli.MASS_THRESHOLD
+    assert failures(None, mass_scalar=mass, mass_matrix=mass) == []
+    below = float(np.nextafter(mass, 0.0))
+    assert failures(None, mass_scalar=mass, mass_matrix=below) == [
+        f"mass_matrix={below:.4f} < {mass}"
+    ]
+
+
 def test_write_outputs_and_byte_determinism(tmp_path, monkeypatch):
     out1, out2 = tmp_path / "c1", tmp_path / "c4"
     # as in test_run_experiment_deterministic_across_workers: one thread per
@@ -1114,6 +1141,22 @@ def test_cli_value_error_while_sampling_is_exit_2(monkeypatch, capsys):
     monkeypatch.setattr("prodspec.cli.sample_radial_spectrum", refuse)
     assert main(["run", "--n", "10", "--signs", "+", "--replicates", "4"]) == 2
     assert capsys.readouterr().err == "error: synthetic refusal\n"
+
+
+@pytest.mark.parametrize("mode", ["scalar", "matrix", "both"])
+def test_cli_refused_thread_is_exit_2(monkeypatch, capsys, mode):
+    # the system refuses every thread, so map_tasks raises before any task
+    # runs and no thread starts; the run ends on one error line
+    def refuse(self):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    with usable_cpus(2):
+        code = main(
+            ["run", "--n", "40", "--signs=+-", "--replicates", "3000", "--mode", mode]
+        )
+    assert code == 2
+    assert capsys.readouterr() == ("", "error: can't start new thread\n")
 
 
 # a child runs the CLI on 2000 one-row chunks of three factors and 4

@@ -29,7 +29,6 @@ from prodspec.stats import (
     TWO_PI,
     EmpiricalCdf,
     KsReport,
-    _kolmogorov_isf,
     _rescale_in_place,
     angle_uniformity,
     build_ecdf,
@@ -233,7 +232,7 @@ def test_ks_one_sample_null_calibration():
     # uniform null: the 99% threshold should fail roughly 1 run in 100
     rng = RngStream(33)
     n = 2000
-    cut = ks_threshold(n, allowance=0.0)
+    cut = special.kolmogi(1.0 - 0.99) / np.sqrt(n)
     below = sum(
         ks_one_sample(
             EmpiricalCdf(values=rng.substream(r).uniform(size=n)),
@@ -355,7 +354,7 @@ def test_angle_uniformity_accepts_uniform_rejects_clustered():
     rng = RngStream(36)
     n = 4000
     good = angle_uniformity(rng.uniform(size=n) * TWO_PI)
-    assert good.statistic < ks_threshold(n, allowance=0.0)
+    assert good.statistic < special.kolmogi(1.0 - 0.99) / np.sqrt(n)
     clustered = angle_uniformity(rng.uniform(size=n) * 0.5 * TWO_PI)
     assert clustered.statistic > 0.4
 
@@ -548,29 +547,17 @@ def test_run_ks_values_equal_the_full_formula(preset, mode, tmp_path):
 
 
 def test_kolmogorov_quantile_is_scipys():
-    # 1 - 0.99 and 1 - 0.95 are the p that ks_threshold's levels give
-    for p in (0.001, 0.01, 0.05, 0.1, 0.2, 1.0 - 0.99, 1.0 - 0.95):
-        assert _kolmogorov_isf(p) == special.kolmogi(p)
+    assert stats._KS_QUANTILE == special.kolmogi(1.0 - 0.99)
     # every --assert threshold keeps the bytes of scipy's quantile
     for n in (1, 7, 60, 4000, 12_000, 400_000, 2_000_000):
         assert ks_threshold(n) == float(special.kolmogi(1.0 - 0.99) / np.sqrt(n) + 0.02)
-    for p in np.concatenate([np.geomspace(1e-6, 0.999, 400), np.linspace(1e-6, 0.999, 400)]):
-        ours, theirs = _kolmogorov_isf(float(p)), float(special.kolmogi(p))
-        assert abs(ours - theirs) <= 2 * math.ulp(theirs), p
 
 
 def test_ks_threshold_values():
     # kolmogi(0.01) is about 1.6276
-    assert ks_threshold(10_000, allowance=0.0) == pytest.approx(0.016276, abs=2e-5)
     assert ks_threshold(10_000) == pytest.approx(0.036276, abs=2e-5)
-    assert ks_threshold(100, level=0.95, allowance=0.0) == pytest.approx(
-        1.3581 / 10.0, abs=2e-4
-    )
     with pytest.raises(ValueError, match="n"):
         ks_threshold(0)
-    for level in (0.0, 1.0, 1.5, float("nan")):
-        with pytest.raises(ValueError, match="level"):
-            ks_threshold(100, level=level)
 
 
 def test_ks_report_is_frozen():
