@@ -24,12 +24,15 @@ import numpy as np
 from . import __version__
 from .config import ProductSpec, ScalingPlan, SignPattern, resolve_gamma
 from .limit_laws import (
+    _CURVE_EDGE,
     LIMIT_TERMS,
     GinibreLimit,
     HaarLimit,
+    _seed_grid,
     ginibre_limit_cdf,
     haar_limit_cdf,
     haar_limit_from_spec,
+    limit_curve,
 )
 from .matrix_model import (
     MAX_FACTORS,
@@ -267,9 +270,13 @@ def _read_betas_file(path: str) -> HaarLimit:
     if bound is None:
         bound = max(abs(b) for b in betas)
     try:
-        return HaarLimit(betas=tuple(betas), tail_bound=bound)
+        lim = HaarLimit(betas=tuple(betas), tail_bound=bound)
     except ValueError as exc:
         raise ConfigError(f"limit: {exc}") from None
+    # the inverter flattens a dip on its seed grid by a running maximum
+    if np.any(np.diff(limit_curve(lim, _seed_grid(_CURVE_EDGE)[1])) < 0.0):
+        raise ConfigError("limit: betas: partial sum must rise on all of [0, 1]")
+    return lim
 
 
 def _mass_in_window(ecdf: EmpiricalCdf) -> float:

@@ -13,14 +13,16 @@ builders attach the closed form; a law built from a prefix alone, such as
 one read from a coefficient file, has none.
 The run's reference CDF, haar_limit_cdf, inverts the closed form when a
 limit has one and the prefix otherwise; limit_curve, the curve_inverse_*
-functions and the limit_* report keys describe the prefix. One
-safeguarded Newton loop inverts every increasing curve here.
+functions and the limit_* report keys describe the prefix. Each curve
+family is one function giving value and slope at (x, 1 - x), and one
+safeguarded Newton loop inverts them all.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -40,8 +42,8 @@ def radial_profile(alpha: float, x: float):
     x = np.asarray(x, dtype=float)
     if np.any(~((x > 0) & (x < 1))):
         raise ValueError(f"x: must lie in (0, 1) (got {x!r})")
-    out = np.exp(_profile_log(alpha, x, 1.0 - x))
-    return float(out) if out.ndim == 0 else out
+    with np.errstate(over="ignore"):  # the slope, unused here, overflows at subnormal x
+        return _float_if_scalar(x, np.exp(_profile(alpha, x, 1.0 - x)[0]))
 
 
 def _check_alpha(alpha):
@@ -49,9 +51,14 @@ def _check_alpha(alpha):
         raise ValueError(f"alpha: must lie in [0, 1] (got {alpha!r})")
 
 
-def _profile_log(alpha, x, xc):
-    """log of the profile at x, with xc = 1 - x."""
-    return alpha * np.log(x) + (alpha - 1.0) * np.log(xc)
+def _profile(alpha, x, xc):
+    """The log-profile at x, with xc = 1 - x, and its slope in x."""
+    return alpha * np.log(x) + (alpha - 1.0) * np.log(xc), alpha / x + (1.0 - alpha) / xc
+
+
+def _float_if_scalar(arg, out):
+    """out for an array arg; its one value as a Python float for a scalar arg."""
+    return np.asarray(out).item() if np.ndim(arg) == 0 else out
 
 
 _EDGE = 1e-16  # evaluation guard; roots beyond it are indistinguishable from 0/1
@@ -79,41 +86,45 @@ def _logit(x: float) -> float:
     return math.log(x / (1.0 - x))
 
 
-def _invert_increasing(f, fprime, target, edge):
-    """Generalized inverse of an increasing f on [edge, 1 - edge].
-
-    f and its derivative fprime take (x, 1 - x), each accurate to its own
-    ulp, so roots next to 1 are resolved too. The value is 1 where
-    target >= f(1 - edge), 0 where target <= f(edge) or is NaN, otherwise
-    a root of f = target from Newton steps in z = logit(x); a float for a
-    scalar target.
-    """
-    scalar = np.ndim(target) == 0
-    target = np.atleast_1d(np.asarray(target, dtype=float))
-    z_grid = np.linspace(_logit(edge), _logit(1.0 - edge), _SEED_POINTS)
-    x, xc = _expit(z_grid), _expit(-z_grid)
+def _seed_grid(edge):
+    """The inverter's grid on [edge, 1 - edge]: z evenly spaced, x = expit(z), xc = 1 - x."""
+    z = np.linspace(_logit(edge), _logit(1.0 - edge), _SEED_POINTS)
+    x, xc = _expit(z), _expit(-z)
     x[[0, -1]] = edge, 1.0 - edge
     xc[[0, -1]] = 1.0 - x[[0, -1]]
-    f_grid = f(x, xc)
-    out = np.where(target >= f_grid[-1], 1.0, 0.0)
-    active = (target > f_grid[0]) & (target < f_grid[-1])
-    tgt = target[active]
+    return z, x, xc
+
+
+def _invert_increasing(curve, target, edge):
+    """Generalized inverse of an increasing curve on [edge, 1 - edge].
+
+    curve(x, xc) gives value and slope at x, with xc = 1 - x, each accurate
+    to its own ulp, so roots next to 1 are resolved too. The result is 1
+    where target >= value(1 - edge), 0 where target <= value(edge) or is
+    NaN, otherwise a root of value = target from Newton steps in z = logit(x).
+    """
+    flat = np.atleast_1d(np.asarray(target, dtype=float))
+    z_grid, x, xc = _seed_grid(edge)
+    f_grid = curve(x, xc)[0]
+    out = np.where(flat >= f_grid[-1], 1.0, 0.0)
+    active = (flat > f_grid[0]) & (flat < f_grid[-1])
+    tgt = flat[active]
     # a running maximum makes the grid monotone, so that the first cell
     # where it reaches a target starts below it and ends at or above it
     f_mono = np.maximum.accumulate(f_grid)
     z = np.empty(tgt.shape)
     for start in range(0, tgt.size, _BLOCK):
         block = slice(start, start + _BLOCK)
-        z[block] = _newton_roots(f, fprime, tgt[block], z_grid, f_mono)
+        z[block] = _newton_roots(curve, tgt[block], z_grid, f_mono)
     out[active] = _expit(z)
-    return float(out[0]) if scalar else out
+    return _float_if_scalar(target, out)
 
 
-def _newton_roots(f, fprime, tgt, z_grid, f_mono):
-    """Roots in z of f = tgt, each seeded by linear interpolation in its
-    grid cell. The cell brackets a sign change of f - tgt, the bracket
-    narrows at every step, and a Newton step that would leave it bisects
-    instead."""
+def _newton_roots(curve, tgt, z_grid, f_mono):
+    """Roots in z of the curve's value = tgt, each seeded by linear
+    interpolation in its grid cell. The cell brackets a sign change of
+    value - tgt, the bracket narrows at every step, and a Newton step that
+    would leave it bisects instead."""
     cell = np.searchsorted(f_mono, tgt)
     lo, hi = z_grid[cell - 1], z_grid[cell]
     z = lo + (hi - lo) * (tgt - f_mono[cell - 1]) / (f_mono[cell] - f_mono[cell - 1])
@@ -121,14 +132,15 @@ def _newton_roots(f, fprime, tgt, z_grid, f_mono):
     left = np.arange(tgt.size)
     for k in range(_NEWTON_STEPS + _BISECTIONS):
         x, xc = _expit(z), _expit(-z)
-        gap = f(x, xc) - tgt
+        value, slope = curve(x, xc)
+        gap = value - tgt
         below = gap < 0.0
         lo = np.where(below, z, lo)
         hi = np.where(below, hi, z)
         nxt = 0.5 * (lo + hi)
         if k < _NEWTON_STEPS:
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                newton = z - gap / (fprime(x, xc) * x * xc)
+                newton = z - gap / (slope * x * xc)
             nxt = np.where((newton >= lo) & (newton <= hi), newton, nxt)
         done = np.abs(nxt - z) <= _Z_TOL
         root[left[done]] = nxt[done]
@@ -155,21 +167,14 @@ def radial_profile_inverse(alpha: float, y):
     """
     _check_alpha(alpha)
     y_arr = np.asarray(y, dtype=float)
-    scalar = y_arr.ndim == 0
-    y_arr = np.atleast_1d(y_arr)
     if alpha == 0.0:
         # profile is 1/(1-x), increasing from 1
         out = np.where(y_arr > 1.0, 1.0 - 1.0 / np.maximum(y_arr, 1.0), 0.0)
     elif alpha == 1.0:
         out = np.clip(y_arr, 0.0, 1.0)
     else:
-        out = _invert_increasing(
-            lambda x, xc: _profile_log(alpha, x, xc),
-            lambda x, xc: alpha / x + (1.0 - alpha) / xc,
-            _log_or_neg_inf(y_arr),
-            _EDGE,
-        )
-    return float(out[0]) if scalar else out
+        out = _invert_increasing(partial(_profile, alpha), _log_or_neg_inf(y_arr), _EDGE)
+    return _float_if_scalar(y, out)
 
 
 @dataclass(frozen=True)
@@ -207,10 +212,10 @@ def ginibre_limit_density(lim: GinibreLimit, y):
     out = np.zeros(y_arr.shape)
     inside = (x > _EDGE) & (x < 1.0 - _EDGE) & np.isfinite(powered)
     xi, yi, ui = x[inside], y_arr[inside], powered[inside]
-    # d profile / dx = profile * (alpha/x + (1-alpha)/(1-x)); profile(x*) = u
-    dprofile = ui * (lim.alpha / xi + (1.0 - lim.alpha) / (1.0 - xi))
+    # d profile / dx = profile * (d log profile / dx); profile(x*) = u
+    dprofile = ui * _profile(lim.alpha, xi, 1.0 - xi)[1]
     out[inside] = (ui / yi) / (lim.beta * dprofile)
-    return float(out[0]) if np.ndim(y) == 0 else out
+    return _float_if_scalar(y, out)
 
 
 def spherical_product_density(k: int, r):
@@ -225,8 +230,7 @@ def spherical_product_density(k: int, r):
     if np.any(~(r_arr > 0)):
         raise ValueError(f"r: must be > 0 (got {r!r})")
     s = r_arr ** (2.0 / k)
-    out = s / (k * np.pi * r_arr**2 * (1.0 + s) ** 2)
-    return float(out) if out.ndim == 0 else out
+    return _float_if_scalar(r, s / (k * np.pi * r_arr**2 * (1.0 + s) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -257,36 +261,27 @@ def _power_series(coeffs, t):
 
 
 def _closed_curve(pairs, x, xc):
-    """sum s*w*[log1p(s*t) - log1p(q*s*t)] at t = 2x - 1, with xc = 1 - x.
+    """sum s*w*[log1p(s*t) - log1p(q*s*t)] at t = 2x - 1, with xc = 1 - x, and its slope in x.
 
-    With u = (1 + s*t)/2, which is x or xc, a term is
-    -s*w*log1p((1 - q)(1 - 2u)/(2u)): no two logs cancel, so it stays
-    accurate next to the end where it diverges and for q near 1.
+    With u = (1 + s*t)/2, which is x or xc, and d = (1 - q)(1 - 2u), a term
+    is -s*w*log1p(d/(2u)), of slope w*(1 - q)/(u*(2u + d)) > 0: no two logs
+    cancel, so it stays accurate next to the end where it diverges and for q near 1.
     """
-    out = np.zeros(np.shape(x))
+    value, slope = np.zeros(np.shape(x)), np.zeros(np.shape(x))
     for s, w, q in pairs:
         u = x if s > 0 else xc
-        out -= s * w * np.log1p((1.0 - q) * (1.0 - 2.0 * u) / (2.0 * u))
-    return out
-
-
-def _closed_slope(pairs, x, xc):
-    """Derivative of _closed_curve in x: sum 2w*(1 - q)/((1 + s*t)(1 + q*s*t)) > 0."""
-    out = np.zeros(np.shape(x))
-    for s, w, q in pairs:
-        u = x if s > 0 else xc
-        out += w * (1.0 - q) / (u * (2.0 * u + (1.0 - q) * (1.0 - 2.0 * u)))
-    return out
+        d = (1.0 - q) * (1.0 - 2.0 * u)
+        value -= s * w * np.log1p(d / (2.0 * u))
+        slope += w * (1.0 - q) / (u * (2.0 * u + d))
+    return value, slope
 
 
 def _geometric_tail(bound: float, terms: int, x):
     """Tail past `terms` coefficients of size <= bound at u = |2x - 1|; 0 if bound is 0."""
     u = np.abs(2.0 * np.asarray(x, dtype=float) - 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(
-            u < 1.0, bound * u ** (terms + 1) / (1.0 - u), np.inf if bound else 0.0
-        )
-    return float(out) if out.ndim == 0 else out
+        tail = np.where(u < 1.0, bound * u ** (terms + 1) / (1.0 - u), np.inf if bound else 0.0)
+    return _float_if_scalar(x, tail)
 
 
 def series_coeff(spec: ProductSpec, j: int) -> float:
@@ -303,6 +298,8 @@ def series_coeff_bound(spec: ProductSpec) -> float:
 
 def series_tail_bound(spec: ProductSpec, x, terms: int):
     """Certified bound on the dropped tail after `terms` series terms."""
+    if not (isinstance(terms, (int, np.integer)) and terms >= 1):
+        raise ValueError(f"terms: must be a positive integer (got {terms!r})")
     return _geometric_tail(series_coeff_bound(spec), terms, x)
 
 
@@ -317,16 +314,15 @@ def log_mean_curve(spec: ProductSpec, x, mode: str = "closed", terms: int = 60):
     if np.any(~((x_arr > 0) & (x_arr < 1))):
         raise ValueError(f"x: must lie in (0, 1) (got {x!r})")
     pairs = _spec_pairs(spec)
-    t = 2.0 * (x_arr - 0.5)
     if mode == "closed":
-        out = _closed_curve(pairs, x_arr, 1.0 - x_arr)
-        return float(out) if out.ndim == 0 else out
-    if mode == "series":
+        out = _closed_curve(pairs, x_arr, 1.0 - x_arr)[0]
+    elif mode == "series":
         if not (isinstance(terms, (int, np.integer)) and terms >= 1):
             raise ValueError(f"terms: must be a positive integer (got {terms!r})")
-        out = _power_series([_coeff(pairs, j) for j in range(1, terms + 1)], t)
-        return float(out) if np.ndim(out) == 0 else out
-    raise ValueError(f"mode: expected 'closed' or 'series' (got {mode!r})")
+        out = _power_series([_coeff(pairs, j) for j in range(1, terms + 1)], 2.0 * (x_arr - 0.5))
+    else:
+        raise ValueError(f"mode: expected 'closed' or 'series' (got {mode!r})")
+    return _float_if_scalar(x, out)
 
 
 # ---------------------------------------------------------------------------
@@ -453,13 +449,11 @@ def limit_curve(lim: HaarLimit, x, max_error: float | None = None):
     if max_error is not None:
         tail = np.asarray(limit_curve_tail(lim, x_arr))
         if np.any(tail > max_error):
-            worst = float(np.max(tail))
             raise SeriesAccuracyError(
-                f"tail bound {worst:.3e} exceeds max_error {max_error:.3e}; "
+                f"tail bound {np.max(tail):.3e} exceeds max_error {max_error:.3e}; "
                 f"more terms or a narrower x range needed"
             )
-    out = _curve_partial(lim, x_arr)
-    return float(out) if np.ndim(out) == 0 else out
+    return _float_if_scalar(x, _curve_partial(lim, x_arr))
 
 
 _CURVE_EDGE = 1e-8  # endpoint stand-ins for the open unit interval
@@ -472,22 +466,18 @@ def curve_inverse_cdf(lim: HaarLimit, value):
     otherwise the preimage of the partial sum.
     """
     return _invert_increasing(
-        lambda x, xc: _curve_partial(lim, x),
-        lambda x, xc: _curve_slope(lim, x),
-        value,
-        _CURVE_EDGE,
+        lambda x, xc: (_curve_partial(lim, x), _curve_slope(lim, x)), value, _CURVE_EDGE
     )
 
 
 def curve_inverse_density(lim: HaarLimit, value):
     """Density of the partial sum's value under a uniform argument; 0 outside."""
-    v = np.asarray(value, dtype=float)
-    x = curve_inverse_cdf(lim, np.atleast_1d(v))
+    x = np.atleast_1d(curve_inverse_cdf(lim, value))
     out = np.zeros(x.shape)
     inside = (x > _CURVE_EDGE) & (x < 1.0 - _CURVE_EDGE)
     slope = _curve_slope(lim, x[inside])
     out[inside] = np.where(slope > 0, 1.0 / np.maximum(slope, 1e-300), 0.0)
-    return float(out[0]) if v.ndim == 0 else out
+    return _float_if_scalar(value, out)
 
 
 def haar_limit_cdf(lim: HaarLimit, y):
@@ -500,9 +490,4 @@ def haar_limit_cdf(lim: HaarLimit, y):
     target = _log_or_neg_inf(np.asarray(y, dtype=float))
     if not lim.pairs:
         return curve_inverse_cdf(lim, target)
-    return _invert_increasing(
-        lambda x, xc: _closed_curve(lim.pairs, x, xc),
-        lambda x, xc: _closed_slope(lim.pairs, x, xc),
-        target,
-        _EDGE,
-    )
+    return _invert_increasing(partial(_closed_curve, lim.pairs), target, _EDGE)

@@ -238,9 +238,13 @@ def test_resolve_limit_explicit_tokens(tmp_path):
 def test_betas_file_defaults_and_errors(tmp_path):
     base = ExperimentConfig(ensemble="ginibre", n=20, signs="+")
     p = tmp_path / "betas.txt"
-    p.write_text("0.5\n-0.75\n")
+    p.write_text("0.5\n0\n0.75\n")
     lim = resolved(ExperimentConfig(**{**base.__dict__, "limit": f"betas:{p}"}))
     assert lim.tail_bound == 0.75  # defaults to the largest magnitude
+    dips = tmp_path / "dips.txt"
+    dips.write_text("0.5\n-0.75\n")  # slope 0.5 - 1.5t falls for t > 1/3
+    with pytest.raises(ConfigError, match=r"partial sum must rise on all of \[0, 1\]"):
+        resolved(ExperimentConfig(**{**base.__dict__, "limit": f"betas:{dips}"}))
     empty = tmp_path / "empty.txt"
     empty.write_text("# nothing\n")
     with pytest.raises(ConfigError, match="no coefficients"):
@@ -951,6 +955,7 @@ def test_cli_bad_limit_token_is_exit_2(capsys):
         (["--limit", "betas:{tmp}/negative.txt"], "betas[0]:"),
         (["--limit", "betas:{tmp}/falling.txt"], "limit: betas: partial sum must rise"),
         (["--limit", "betas:{tmp}/overflow.txt"], "limit: betas: partial sum must rise"),
+        (["--limit", "betas:{tmp}/dips.txt"], "partial sum must rise on all of [0, 1]"),
         (["--gamma", "1e-300"], "gamma"),
         (["--gamma", "0.003"], "gamma"),
         # each asks numpy for about 710 PiB, which it refuses before touching memory
@@ -961,6 +966,7 @@ def test_cli_bad_limit_token_is_exit_2(capsys):
     ids=[
         "ginibre-beta-zero", "ginibre-alpha-above-one", "betas-file-word",
         "betas-file-negative-first", "betas-file-falling", "betas-file-overflow",
+        "betas-file-dips",
         "gamma-overflow", "gamma-underflow", "scalar-size-unallocatable",
         "haar-dims-unallocatable",
     ],
@@ -970,6 +976,7 @@ def test_cli_values_rejected_mid_run_are_exit_2(tmp_path, capsys, flags, needle)
     (tmp_path / "word.txt").write_text("0.5\nhalf\n")
     (tmp_path / "negative.txt").write_text("-0.5\n0.25\n")
     (tmp_path / "falling.txt").write_text("1\n0\n-2\n")
+    (tmp_path / "dips.txt").write_text("1\n0\n-0.6\n")
     (tmp_path / "overflow.txt").write_text("1e308\n1e308\n")
     argv = ["run", "--n", "10", "--signs", "+", "--replicates", "4"]
     code = main(argv + [f.format(tmp=tmp_path) for f in flags])

@@ -33,7 +33,7 @@ from prodspec.limit_laws import (
     series_tail_bound,
     spherical_product_density,
 )
-from prodspec.limit_laws import _closed_curve, _closed_slope, _coeff, _expit, _logit
+from prodspec.limit_laws import _closed_curve, _coeff, _expit, _logit
 
 # high-precision references (40-digit arithmetic, rounded to double)
 GIN_CDF_A03_B07_Y2 = 0.78135886436936958
@@ -77,6 +77,8 @@ def test_profile_special_cases():
     assert radial_profile(0.5, 0.5) == pytest.approx(1.0, rel=1e-14)
     assert radial_profile(1.0, 0.3) == pytest.approx(0.3, rel=1e-14)
     assert radial_profile(0.0, 0.75) == pytest.approx(4.0, rel=1e-14)
+    # the profile's slope overflows at a subnormal x; its value does not
+    assert radial_profile(0.5, 5e-324) == pytest.approx(math.sqrt(5e-324), rel=1e-12)
 
 
 def test_profile_pinching_bounds():
@@ -383,8 +385,12 @@ def test_haar_limit_from_spec_scales_coefficients():
         lambda terms: haar_limit_from_spec(haar(6, "+-", (9, 11)), 2.0, terms=terms),
         lambda terms: haar_limit_from_ratios([1, -1], [0.5, 0.5], terms=terms),
         lambda terms: haar_limit_growing(0.5, 0.5, terms=terms),
+        lambda terms: series_tail_bound(haar(6, "+-", (9, 11)), 0.3, terms),
     ],
-    ids=["haar_limit_from_spec", "haar_limit_from_ratios", "haar_limit_growing"],
+    ids=[
+        "haar_limit_from_spec", "haar_limit_from_ratios", "haar_limit_growing",
+        "series_tail_bound",
+    ],
 )
 def test_haar_limit_builders_reject_a_bad_term_count(build, terms):
     # the message log_mean_curve gives, not an empty prefix's IndexError or a TypeError
@@ -560,7 +566,7 @@ def test_closed_form_keeps_its_accuracy_for_ratios_near_one():
     x = np.array([1e-9, 0.01, 0.3, 0.500001, 0.77, 1 - 1e-9])
     for a in (0.999, 1 - 1e-9, 0.9999999999999999):
         lim = haar_limit_from_ratios([1, -1], [a, 0.5])
-        got = _closed_curve(lim.pairs, x, 1.0 - x)
+        got = _closed_curve(lim.pairs, x, 1.0 - x)[0]
         with localcontext() as ctx:
             ctx.prec = 40
             for xv, g in zip(x, got):
@@ -578,6 +584,52 @@ def test_haar_limit_cdf_composes_with_log():
     assert np.allclose(haar_limit_cdf(lim, y), curve_inverse_cdf(lim, np.log(y)))
     assert haar_limit_cdf(lim, 0.0) == 0.0
     assert haar_limit_cdf(lim, -2.0) == 0.0
+
+
+# --- scalar or array -----------------------------------------------------
+
+SCALAR_SPEC = haar(6, "+-", (9, 11))
+CLOSED_LAW = haar_limit_from_spec(SCALAR_SPEC, 2.0)
+PREFIX_LAW = HaarLimit(betas=(0.5, -0.25), tail_bound=0.5)
+GIN_LAW = GinibreLimit(0.3, 0.7)
+
+
+@pytest.mark.parametrize(
+    "law, arg",
+    [
+        (lambda v: radial_profile(0.3, v), 0.4),
+        (lambda v: radial_profile_inverse(0.0, v), 1.5),
+        (lambda v: radial_profile_inverse(0.5, v), 1.5),
+        (lambda v: radial_profile_inverse(1.0, v), 0.4),
+        (lambda v: ginibre_limit_cdf(GIN_LAW, v), 2.0),
+        (lambda v: ginibre_limit_density(GIN_LAW, v), 2.0),
+        (lambda v: spherical_product_density(2, v), 0.7),
+        (lambda v: log_mean_curve(SCALAR_SPEC, v, mode="closed"), 0.3),
+        (lambda v: log_mean_curve(SCALAR_SPEC, v, mode="series", terms=10), 0.3),
+        (lambda v: limit_curve(CLOSED_LAW, v), 0.3),
+        (lambda v: limit_curve_tail(CLOSED_LAW, v), 0.3),
+        (lambda v: series_tail_bound(SCALAR_SPEC, v, 10), 0.3),
+        (lambda v: curve_inverse_cdf(CLOSED_LAW, v), 0.1),
+        (lambda v: curve_inverse_density(CLOSED_LAW, v), 0.1),
+        (lambda v: haar_limit_cdf(CLOSED_LAW, v), 1.1),
+        (lambda v: haar_limit_cdf(PREFIX_LAW, v), 1.1),
+    ],
+    ids=[
+        "radial_profile", "radial_profile_inverse-alpha0", "radial_profile_inverse-alpha05",
+        "radial_profile_inverse-alpha1", "ginibre_limit_cdf", "ginibre_limit_density",
+        "spherical_product_density", "log_mean_curve-closed", "log_mean_curve-series",
+        "limit_curve", "limit_curve_tail", "series_tail_bound", "curve_inverse_cdf",
+        "curve_inverse_density", "haar_limit_cdf-closed", "haar_limit_cdf-prefix",
+    ],
+)
+def test_law_functions_give_a_float_for_a_scalar_and_an_array_for_a_list(law, arg):
+    value = law(arg)
+    assert type(value) is float
+    zero_d = law(np.asarray(arg))
+    assert type(zero_d) is float and zero_d == value
+    listed = law([arg])
+    assert type(listed) is np.ndarray and listed.shape == (1,)
+    assert listed[0] == value
 
 
 # --- properties over drawn laws ------------------------------------------
@@ -676,7 +728,7 @@ def test_closed_curves_rise_and_invert_like_brentq_on_drawn_laws(**law):
     mid, h = x[2:-2], 1e-6
     for lim, pairs in _built_laws(**law, terms=80):
         assert lim.pairs == tuple(pairs)
-        slope = _closed_slope(lim.pairs, x, 1.0 - x)
+        slope = _closed_curve(lim.pairs, x, 1.0 - x)[1]
         assert np.all(slope > 0.0)
         diff = (_log_ratio_sum(pairs, mid + h) - _log_ratio_sum(pairs, mid - h)) / (2 * h)
         assert np.allclose(slope[2:-2], diff, rtol=1e-6, atol=1e-9)
