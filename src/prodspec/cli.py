@@ -24,15 +24,13 @@ import numpy as np
 from . import __version__
 from .config import ProductSpec, ScalingPlan, SignPattern, resolve_gamma
 from .limit_laws import (
-    _CURVE_EDGE,
     LIMIT_TERMS,
     GinibreLimit,
     HaarLimit,
-    _seed_grid,
+    _check_rising,
     ginibre_limit_cdf,
     haar_limit_cdf,
     haar_limit_from_spec,
-    limit_curve,
 )
 from .matrix_model import (
     MAX_FACTORS,
@@ -255,6 +253,8 @@ def _read_betas_file(path: str) -> HaarLimit:
     for lineno, line, key, sep, val in _key_value_lines(path, "limit: cannot read betas file"):
         if sep and key != "bound":
             raise ConfigError(f"limit: unknown betas-file key {key!r}")
+        if sep and bound is not None:
+            raise ConfigError(f"limit: betas file line {lineno}: key 'bound' given twice")
         try:
             value = float(val if sep else line)
         except ValueError:
@@ -271,11 +271,9 @@ def _read_betas_file(path: str) -> HaarLimit:
         bound = max(abs(b) for b in betas)
     try:
         lim = HaarLimit(betas=tuple(betas), tail_bound=bound)
+        _check_rising(lim)
     except ValueError as exc:
         raise ConfigError(f"limit: {exc}") from None
-    # the inverter flattens a dip on its seed grid by a running maximum
-    if np.any(np.diff(limit_curve(lim, _seed_grid(_CURVE_EDGE)[1])) < 0.0):
-        raise ConfigError("limit: betas: partial sum must rise on all of [0, 1]")
     return lim
 
 
@@ -435,6 +433,8 @@ def parse_config_file(path: str) -> dict:
             raise ConfigError(f"config: line {lineno}: expected 'key = value'")
         if key not in _FIELD_TYPES:
             raise ConfigError(f"config: line {lineno}: unknown key {key!r}")
+        if key in out:
+            raise ConfigError(f"config: line {lineno}: key {key!r} given twice")
         out[key] = val
     return out
 

@@ -8,9 +8,10 @@ limit is the inverse-function law of an increasing analytic curve. Every
 built-in curve is a sum of log ratios s*w*[log1p(s*t) - log1p(q*s*t)] at
 t = 2x - 1, one per (s, w, q) pair, and its series is their Taylor
 expansion at x = 1/2. Limits carry a finite coefficient prefix of that
-series, so evaluations carry a certified geometric tail bound. Only the
-builders attach the closed form; a law built from a prefix alone, such as
-one read from a coefficient file, has none.
+series, so evaluations carry a certified geometric tail bound. Every
+prefix becomes a law through _haar_limit or HaarLimit. Only the builders
+attach the closed form; a law built from a prefix alone, such as one read
+from a coefficient file, has none and is also checked on the seed grid.
 The run's reference CDF, haar_limit_cdf, inverts the closed form when a
 limit has one and the prefix otherwise; limit_curve, the curve_inverse_*
 functions and the limit_* report keys describe the prefix. Each curve
@@ -75,20 +76,9 @@ def _expit(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def _logit(x: float) -> float:
-    """log(x / (1 - x)) for 0 < x < 1.
-
-    Near 1/2 the quotient rounds next to 1, so the value is taken from
-    2x - 1 and 1 - 2x, both exact there.
-    """
-    if 0.25 <= x <= 0.75:
-        return math.log1p(2.0 * x - 1.0) - math.log1p(1.0 - 2.0 * x)
-    return math.log(x / (1.0 - x))
-
-
 def _seed_grid(edge):
     """The inverter's grid on [edge, 1 - edge]: z evenly spaced, x = expit(z), xc = 1 - x."""
-    z = np.linspace(_logit(edge), _logit(1.0 - edge), _SEED_POINTS)
+    z = np.linspace(*(math.log(x / (1.0 - x)) for x in (edge, 1.0 - edge)), _SEED_POINTS)
     x, xc = _expit(z), _expit(-z)
     x[[0, -1]] = edge, 1.0 - edge
     xc[[0, -1]] = 1.0 - x[[0, -1]]
@@ -255,11 +245,6 @@ def _coeff(pairs, j: int) -> float:
     return total / j
 
 
-def _power_series(coeffs, t):
-    """sum_j coeffs[j-1] t^j: a power series with no constant term."""
-    return np.polyval(np.append(np.asarray(coeffs)[::-1], 0.0), t)
-
-
 def _closed_curve(pairs, x, xc):
     """sum s*w*[log1p(s*t) - log1p(q*s*t)] at t = 2x - 1, with xc = 1 - x, and its slope in x.
 
@@ -317,9 +302,7 @@ def log_mean_curve(spec: ProductSpec, x, mode: str = "closed", terms: int = 60):
     if mode == "closed":
         out = _closed_curve(pairs, x_arr, 1.0 - x_arr)[0]
     elif mode == "series":
-        if not (isinstance(terms, (int, np.integer)) and terms >= 1):
-            raise ValueError(f"terms: must be a positive integer (got {terms!r})")
-        out = _power_series([_coeff(pairs, j) for j in range(1, terms + 1)], 2.0 * (x_arr - 0.5))
+        out = _curve_partial(_haar_limit(pairs, terms), x_arr)
     else:
         raise ValueError(f"mode: expected 'closed' or 'series' (got {mode!r})")
     return _float_if_scalar(x, out)
@@ -365,6 +348,10 @@ class HaarLimit:
             lo, hi = (float(_curve_partial(self, x)) for x in (_CURVE_EDGE, 1.0 - _CURVE_EDGE))
         if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
             raise ValueError(f"betas: partial sum must rise from x=0 to x=1 (got {lo!r} to {hi!r})")
+        # it bounds every Horner partial of _curve_slope on [0, 1], so Newton never divides by inf
+        slope_bound = 2.0 * sum(j * abs(b) for j, b in enumerate(betas, start=1))
+        if not math.isfinite(slope_bound):
+            raise ValueError(f"betas: slope bound 2*sum(j*|b_j|) must be finite (got {slope_bound!r})")
 
     @property
     def terms(self) -> int:
@@ -422,7 +409,8 @@ def haar_limit_growing(plus_fraction: float, ratio: float, terms: int = LIMIT_TE
 
 
 def _curve_partial(lim: HaarLimit, x):
-    return _power_series(lim.betas, 2.0 * x - 1.0)
+    """The prefix's partial sum, sum_j betas[j-1] t^j at t = 2x - 1."""
+    return np.polyval(np.append(lim.betas[::-1], 0.0), 2.0 * x - 1.0)
 
 
 def _curve_slope(lim: HaarLimit, x):
@@ -457,6 +445,13 @@ def limit_curve(lim: HaarLimit, x, max_error: float | None = None):
 
 
 _CURVE_EDGE = 1e-8  # endpoint stand-ins for the open unit interval
+
+
+def _check_rising(lim: HaarLimit):
+    """Raise unless the partial sum rises across the seed grid of curve_inverse_cdf,
+    whose running maximum would flatten a dip; the builders' laws invert their closed form."""
+    if np.any(np.diff(_curve_partial(lim, _seed_grid(_CURVE_EDGE)[1])) < 0.0):
+        raise ValueError("betas: partial sum must rise on all of [0, 1]")
 
 
 def curve_inverse_cdf(lim: HaarLimit, value):

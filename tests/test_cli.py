@@ -129,6 +129,10 @@ def test_config_file_rejects_bad_lines(tmp_path):
         parse_config_file(str(bad_line))
     with pytest.raises(ConfigError, match="cannot read"):
         parse_config_file(str(tmp_path / "missing.cfg"))
+    twice = tmp_path / "c.cfg"
+    twice.write_text("n = 10\nsigns = +\nn = 20\n")
+    with pytest.raises(ConfigError, match="config: line 3: key 'n' given twice"):
+        parse_config_file(str(twice))
 
 
 def test_preset_application_and_override():
@@ -253,6 +257,10 @@ def test_betas_file_defaults_and_errors(tmp_path):
     odd.write_text("cap = 1\n")
     with pytest.raises(ConfigError, match="unknown betas-file key"):
         resolved(ExperimentConfig(**{**base.__dict__, "limit": f"betas:{odd}"}))
+    twice = tmp_path / "twice.txt"
+    twice.write_text("bound = 1\n0.5\nbound = 2\n")
+    with pytest.raises(ConfigError, match="limit: betas file line 3: key 'bound' given twice"):
+        resolved(ExperimentConfig(**{**base.__dict__, "limit": f"betas:{twice}"}))
     with pytest.raises(ConfigError, match="cannot read"):
         resolved(
             ExperimentConfig(**{**base.__dict__, "limit": "betas:/no/such/file"})
@@ -956,6 +964,7 @@ def test_cli_bad_limit_token_is_exit_2(capsys):
         (["--limit", "betas:{tmp}/falling.txt"], "limit: betas: partial sum must rise"),
         (["--limit", "betas:{tmp}/overflow.txt"], "limit: betas: partial sum must rise"),
         (["--limit", "betas:{tmp}/dips.txt"], "partial sum must rise on all of [0, 1]"),
+        (["--limit", "betas:{tmp}/steep.txt"], "limit: betas: slope bound"),
         (["--gamma", "1e-300"], "gamma"),
         (["--gamma", "0.003"], "gamma"),
         # each asks numpy for about 710 PiB, which it refuses before touching memory
@@ -966,7 +975,7 @@ def test_cli_bad_limit_token_is_exit_2(capsys):
     ids=[
         "ginibre-beta-zero", "ginibre-alpha-above-one", "betas-file-word",
         "betas-file-negative-first", "betas-file-falling", "betas-file-overflow",
-        "betas-file-dips",
+        "betas-file-dips", "betas-file-steep",
         "gamma-overflow", "gamma-underflow", "scalar-size-unallocatable",
         "haar-dims-unallocatable",
     ],
@@ -978,6 +987,7 @@ def test_cli_values_rejected_mid_run_are_exit_2(tmp_path, capsys, flags, needle)
     (tmp_path / "falling.txt").write_text("1\n0\n-2\n")
     (tmp_path / "dips.txt").write_text("1\n0\n-0.6\n")
     (tmp_path / "overflow.txt").write_text("1e308\n1e308\n")
+    (tmp_path / "steep.txt").write_text("1e307\n0\n1e307\n0\n1e307\n")
     argv = ["run", "--n", "10", "--signs", "+", "--replicates", "4"]
     code = main(argv + [f.format(tmp=tmp_path) for f in flags])
     err = capsys.readouterr().err

@@ -34,6 +34,25 @@ def test_sources_import_only_the_standard_library_and_numpy():
     assert {name: roots for name, roots in outside.items() if roots} == {}
 
 
+def private_imports(path):
+    """Underscored names that one source file imports from a sibling module."""
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+
+
+def test_sources_reach_into_other_modules_only_where_pinned():
+    # a new import of another module's internals has to be named here
+    reaches = {path.stem: private_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {stem: names for stem, names in reaches.items() if names} == {
+        "cli": {"_check_rising", "_one_blas_thread", "_ecdf_in_place"}
+    }
+
+
 def names(requirements):
     return [re.match(r"[A-Za-z0-9._-]+", req).group() for req in requirements]
 

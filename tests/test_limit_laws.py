@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 from scipy.optimize import brentq
+from test_scalar_model import product_specs
 
 from prodspec.config import GinibreProductSpec, HaarProductSpec, SignPattern
 from prodspec.limit_laws import (
@@ -33,7 +34,7 @@ from prodspec.limit_laws import (
     series_tail_bound,
     spherical_product_density,
 )
-from prodspec.limit_laws import _closed_curve, _coeff, _expit, _logit
+from prodspec.limit_laws import _closed_curve, _coeff, _expit, _seed_grid
 
 # high-precision references (40-digit arithmetic, rounded to double)
 GIN_CDF_A03_B07_Y2 = 0.78135886436936958
@@ -64,11 +65,9 @@ def test_logistic_helpers_agree_with_scipy_over_the_inverter_range():
     # np.exp and libm exp one ulp apart can move the quotient by 4 ulp
     ulps = np.where(np.exp(-z) < 2.0**53, 2, 4)
     assert np.all(np.abs(_expit(z) - x) <= ulps * np.spacing(x))
-    ref = special.logit(x)
-    ours = np.array([_logit(v) for v in x])
-    assert np.all(np.abs(ours - ref) <= 2 * np.spacing(np.abs(ref)))
-    assert _logit(1e-16) == special.logit(1e-16)
-    assert _logit(1.0 - 1e-16) == special.logit(1.0 - 1e-16)
+    # the seed grid's ends are the logits of its two edges, to the bit
+    for edge in (1e-16, 1e-8):
+        assert list(_seed_grid(edge)[0][[0, -1]]) == list(special.logit([edge, 1.0 - edge]))
 
 
 # --- profile -------------------------------------------------------------
@@ -366,6 +365,9 @@ def test_haar_limit_validation():
     # 1e308 (u + u^2) overflows to inf at x=1: its top end is no bracket either
     with pytest.raises(ValueError, match="betas: partial sum must rise"):
         HaarLimit(betas=(1e308, 1e308))
+    # p(1) = 3e307 is finite, but p'(1) = 1.8e308 is not: Newton would divide by inf
+    with pytest.raises(ValueError, match=r"betas: slope bound .* must be finite \(got inf\)"):
+        HaarLimit(betas=(1e307, 0.0, 1e307, 0.0, 1e307))
 
 
 def test_haar_limit_from_spec_scales_coefficients():
@@ -719,6 +721,20 @@ def test_builders_derive_their_prefix_from_their_pairs_on_drawn_laws(terms, **la
     for lim, _ in _built_laws(**law, terms=terms):
         assert lim.betas == tuple(_coeff(lim.pairs, j) for j in range(1, terms + 1))
         assert lim.tail_bound == lim.betas[0]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    spec=product_specs().filter(lambda spec: spec.dims is not None),
+    x=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    terms=st.integers(1, 120),
+)
+def test_spec_series_and_its_law_are_one_series_on_drawn_specs(spec, x, terms):
+    # the spec-level series functions and the law at gamma_n = 1 agree to the bit
+    lim = haar_limit_from_spec(spec, 1.0, terms)
+    assert log_mean_curve(spec, x, "series", terms) == limit_curve(lim, x)
+    assert series_tail_bound(spec, x, terms) == limit_curve_tail(lim, x)
+    assert tuple(series_coeff(spec, j) for j in range(1, terms + 1)) == lim.betas
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
