@@ -60,10 +60,6 @@ DEGENERATE_THRESHOLD = 0.05
 MASS_WINDOW = (0.9, 1.1)
 MASS_THRESHOLD = 0.95
 
-# --workers sizes nothing: the threads follow the usable CPUs. Its range is
-# kept so that the values it accepts and the exit codes stay the same
-MAX_WORKERS = 64
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
@@ -72,7 +68,8 @@ class ConfigError(ValueError):
 @dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
     """Everything one run needs; the fields are the settings that flags,
-    config files and presets set, and a field without a default is required."""
+    config files and presets set, and a field without a default is required.
+    workers is a class attribute, not a field, and no run reads it."""
 
     ensemble: str = "ginibre"
     n: int
@@ -82,7 +79,7 @@ class ExperimentConfig:
     replicates: int = 200
     mode: str = "scalar"
     seed: int = 0
-    workers: int = 1
+    workers = 1  # not a setting: --workers is accepted and ignored
     limit: str = "auto"
     out: str | None = None
     preset: str | None = None
@@ -104,8 +101,6 @@ class ExperimentConfig:
             raise ConfigError(f"replicates: must be >= 1 (got {self.replicates})")
         if self.mode not in ("scalar", "matrix", "both"):
             raise ConfigError(f"mode: expected scalar|matrix|both (got {self.mode!r})")
-        if not 1 <= self.workers <= MAX_WORKERS:
-            raise ConfigError(f"workers: must lie in 1..{MAX_WORKERS} (got {self.workers})")
         if self.seed < 0:
             raise ConfigError(f"seed: must be >= 0 (got {self.seed})")
         spec = self.build_spec()  # surfaces spec-level problems early
@@ -239,7 +234,7 @@ def _key_value_lines(path: str, cannot_read: str):
     """Yield (lineno, line, key, sep, value) per non-blank line; '#' starts a comment."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{cannot_read}: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -289,6 +284,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     spec = cfg.build_spec()
     plan = ScalingPlan.for_spec(spec, resolve_gamma(cfg.gamma, spec.m))
     report = ExperimentReport(config=cfg, plan=plan, limit=resolve_limit(cfg, spec, plan))
+    # every setting is checked by now, and nothing is drawn yet: a bad setting
+    # leaves no --out behind, and an unwritable --out loses no run
+    if cfg.out:
+        Path(cfg.out).mkdir(parents=True, exist_ok=True)
     root = RngStream(cfg.seed)
     cdf = report.limit_cdf()
 
@@ -496,9 +495,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--replicates")
     run.add_argument("--mode", help="scalar | matrix | both")
     run.add_argument("--seed")
-    run.add_argument("--workers", help=f"1..{MAX_WORKERS}, recorded in report.json; it sizes"
-                     " nothing: scalar chunks and matrix replicates run on at most one"
-                     " thread per usable CPU, the calling thread among them")
+    run.add_argument("--workers", help="accepted and ignored; the threads follow the usable CPUs")
     run.add_argument("--limit", help="auto | degenerate | ginibre:a,b | betas:PATH")
     run.add_argument("--out", help="directory for cdf.csv, angles.csv, report.json")
     run.add_argument("--preset", help="named scenario (see 'prodspec presets')")
@@ -525,13 +522,9 @@ def _cmd_presets() -> int:
 
 def _cmd_run(args) -> int:
     try:
-        cfg = build_config(args).validated()
-        if cfg.out:
-            # an unwritable --out fails here, before any sampling
-            Path(cfg.out).mkdir(parents=True, exist_ok=True)
-        report = run_experiment(cfg)
-        if cfg.out:
-            write_outputs(report, cfg.out)
+        report = run_experiment(build_config(args))
+        if report.config.out:
+            write_outputs(report, report.config.out)
     except OSError as exc:
         print(f"error: out: {exc}", file=sys.stderr)
         return 2

@@ -41,14 +41,15 @@ n = 200 and 4.7e-13 at n = 400, where Q's rows stay within 1e-15.
 Replicates are parallelised by threads that each run whole replicates
 (cli runs them through numerics.map_tasks, on the calling thread and up
 to one started thread per further usable CPU), not by BLAS:
-product_eigenvalues and sample_product_eigenvalues run inside
-_one_blas_thread, where every loaded OpenBLAS runs one thread, so their
-outputs do not depend on the BLAS thread setting. Importing prodspec sets
-OPENBLAS_NUM_THREADS to 1 where it is unset, so an OpenBLAS that numpy
-loads afterwards starts no worker thread to spin idle beside the
-replicates' own threads; a value already set is kept. Where numpy was
-imported first, its OpenBLAS keeps the count it was loaded with, and
-_one_blas_thread is what holds it to one thread during the matrix path.
+product_eigenvalues and sample_haar_unitary run inside _one_blas_thread,
+where every loaded OpenBLAS runs one thread, so neither their outputs
+nor sample_product_eigenvalues' depend on the BLAS thread setting.
+Importing prodspec sets OPENBLAS_NUM_THREADS to 1 where it is unset, so
+an OpenBLAS that numpy loads afterwards starts no worker thread to spin
+idle beside the replicates' own threads; a value already set is kept.
+Where numpy was imported first, its OpenBLAS keeps the count it was
+loaded with, and _one_blas_thread is what holds it to one thread during
+the matrix path.
 """
 
 from __future__ import annotations
@@ -268,6 +269,7 @@ def sample_ginibre(dim: int, rng: RngStream, cols: int | None = None) -> np.ndar
     return out
 
 
+@_one_blas_thread
 def sample_haar_unitary(dim: int, rng: RngStream, n: int | None = None) -> np.ndarray:
     """Top-left n x n corner (all of it when n is None) of a Haar dim x dim unitary.
 
@@ -281,7 +283,8 @@ def sample_haar_unitary(dim: int, rng: RngStream, n: int | None = None) -> np.nd
     interpreter lock. The corner is accurate to about eps * cond(G), which
     grows as dim approaches n (module docstring). Where _qr_routines() is
     None, and for the whole unitary, whose Q is the answer and unitary to
-    about eps, Q of np.linalg.qr is formed instead.
+    about eps, Q of np.linalg.qr is formed instead. Runs BLAS on one
+    thread, so the factoring does not depend on the thread setting.
     """
     if n is not None and not 1 <= n <= dim:
         raise ValueError(f"n: must lie in 1..{dim} (got {n})")
@@ -378,14 +381,11 @@ def product_eigenvalues(factors, signs) -> EigenSample:
     )
 
 
-@_one_blas_thread
 def sample_product_eigenvalues(spec: ProductSpec, rng: RngStream) -> EigenSample:
     """Draw the factors a spec describes, in factor order, from rng, and
     return the eigenvalues of the spec's product of them.
 
-    Raises ConditioningError as product_eigenvalues does. Runs BLAS on one
-    thread, so that the factoring of a truncation does not depend on the
-    thread setting either.
+    Raises ConditioningError as product_eigenvalues does.
     """
     if spec.dims is None:
         factors = [sample_ginibre(spec.n, rng) for _ in range(spec.m)]

@@ -58,11 +58,12 @@ def config_from(*argv) -> ExperimentConfig:
 
 def test_run_flags_match_config_fields_and_readme():
     # the ExperimentConfig fields are the one list of run settings: each
-    # needs its flag, and each flag its row in the README flag table
+    # needs its flag, and each flag its row in the README flag table;
+    # --workers is accepted and ignored, so it is no field
     sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     actions = [a for a in sub.choices["run"]._actions if a.dest != "help"]
     assert {a.dest for a in actions} == (
-        {f.name for f in fields(ExperimentConfig)} | {"config", "assert_mode"}
+        {f.name for f in fields(ExperimentConfig)} | {"config", "assert_mode", "workers"}
     )
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     for flag in (s for a in actions for s in a.option_strings):
@@ -75,14 +76,18 @@ def test_flags_alone_build_a_config():
     assert cfg.replicates == 200 and cfg.mode == "scalar" and cfg.gamma == "m"
 
 
-def test_workers_default_to_one_and_a_config_line_or_the_flag_sets_it(monkeypatch, tmp_path):
-    # --workers sizes no pool; its default does not follow the machine
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(5)), raising=False)
-    assert config_from("--n", "10", "--signs", "+").workers == 1
+def test_workers_default_to_one_and_a_config_line_or_the_flag_sets_it(tmp_path):
+    # workers is no setting: the flag is accepted and ignored, a config line
+    # is an unknown key, and the class attribute stays 1
+    assert "workers" not in {f.name for f in fields(ExperimentConfig)}
+    assert ExperimentConfig.workers == 1
+    assert config_from("--n", "10", "--signs", "+", "--workers", "7") == config_from(
+        "--n", "10", "--signs", "+"
+    )
     p = tmp_path / "exp.cfg"
     p.write_text("n = 10\nsigns = +\nworkers = 2\n")
-    assert config_from("--config", str(p)).workers == 2
-    assert config_from("--config", str(p), "--workers", "7").workers == 7
+    with pytest.raises(ConfigError, match="config: line 3: unknown key 'workers'"):
+        config_from("--config", str(p))
 
 
 def test_required_keys_are_enforced():
@@ -275,6 +280,13 @@ def small_cfg(**kw):
     return ExperimentConfig(**base)
 
 
+def without_timings(record):
+    """A report.json record less its timing keys, runtime_* and wall_clock_s."""
+    return {
+        k: v for k, v in record.items() if not k.startswith("runtime_") and k != "wall_clock_s"
+    }
+
+
 def test_run_experiment_scalar_report():
     report = run_experiment(small_cfg())
     assert report.limit_kind == "ginibre"
@@ -342,14 +354,13 @@ def test_record_keys_for_each_law(tmp_path, kw, kind, limit_keys):
 def test_run_experiment_deterministic_across_workers(monkeypatch):
     # one thread per path against up to four: the 20 scalar replicates of
     # n = 12 come in four chunks of 5 rows here, each path's 240 values are
-    # sorted in one segment against three, and --workers, which sizes
-    # nothing, is varied alongside
+    # sorted in one segment against three
     monkeypatch.setattr(scalar_model, "_CHUNK", 60)
     monkeypatch.setattr(stats, "_SEGMENT", 64)
     with usable_cpus(1):
         a = run_experiment(small_cfg(mode="both"))
     with usable_cpus(4):
-        b = run_experiment(small_cfg(mode="both", workers=4))
+        b = run_experiment(small_cfg(mode="both"))
     assert np.array_equal(a.scalar_ecdf.values, b.scalar_ecdf.values)
     assert np.array_equal(a.matrix_ecdf.values, b.matrix_ecdf.values)
     assert np.array_equal(np.sort(a.pooled_angles), np.sort(b.pooled_angles))
@@ -426,7 +437,7 @@ def test_scalar_chunks_and_matrix_replicates_run_as_tasks_on_pool_threads(monkey
         seen.update(radial=[], factors=[], replicates=[], solves=[], running=0, peak=0,
                     threads=0)
         before = threading.active_count()
-        run_experiment(small_cfg(mode="both", workers=1, **kw))
+        run_experiment(small_cfg(mode="both", **kw))
         # the 20 scalar replicates are drawn in one call on this thread
         assert seen["radial"] == [caller]
         # matrix replicate r is drawn from key (1, r) once, on one of the
@@ -437,7 +448,7 @@ def test_scalar_chunks_and_matrix_replicates_run_as_tasks_on_pool_threads(monkey
         # threads started for the stage, at most cpus - 1 of them
         threads = {t for _, t in seen["replicates"]}
         assert caller in threads and len(threads - {caller}) <= cpus - 1
-        # at most min(replicates, usable CPUs) threads run, whatever --workers is
+        # at most min(replicates, usable CPUs) threads run
         assert 1 <= seen["peak"] <= cpus
         assert seen["threads"] <= before + cpus - 1
         assert threading.active_count() == before
@@ -525,7 +536,7 @@ def test_matrix_runs_pin_blas_and_restore_it(monkeypatch):
         recording, call=matrix_model.product_eigenvalues
     ))
     before = [get() for _, get in controls]
-    report = run_experiment(small_cfg(mode="matrix", workers=2))
+    report = run_experiment(small_cfg(mode="matrix"))
     assert seen == [[1] * len(controls)] * (2 * 20)
     assert [get() for _, get in controls] == before
     assert report.record()["blas_threads"] == (1 if complete else None)
@@ -533,14 +544,15 @@ def test_matrix_runs_pin_blas_and_restore_it(monkeypatch):
 
 
 # a child reads the OpenBLAS thread counts it loaded with, hashes ten
-# replicates drawn by direct library calls, outside any run, and then runs
-# the CLI on its arguments
+# replicates and ten truncated-unitary corners drawn by direct library
+# calls, outside any run, and then runs the CLI on its arguments
 _BLAS_CHILD = """
 import hashlib, json, sys
 from prodspec.cli import main
 from prodspec.config import ProductSpec, SignPattern
 from prodspec.matrix_model import (
-    _openblas_thread_controls, product_eigenvalues, sample_ginibre, sample_product_eigenvalues,
+    _openblas_thread_controls, product_eigenvalues, sample_ginibre, sample_haar_unitary,
+    sample_product_eigenvalues,
 )
 from prodspec.numerics import RngStream
 
@@ -552,6 +564,7 @@ for r in range(10):
     factors = [sample_ginibre(100, RngStream(2).substream(r, k)) for k in range(3)]
     for sample in (direct, product_eigenvalues(factors, spec.signs)):
         digest.update(sample.log_moduli.tobytes() + sample.angles.tobytes())
+    digest.update(sample_haar_unitary(200, RngStream(2).substream(r), 100).tobytes())
 code = main(sys.argv[1:])
 print(digest.hexdigest())
 print(json.dumps(loaded))
@@ -598,6 +611,7 @@ def test_matrix_outputs_do_not_depend_on_blas_threads(tmp_path):
         *_, digest, counts = proc.stdout.splitlines()
         assert all(count == loaded for count in json.loads(counts))
         outputs[threads] = [(out / name).read_bytes() for name in ("cdf.csv", "angles.csv")]
+        outputs[threads].append(without_timings(json.loads((out / "report.json").read_text())))
         outputs[threads].append(digest)
     assert outputs["unset"] == outputs["1"] == outputs["2"]
 
@@ -751,13 +765,13 @@ def test_write_outputs_and_byte_determinism(tmp_path, monkeypatch):
     out1, out2 = tmp_path / "c1", tmp_path / "c4"
     # as in test_run_experiment_deterministic_across_workers: one thread per
     # path against up to four, over four scalar chunks and one ECDF segment
-    # against three, --workers varied too
+    # against three
     monkeypatch.setattr(scalar_model, "_CHUNK", 60)
     monkeypatch.setattr(stats, "_SEGMENT", 64)
     with usable_cpus(1):
         write_outputs(run_experiment(small_cfg(mode="both")), out1)
     with usable_cpus(4):
-        write_outputs(run_experiment(small_cfg(mode="both", workers=8)), out2)
+        write_outputs(run_experiment(small_cfg(mode="both")), out2)
     cdf = (out1 / "cdf.csv").read_text()
     assert cdf.splitlines()[0] == "y,empirical,limit"
     assert (out1 / "angles.csv").read_text().splitlines()[0] == "theta,empirical,uniform"
@@ -765,12 +779,7 @@ def test_write_outputs_and_byte_determinism(tmp_path, monkeypatch):
     assert (out1 / "angles.csv").read_bytes() == (out2 / "angles.csv").read_bytes()
     rec1 = json.loads((out1 / "report.json").read_text())
     rec2 = json.loads((out2 / "report.json").read_text())
-    drop = lambda d: {
-        k: v
-        for k, v in d.items()
-        if not k.startswith("runtime_") and k not in ("wall_clock_s", "workers")
-    }
-    assert drop(rec1) == drop(rec2)
+    assert without_timings(rec1) == without_timings(rec2)
     assert rec1["version"] and rec1["limit_kind"] == "ginibre"
 
 
@@ -896,36 +905,33 @@ def test_cli_presets_listing(capsys):
     + [
         (["run", "--config", "{tmp}/word-n.cfg"], "error: n: expected an integer (got 'abc')"),
         (["run", "--config", "{tmp}/float-workers.cfg"],
-         "error: workers: expected an integer (got '2.5')"),
+         "error: config: line 3: unknown key 'workers'"),
+        (["run", "--config", "{tmp}/not-utf8.cfg"], "error: config: cannot read"),
     ]
     # a bad flag value gets the same error line as the same value in a file
     + [
         (["run", "--signs", "+", "--n", "abc"], "error: n: expected an integer (got 'abc')"),
-        (["run", "--signs", "+", "--n", "10", "--workers=2.5"],
-         "error: workers: expected an integer (got '2.5')"),
         (["run", "--signs", "+", "--n", "10", "--mode=fast"],
          "error: mode: expected scalar|matrix|both (got 'fast')"),
         (["run", "--signs", "+", "--n", "10", "--ensemble=wishart"],
          "error: ensemble: expected 'ginibre' or 'haar' (got 'wishart')"),
-        # one replicate starts one thread at most, so this cannot exhaust threads
-        (["run", "--signs", "+", "--n", "10", "--replicates", "1", "--workers", "1000000"],
-         "error: workers: must lie in 1..64 (got 1000000)"),
     ],
     ids=[
         "no-n", "gamma-negative", "gamma-zero", "gamma-nan", "gamma-inf", "gamma-word",
-        "config-n-word", "config-workers-float", "flag-n-word", "flag-workers-float",
-        "flag-mode-unknown", "flag-ensemble-unknown", "flag-workers-above-cap",
+        "config-n-word", "config-workers-float", "config-not-utf8", "flag-n-word",
+        "flag-mode-unknown", "flag-ensemble-unknown",
     ],
 )
 def test_cli_invalid_config_is_exit_2(tmp_path, capsys, argv, needle):
     (tmp_path / "word-n.cfg").write_text("n = abc\nsigns = +\n")
     (tmp_path / "float-workers.cfg").write_text("n = 10\nsigns = +\nworkers = 2.5\n")
+    (tmp_path / "not-utf8.cfg").write_bytes(b"\xff\xfe")
     assert main([a.format(tmp=tmp_path) for a in argv]) == 2
     assert needle in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
-    "flag", ["n", "replicates", "seed", "workers", "dims", "gamma", "limit", "preset", "config"]
+    "flag", ["n", "replicates", "seed", "dims", "gamma", "limit", "preset", "config"]
 )
 def test_cli_lone_dashes_flag_value_is_read_as_text(tmp_path, capsys, monkeypatch, flag):
     # argparse parses --X=-- to []; the value must reach the same checks as "--"
@@ -934,6 +940,26 @@ def test_cli_lone_dashes_flag_value_is_read_as_text(tmp_path, capsys, monkeypatc
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag}:") and "'--'" in err
+
+
+@pytest.mark.parametrize(
+    "workers", [["--workers=2.5"], ["--workers", "1000000"], ["--workers=--"]],
+    ids=["float", "above-old-cap", "lone-dashes"],
+)
+def test_cli_workers_flag_is_accepted_and_ignored(tmp_path, capsys, workers):
+    def run(*flags):
+        out = tmp_path / str(len(flags))
+        argv = ["run", "--n", "6", "--signs=-+", "--replicates", "3", "--mode", "both"]
+        assert main([*argv, *flags, "--out", str(out)]) == 0
+        printed = capsys.readouterr()
+        assert printed.err == ""
+        return (
+            [line for line in printed.out.splitlines() if not line.startswith("runtime_")],
+            without_timings(json.loads((out / "report.json").read_text())),
+            *((out / name).read_bytes() for name in ("cdf.csv", "angles.csv")),
+        )
+
+    assert run(*workers) == run()
 
 
 def test_cli_lone_dashes_are_a_sign_pattern_and_a_directory(tmp_path, capsys, monkeypatch):
@@ -965,6 +991,7 @@ def test_cli_bad_limit_token_is_exit_2(capsys):
         (["--limit", "betas:{tmp}/overflow.txt"], "limit: betas: partial sum must rise"),
         (["--limit", "betas:{tmp}/dips.txt"], "partial sum must rise on all of [0, 1]"),
         (["--limit", "betas:{tmp}/steep.txt"], "limit: betas: slope bound"),
+        (["--limit", "betas:{tmp}/not-utf8.txt"], "limit: cannot read betas file"),
         (["--gamma", "1e-300"], "gamma"),
         (["--gamma", "0.003"], "gamma"),
         # each asks numpy for about 710 PiB, which it refuses before touching memory
@@ -975,7 +1002,7 @@ def test_cli_bad_limit_token_is_exit_2(capsys):
     ids=[
         "ginibre-beta-zero", "ginibre-alpha-above-one", "betas-file-word",
         "betas-file-negative-first", "betas-file-falling", "betas-file-overflow",
-        "betas-file-dips", "betas-file-steep",
+        "betas-file-dips", "betas-file-steep", "betas-file-not-utf8",
         "gamma-overflow", "gamma-underflow", "scalar-size-unallocatable",
         "haar-dims-unallocatable",
     ],
@@ -988,6 +1015,7 @@ def test_cli_values_rejected_mid_run_are_exit_2(tmp_path, capsys, flags, needle)
     (tmp_path / "dips.txt").write_text("1\n0\n-0.6\n")
     (tmp_path / "overflow.txt").write_text("1e308\n1e308\n")
     (tmp_path / "steep.txt").write_text("1e307\n0\n1e307\n0\n1e307\n")
+    (tmp_path / "not-utf8.txt").write_bytes(b"\xff\xfe")
     argv = ["run", "--n", "10", "--signs", "+", "--replicates", "4"]
     code = main(argv + [f.format(tmp=tmp_path) for f in flags])
     err = capsys.readouterr().err
@@ -1000,10 +1028,10 @@ def test_cli_values_rejected_mid_run_are_exit_2(tmp_path, capsys, flags, needle)
 )
 def test_cli_unwritable_out_is_exit_2(tmp_path, capsys, monkeypatch, out):
     # the --out check comes before the sampling, so no run is lost to it
-    def never(cfg):
-        raise AssertionError("run_experiment called before --out was checked")
+    def never(*args):
+        raise AssertionError("drew before --out was checked")
 
-    monkeypatch.setattr("prodspec.cli.run_experiment", never)
+    monkeypatch.setattr("prodspec.cli.sample_radial_spectrum", never)
     (tmp_path / "afile").write_text("taken\n")
     code = main(
         ["run", "--n", "10", "--signs", "+", "--replicates", "4",
@@ -1011,6 +1039,28 @@ def test_cli_unwritable_out_is_exit_2(tmp_path, capsys, monkeypatch, out):
     )
     assert code == 2
     assert capsys.readouterr().err.startswith("error: out:")
+
+
+@pytest.mark.parametrize(
+    "limit, needle",
+    [
+        ("bogus", "limit: expected"),
+        ("betas:{tmp}/missing.txt", "limit: cannot read betas file"),
+        ("betas:{tmp}/falling.txt", "limit: betas: partial sum must rise"),
+    ],
+    ids=["token-unknown", "betas-file-missing", "betas-file-falling"],
+)
+def test_cli_rejected_limit_leaves_no_out_directory(tmp_path, capsys, limit, needle):
+    # the limit is the last setting checked; --out is made only after it
+    (tmp_path / "falling.txt").write_text("1\n0\n-2\n")
+    out = tmp_path / "o1"
+    code = main(
+        ["run", "--n", "10", "--signs", "+", "--replicates", "2",
+         "--limit", limit.format(tmp=tmp_path), "--out", str(out)]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {needle}")
+    assert not out.exists()
 
 
 def test_cli_conditioning_abort_is_exit_3(monkeypatch, capsys):

@@ -339,7 +339,7 @@ def test_eigvals_raises_when_zgeev_reports_a_nonzero_info(monkeypatch, failing_c
 def test_runs_write_the_same_files_without_the_binding(monkeypatch, tmp_path, mode):
     cfg = ExperimentConfig(
         ensemble="haar", n=12, signs="+-", dims=(24, 24), gamma="2", replicates=10,
-        mode=mode, workers=2,
+        mode=mode,
     )
     write_outputs(run_experiment(cfg), tmp_path / "zgeev")
     monkeypatch.setattr(matrix_model, "_zgeev", lambda: None)
@@ -525,6 +525,47 @@ def test_matrix_and_scalar_radii_share_a_law():
         EmpiricalCdf(np.concatenate(mat)), EmpiricalCdf(np.concatenate(sca))
     )
     assert report.statistic < 0.05
+
+
+# Every factor law here is invariant under A -> e^(i phi) A, and so are
+# the inverses and the product, so E sum_i e^(ik theta_i) = 0 for k != 0 at
+# every n. Under that null |z_k|^2 is about Exp(1), so the bound 4 on the
+# 16 modes below falsely alarms with probability near 1e-6
+FOURIER_MODES = np.arange(1, 5)
+FOURIER_Z_BOUND = 4.0
+FOURIER_SPECS = {
+    "ginibre:-+-": GinibreProductSpec(20, SignPattern.parse("-+-")),
+    "haar:+-": HaarProductSpec(20, SignPattern.parse("+-"), (40, 40)),
+    "haar:-+": HaarProductSpec(12, SignPattern.parse("-+"), (18, 30)),
+    "haar:+": HaarProductSpec(20, SignPattern.parse("+"), (21,)),
+}
+
+
+def angle_fourier_z(spec, replicates):
+    """|mean S_k| / (sd S_k / sqrt(R)) per mode k, for S_k = sum_i e^(ik theta_i)
+    over replicate r's eigenangles, drawn from key (1, r) as a run draws it."""
+    angles = (
+        sample_product_eigenvalues(spec, RngStream(0).substream(1, r)).angles
+        for r in range(replicates)
+    )
+    sums = np.array([np.exp(1j * np.outer(FOURIER_MODES, a)).sum(axis=1) for a in angles])
+    return np.abs(sums.mean(axis=0)) / (sums.std(axis=0) / np.sqrt(replicates))
+
+
+@pytest.mark.parametrize("name", FOURIER_SPECS)
+def test_eigenangles_have_no_fourier_mode_at_the_standard_error_scale(name):
+    assert angle_fourier_z(FOURIER_SPECS[name], 2000).max() <= FOURIER_Z_BOUND
+
+
+@pytest.mark.parametrize("name", [name for name in FOURIER_SPECS if name.startswith("haar")])
+def test_fourier_check_flags_a_haar_corner_without_the_phase_fix(monkeypatch, name):
+    # Q of the QR with R's diagonal phases left in R; at k = 1 and 2000
+    # replicates it read |z| of about 7 (d = 2n), 9 (-+) and 92 (d = n + 1)
+    def unphased(dim, rng, n=None):
+        return np.linalg.qr(sample_ginibre(dim, rng, n))[0][:n]
+
+    monkeypatch.setattr(matrix_model, "sample_haar_unitary", unphased)
+    assert angle_fourier_z(FOURIER_SPECS[name], 2000)[0] > FOURIER_Z_BOUND
 
 
 def test_one_blas_thread_pins_and_restores_the_counts_it_found():
