@@ -61,10 +61,6 @@ MASS_WINDOW = (0.9, 1.1)
 MASS_THRESHOLD = 0.95
 
 
-class ConfigError(ValueError):
-    """Invalid experiment configuration."""
-
-
 @dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
     """Everything one run needs; the fields are the settings that flags,
@@ -87,31 +83,31 @@ class ExperimentConfig:
     def build_spec(self) -> ProductSpec:
         signs = SignPattern.parse(self.signs)
         if self.ensemble not in ("ginibre", "haar"):
-            raise ConfigError(f"ensemble: expected 'ginibre' or 'haar' (got {self.ensemble!r})")
+            raise ValueError(f"ensemble: expected 'ginibre' or 'haar' (got {self.ensemble!r})")
         if self.ensemble == "ginibre" and self.dims is not None:
-            raise ConfigError("dims: only truncated-unitary ensembles take dims")
+            raise ValueError("dims: only truncated-unitary ensembles take dims")
         if self.ensemble == "haar" and self.dims is None:
-            raise ConfigError("dims: required for the haar ensemble")
+            raise ValueError("dims: required for the haar ensemble")
         return ProductSpec(self.n, signs, self.dims)
 
     def validated(self) -> "ExperimentConfig":
         if self.n < 2:
-            raise ConfigError(f"n: experiments need n >= 2 (got {self.n})")
+            raise ValueError(f"n: experiments need n >= 2 (got {self.n})")
         if self.replicates < 1:
-            raise ConfigError(f"replicates: must be >= 1 (got {self.replicates})")
+            raise ValueError(f"replicates: must be >= 1 (got {self.replicates})")
         if self.mode not in ("scalar", "matrix", "both"):
-            raise ConfigError(f"mode: expected scalar|matrix|both (got {self.mode!r})")
+            raise ValueError(f"mode: expected scalar|matrix|both (got {self.mode!r})")
         if self.seed < 0:
-            raise ConfigError(f"seed: must be >= 0 (got {self.seed})")
+            raise ValueError(f"seed: must be >= 0 (got {self.seed})")
         spec = self.build_spec()  # surfaces spec-level problems early
         resolve_gamma(self.gamma, spec.m)
         if self.mode in ("matrix", "both"):
             if self.n > MAX_PRODUCT_SIZE:
-                raise ConfigError(
+                raise ValueError(
                     f"n: matrix mode is capped at n <= {MAX_PRODUCT_SIZE} (got {self.n})"
                 )
             if spec.m > MAX_FACTORS:
-                raise ConfigError(
+                raise ValueError(
                     f"signs: matrix mode is capped at {MAX_FACTORS} factors (got {spec.m})"
                 )
         return self
@@ -210,15 +206,15 @@ def resolve_limit(cfg: ExperimentConfig, spec: ProductSpec, plan: ScalingPlan):
         try:
             a, b = (float(v) for v in token[len("ginibre:"):].split(","))
         except ValueError:
-            raise ConfigError(f"limit: expected ginibre:alpha,beta (got {token!r})") from None
+            raise ValueError(f"limit: expected ginibre:alpha,beta (got {token!r})") from None
         try:
             return GinibreLimit(alpha=a, beta=b)
         except ValueError as exc:
-            raise ConfigError(f"limit: {exc}") from None
+            raise ValueError(f"limit: {exc}") from None
     if token.startswith("betas:"):
         return _read_betas_file(token[len("betas:"):])
     if token != "auto":
-        raise ConfigError(f"limit: expected auto|degenerate|ginibre:a,b|betas:PATH (got {token!r})")
+        raise ValueError(f"limit: expected auto|degenerate|ginibre:a,b|betas:PATH (got {token!r})")
     if spec.dims is None:
         beta = spec.m / plan.gamma_n
         if beta < DEGENERATE_THRESHOLD:
@@ -235,7 +231,7 @@ def _key_value_lines(path: str, cannot_read: str):
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{cannot_read}: {exc}") from None
+        raise ValueError(f"{cannot_read}: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
@@ -247,13 +243,13 @@ def _read_betas_file(path: str) -> HaarLimit:
     betas, bound = [], None
     for lineno, line, key, sep, val in _key_value_lines(path, "limit: cannot read betas file"):
         if sep and key != "bound":
-            raise ConfigError(f"limit: unknown betas-file key {key!r}")
+            raise ValueError(f"limit: unknown betas-file key {key!r}")
         if sep and bound is not None:
-            raise ConfigError(f"limit: betas file line {lineno}: key 'bound' given twice")
+            raise ValueError(f"limit: betas file line {lineno}: key 'bound' given twice")
         try:
             value = float(val if sep else line)
         except ValueError:
-            raise ConfigError(
+            raise ValueError(
                 f"limit: betas file line {lineno}: expected a number (got {line!r})"
             ) from None
         if sep:
@@ -261,14 +257,14 @@ def _read_betas_file(path: str) -> HaarLimit:
         else:
             betas.append(value)
     if not betas:
-        raise ConfigError("limit: betas file holds no coefficients")
+        raise ValueError("limit: betas file holds no coefficients")
     if bound is None:
         bound = max(abs(b) for b in betas)
     try:
         lim = HaarLimit(betas=tuple(betas), tail_bound=bound)
         _check_rising(lim)
     except ValueError as exc:
-        raise ConfigError(f"limit: {exc}") from None
+        raise ValueError(f"limit: {exc}") from None
     return lim
 
 
@@ -279,7 +275,8 @@ def _mass_in_window(ecdf: EmpiricalCdf) -> float:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Sample, compare, and assemble a report; raises ConditioningError on abort."""
+    """Sample, compare, and assemble a report; raises ValueError for a bad
+    setting and ConditioningError on abort."""
     cfg = cfg.validated()
     spec = cfg.build_spec()
     plan = ScalingPlan.for_spec(spec, resolve_gamma(cfg.gamma, spec.m))
@@ -375,9 +372,7 @@ def write_outputs(report: ExperimentReport, out_dir) -> None:
             out / "angles.csv", "theta,empirical,uniform",
             EmpiricalCdf(values=report.pooled_angles), lambda t: t / TWO_PI,
         )
-    record = report.record()
-    record["wall_clock_s"] = sum(report.runtimes.values())
-    (out / "report.json").write_text(json.dumps(record, sort_keys=True, indent=2) + "\n")
+    (out / "report.json").write_text(json.dumps(report.record(), sort_keys=True, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +406,7 @@ PRESETS = {
 
 def apply_preset(name: str, n: int) -> dict:
     if name not in PRESETS:
-        raise ConfigError(f"preset: unknown name {name!r} (see 'prodspec presets')")
+        raise ValueError(f"preset: unknown name {name!r} (see 'prodspec presets')")
     return PRESETS[name][0](n)
 
 
@@ -429,11 +424,11 @@ def parse_config_file(path: str) -> dict:
     out = {}
     for lineno, _, key, sep, val in _key_value_lines(path, f"config: cannot read {path}"):
         if not sep or not key or not val:
-            raise ConfigError(f"config: line {lineno}: expected 'key = value'")
+            raise ValueError(f"config: line {lineno}: expected 'key = value'")
         if key not in _FIELD_TYPES:
-            raise ConfigError(f"config: line {lineno}: unknown key {key!r}")
+            raise ValueError(f"config: line {lineno}: unknown key {key!r}")
         if key in out:
-            raise ConfigError(f"config: line {lineno}: key {key!r} given twice")
+            raise ValueError(f"config: line {lineno}: key {key!r} given twice")
         out[key] = val
     return out
 
@@ -446,7 +441,7 @@ def _typed(key: str, value):
         return tuple(int(p) for p in value.split(",")) if key == "dims" else int(value)
     except ValueError:
         kind = "comma-separated integers" if key == "dims" else "an integer"
-        raise ConfigError(f"{key}: expected {kind} (got {value!r})") from None
+        raise ValueError(f"{key}: expected {kind} (got {value!r})") from None
 
 
 def build_config(args) -> ExperimentConfig:
@@ -471,12 +466,12 @@ def build_config(args) -> ExperimentConfig:
     given = {k: _typed(k, v) for k, v in [*file.items(), *flags.items()]}
     if given.get("preset"):
         if given.get("n") is None:
-            raise ConfigError("n: presets still need --n")
+            raise ValueError("n: presets still need --n")
         settings.update(apply_preset(given["preset"], given["n"]))
     settings.update(given)
     for f in fields(ExperimentConfig):
         if f.default is MISSING and settings[f.name] is None:
-            raise ConfigError(f"{f.name}: required")
+            raise ValueError(f"{f.name}: required")
     return ExperimentConfig(**settings)
 
 

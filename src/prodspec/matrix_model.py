@@ -19,11 +19,11 @@ needed a separate estimate.
 
 The eigenvalues come from LAPACK's zgeev, the routine numpy's eigvals
 calls, in the ILP64 OpenBLAS numpy loaded, called through ctypes with
-numpy's jobs, leading dimensions and workspace query (_eigvals). The
-bytes are numpy's, but ctypes releases the interpreter lock for the call,
-which np.linalg.eigvals holds throughout, so other threads run while a
-product is solved. Where no such zgeev is loaded (MKL, Accelerate, an
-LP64 OpenBLAS) np.linalg.eigvals itself is called.
+numpy's jobs, leading dimensions and workspace query (_eigvals). At one
+BLAS thread the bytes are numpy's, but ctypes releases the interpreter
+lock for the call, which np.linalg.eigvals holds throughout, so other
+threads run while a product is solved. Where no such zgeev is loaded
+(MKL, Accelerate, an LP64 OpenBLAS) np.linalg.eigvals itself is called.
 
 A truncated factor is drawn from the R of a QR alone (sample_haar_unitary):
 the n x n corner of a Haar unitary of size d is G[:n] R^-1 times the
@@ -168,14 +168,27 @@ def _qr_routines():
     return None if zgeqrf is None or ztrsm is None else (zgeqrf, ztrsm)
 
 
+def _with_numpys_workspace(call, info: ctypes.c_int64, minimum: int, error: str) -> None:
+    """call(work, lwork), a LAPACK call that sets info, with numpy's workspace:
+    a query (lwork -1), then max(queried size, minimum) complex entries. A
+    nonzero info after either call raises LinAlgError(error.format(info))."""
+    query = np.empty(1, dtype=complex)
+    call(query, -1)
+    if info.value == 0:
+        work = np.empty(max(int(query[0].real), minimum), dtype=complex)
+        call(work, len(work))
+    if info.value != 0:
+        raise np.linalg.LinAlgError(error.format(info.value))
+
+
 def _eigvals(a: np.ndarray) -> np.ndarray:
     """np.linalg.eigvals of a complex square matrix, solved without the interpreter lock.
 
     Calls _zgeev() as numpy's eigvals calls it: no eigenvectors, leading
-    dimensions max(n, 1), a workspace query and then a workspace of the
-    queried size, on a Fortran-ordered copy of a. The bytes are therefore
-    numpy's, and non-finite input or a nonzero info raises LinAlgError as
-    numpy does. Where _zgeev() is None, np.linalg.eigvals is called.
+    dimensions max(n, 1) and numpy's workspace, on a Fortran-ordered copy
+    of a. At one BLAS thread the bytes are therefore numpy's, and
+    non-finite input or a nonzero info raises LinAlgError as numpy does.
+    Where _zgeev() is None, np.linalg.eigvals is called.
     """
     zgeev = _zgeev()
     if zgeev is None:
@@ -197,13 +210,7 @@ def _eigvals(a: np.ndarray) -> np.ndarray:
             rwork.ctypes.data, info, 1, 1,
         )
 
-    query = np.empty(1, dtype=complex)
-    call(query, -1)
-    if info.value == 0:
-        work = np.empty(int(query[0].real), dtype=complex)
-        call(work, len(work))
-    if info.value != 0:
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    _with_numpys_workspace(call, info, 1, "Eigenvalues did not converge")
     return w
 
 
@@ -308,14 +315,8 @@ def sample_haar_unitary(dim: int, rng: RngStream, n: int | None = None) -> np.nd
         zgeqrf(rows, cols, r.ctypes.data, rows, tau.ctypes.data, work.ctypes.data,
                ctypes.c_int64(lwork), info)
 
-    # numpy's workspace (the queried size, at least n), so R is numpy's byte for byte
-    query = np.empty(1, dtype=complex)
-    factor(query, -1)
-    if info.value == 0:
-        work = np.empty(max(int(query[0].real), n, 1), dtype=complex)
-        factor(work, len(work))
-    if info.value != 0:
-        raise np.linalg.LinAlgError(f"zgeqrf: info {info.value}")
+    # numpy's workspace, so R is numpy's byte for byte at one BLAS thread
+    _with_numpys_workspace(factor, info, n, "zgeqrf: info {}")
     one = np.ones(1, dtype=complex)
     ztrsm(b"R", b"U", b"N", b"N", cols, cols, one.ctypes.data, r.ctypes.data, rows,
           corner.ctypes.data, cols, 1, 1, 1, 1)

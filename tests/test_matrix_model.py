@@ -1,6 +1,7 @@
 """Matrix-product sampling: factor laws, solve accuracy, refusal paths."""
 
 import ctypes
+import functools
 import json
 import math
 
@@ -56,8 +57,10 @@ def factoring(request, monkeypatch):
     return request.param
 
 
+@_one_blas_thread
 def q_route_corner(dim, rng, n):
-    """The corner as Q of the reduced QR, phases moved into Q, top n rows."""
+    """The corner as Q of the reduced QR, phases moved into Q, top n rows,
+    factored at one BLAS thread as sample_haar_unitary factors."""
     q, r = np.linalg.qr(sample_ginibre(dim, rng, n))
     d = np.diagonal(r)
     return (q * (d / np.abs(d)))[:n]
@@ -149,7 +152,8 @@ def test_bound_factoring_solves_with_numpys_r(monkeypatch, dim, n):
 
     monkeypatch.setattr(matrix_model, "_qr_routines", lambda: (zgeqrf, recording))
     sample_haar_unitary(dim, RngStream(2), n)
-    expect = np.linalg.qr(sample_ginibre(dim, RngStream(2), n), mode="r")
+    with _one_blas_thread:
+        expect = np.linalg.qr(sample_ginibre(dim, RngStream(2), n), mode="r")
     assert len(seen) == 1 and seen[0].tobytes() == np.ascontiguousarray(expect).tobytes()
 
 
@@ -347,7 +351,7 @@ def test_runs_write_the_same_files_without_the_binding(monkeypatch, tmp_path, mo
 
     def outputs(out):
         record = json.loads((out / "report.json").read_text())
-        timings = [k for k in record if k.startswith("runtime_") or k == "wall_clock_s"]
+        timings = [k for k in record if k.startswith("runtime_")]
         for key in timings:
             del record[key]
         return record, *((out / name).read_bytes() for name in ("cdf.csv", "angles.csv"))
@@ -375,12 +379,12 @@ def test_log_determinant_consistency():
     assert np.sum(sample.log_moduli) == pytest.approx(expect, abs=1e-8 * 40)
 
 
-def draw_factors(spec, seed):
-    """The factors sample_product_eigenvalues draws for spec from RngStream(seed)."""
-    rng = RngStream(seed)
+def draw_factors(spec, rng):
+    """The factors sample_product_eigenvalues draws for spec from rng; the
+    samplers are looked up on matrix_model, so that a test can patch them."""
     if spec.dims is None:
-        return [sample_ginibre(spec.n, rng) for _ in range(spec.m)]
-    return [sample_haar_unitary(d, rng, spec.n) for d in spec.dims]
+        return [matrix_model.sample_ginibre(spec.n, rng) for _ in range(spec.m)]
+    return [matrix_model.sample_haar_unitary(d, rng, spec.n) for d in spec.dims]
 
 
 # Largest gap in the sorted log-moduli between two orderings of one
@@ -392,7 +396,7 @@ IDENTITY_TOLERANCE = 1e-9
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(spec=product_specs(max_n=40), seed=st.integers(0, 2**32 - 1))
 def test_reversed_product_with_flipped_signs_has_reciprocal_eigenvalues(spec, seed):
-    factors, signs = draw_factors(spec, seed), list(spec.signs)
+    factors, signs = draw_factors(spec, RngStream(seed)), list(spec.signs)
     forward = product_eigenvalues(factors, signs)
     inverse = product_eigenvalues(factors[::-1], [-s for s in reversed(signs)])
     assert np.abs(
@@ -403,7 +407,7 @@ def test_reversed_product_with_flipped_signs_has_reciprocal_eigenvalues(spec, se
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(spec=product_specs(max_n=40), seed=st.integers(0, 2**32 - 1))
 def test_cyclic_rotation_of_the_factors_keeps_the_log_moduli(spec, seed):
-    factors, signs = draw_factors(spec, seed), list(spec.signs)
+    factors, signs = draw_factors(spec, RngStream(seed)), list(spec.signs)
     expect = np.sort(product_eigenvalues(factors, signs).log_moduli)
     for k in range(1, spec.m):
         rotated = product_eigenvalues(factors[k:] + factors[:k], signs[k:] + signs[:k])
@@ -557,15 +561,58 @@ def test_eigenangles_have_no_fourier_mode_at_the_standard_error_scale(name):
     assert angle_fourier_z(FOURIER_SPECS[name], 2000).max() <= FOURIER_Z_BOUND
 
 
+def unphased_haar_corner(dim, rng, n=None):
+    """Q of the QR with R's diagonal phases left in R, top n rows: a Haar
+    corner without the phase fix, whose law a phase changes."""
+    return np.linalg.qr(sample_ginibre(dim, rng, n))[0][:n]
+
+
 @pytest.mark.parametrize("name", [name for name in FOURIER_SPECS if name.startswith("haar")])
 def test_fourier_check_flags_a_haar_corner_without_the_phase_fix(monkeypatch, name):
-    # Q of the QR with R's diagonal phases left in R; at k = 1 and 2000
-    # replicates it read |z| of about 7 (d = 2n), 9 (-+) and 92 (d = n + 1)
-    def unphased(dim, rng, n=None):
-        return np.linalg.qr(sample_ginibre(dim, rng, n))[0][:n]
-
-    monkeypatch.setattr(matrix_model, "sample_haar_unitary", unphased)
+    # at k = 1 and 2000 replicates it read |z| of about 7 (d = 2n), 9 (-+)
+    # and 92 (d = n + 1)
+    monkeypatch.setattr(matrix_model, "sample_haar_unitary", unphased_haar_corner)
     assert angle_fourier_z(FOURIER_SPECS[name], 2000)[0] > FOURIER_Z_BOUND
+
+
+# The same invariance gives E tr(P^k) = 0 for k >= 1 when P has no inverse
+# factor, whose moments could fail to exist. The z statistic and its bound
+# are the Fourier check's, over the powers k = 1..3
+TRACE_POWERS = (1, 2, 3)
+TRACE_SPECS = {
+    "ginibre:++": GinibreProductSpec(20, SignPattern.parse("++")),
+    "haar:++": HaarProductSpec(20, SignPattern.parse("++"), (40, 40)),
+    "haar:+": HaarProductSpec(20, SignPattern.parse("+"), (21,)),
+    "haar:+++": HaarProductSpec(12, SignPattern.parse("+++"), (18, 30, 13)),
+}
+
+
+def trace_moment_z(spec, replicates):
+    """|mean S_k| / (sd S_k / sqrt(R)) per power k, for S_k = tr(P^k) of
+    replicate r's product P, its factors drawn from key (1, r) as a run
+    draws them and multiplied at one BLAS thread."""
+    with _one_blas_thread:
+        products = (
+            functools.reduce(np.matmul, draw_factors(spec, RngStream(0).substream(1, r)))
+            for r in range(replicates)
+        )
+        sums = np.array(
+            [[np.trace(np.linalg.matrix_power(p, k)) for k in TRACE_POWERS] for p in products]
+        )
+    return np.abs(sums.mean(axis=0)) / (sums.std(axis=0) / np.sqrt(replicates))
+
+
+@pytest.mark.parametrize("name", TRACE_SPECS)
+def test_direct_products_have_no_trace_moment_at_the_standard_error_scale(name):
+    assert trace_moment_z(TRACE_SPECS[name], 2000).max() <= FOURIER_Z_BOUND
+
+
+@pytest.mark.parametrize("name", ["haar:++", "haar:+"])
+def test_trace_check_flags_a_haar_corner_without_the_phase_fix(monkeypatch, name):
+    # at k = 1 and 2000 replicates it read |z| of about 12.6 (d = 2n) and 104
+    # (d = n + 1); on haar:+++ it read at most 1.4, so that spec is not checked
+    monkeypatch.setattr(matrix_model, "sample_haar_unitary", unphased_haar_corner)
+    assert trace_moment_z(TRACE_SPECS[name], 2000)[0] > FOURIER_Z_BOUND
 
 
 def test_one_blas_thread_pins_and_restores_the_counts_it_found():
