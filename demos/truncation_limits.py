@@ -50,7 +50,7 @@ print(f"  partial sum vs closed form at x=0.75: "
 plan = ScalingPlan.for_spec(spec, 2.0)
 root = RngStream(21)
 draws = [
-    sample_radial_spectrum(spec, root.substream(0, r))
+    sample_radial_spectrum(spec, root.substream(0, r), 1)[0]
     for r in range(200)
 ]
 ecdf = build_ecdf(draws, plan)
@@ -62,7 +62,7 @@ near = HaarProductSpec(400, SignPattern.parse("++"), (401, 401))
 near_lim = haar_limit_from_spec(near, gamma_n=2.0, terms=80)
 plan = ScalingPlan.for_spec(near, 2.0)
 draws = [
-    sample_radial_spectrum(near, RngStream(22).substream(0, r))
+    sample_radial_spectrum(near, RngStream(22).substream(0, r), 1)[0]
     for r in range(200)
 ]
 h = build_ecdf(draws, plan).values

@@ -215,12 +215,19 @@ def resolve_limit(cfg: ExperimentConfig, spec: ProductSpec, plan: ScalingPlan):
         return _read_betas_file(token[len("betas:"):])
     if token != "auto":
         raise ValueError(f"limit: expected auto|degenerate|ginibre:a,b|betas:PATH (got {token!r})")
-    if spec.dims is None:
-        beta = spec.m / plan.gamma_n
-        if beta < DEGENERATE_THRESHOLD:
-            return None
-        return GinibreLimit(alpha=spec.plus_count / spec.m, beta=beta)
-    lim = haar_limit_from_spec(spec, plan.gamma_n, terms=LIMIT_TERMS)
+    try:
+        if spec.dims is None:
+            beta = spec.m / plan.gamma_n
+            if beta < DEGENERATE_THRESHOLD:
+                return None
+            return GinibreLimit(alpha=spec.plus_count / spec.m, beta=beta)
+        lim = haar_limit_from_spec(spec, plan.gamma_n, terms=LIMIT_TERMS)
+    except ValueError as exc:
+        # the user set gamma, not the parameters of the law built from it,
+        # so an overflow there is reported as a gamma too small
+        raise ValueError(
+            f"gamma: no auto limit at gamma_n={plan.gamma_n!r}; a larger gamma is needed ({exc})"
+        ) from None
     if lim.betas[0] < DEGENERATE_THRESHOLD:
         return None
     return lim
@@ -306,11 +313,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             # each replicate draws, inverts and solves on one thread, the
             # calling one or one that map_tasks started; the solve runs off
             # the interpreter lock (matrix_model._eigvals) and BLAS runs one
-            # thread throughout, so no output depends on either.
-            # Importing prodspec set OPENBLAS_NUM_THREADS to 1 where it was
-            # unset, so no idle OpenBLAS worker spins beside these threads;
-            # where numpy was loaded first, or the variable was set, the pin
-            # below is what holds BLAS to one thread
+            # thread throughout, so no output depends on either. The pin
+            # below holds BLAS to one thread whatever OPENBLAS_NUM_THREADS
+            # says (see the package docstring for its default)
             with _one_blas_thread as report.blas_threads:
                 samples = map_tasks(
                     lambda r: sample_product_eigenvalues(spec, root.substream(1, r)),

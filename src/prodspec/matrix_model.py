@@ -25,31 +25,23 @@ lock for the call, which np.linalg.eigvals holds throughout, so other
 threads run while a product is solved. Where no such zgeev is loaded
 (MKL, Accelerate, an LP64 OpenBLAS) np.linalg.eigvals itself is called.
 
-A truncated factor is drawn from the R of a QR alone (sample_haar_unitary):
-the n x n corner of a Haar unitary of size d is G[:n] R^-1 times the
-phases of R's diagonal, for G a d x n Gaussian (Mezzadri 2007), so Q is
-never formed. zgeqrf factors G and ztrsm solves with R in place, both
-from the same OpenBLAS through ctypes, so the three LAPACK and BLAS calls
-of a replicate (zgeqrf, ztrsm, zgeev) all release the interpreter lock.
-Without them, and for a whole unitary (n = d), Q of np.linalg.qr is
-formed and its top n rows taken. The R-only corner differs from Q's top
-rows by QR's backward error carried through R^-1, at most about
-eps * cond(G). cond(G) grows as d approaches n: the error stays below
-1e-15 at d = 2n, while at d = n + 1 ||T||_2 - 1 reached 2.8e-13 at
-n = 200 and 4.7e-13 at n = 400, where Q's rows stay within 1e-15.
+A truncated factor is the corner that sample_haar_unitary draws from the
+R of a QR alone, so the three LAPACK and BLAS calls of a replicate
+(zgeqrf, ztrsm, zgeev) all release the interpreter lock. That corner
+differs from Q's top rows by QR's backward error carried through R^-1,
+at most about eps * cond(G). cond(G) grows as d approaches n: the error
+stays below 1e-15 at d = 2n, while at d = n + 1 ||T||_2 - 1 reached
+2.8e-13 at n = 200 and 4.7e-13 at n = 400, where Q's rows stay within
+1e-15.
 
 Replicates are parallelised by threads that each run whole replicates
 (cli runs them through numerics.map_tasks, on the calling thread and up
 to one started thread per further usable CPU), not by BLAS:
 product_eigenvalues and sample_haar_unitary run inside _one_blas_thread,
 where every loaded OpenBLAS runs one thread, so neither their outputs
-nor sample_product_eigenvalues' depend on the BLAS thread setting.
-Importing prodspec sets OPENBLAS_NUM_THREADS to 1 where it is unset, so
-an OpenBLAS that numpy loads afterwards starts no worker thread to spin
-idle beside the replicates' own threads; a value already set is kept.
-Where numpy was imported first, its OpenBLAS keeps the count it was
-loaded with, and _one_blas_thread is what holds it to one thread during
-the matrix path.
+nor sample_product_eigenvalues' depend on the BLAS thread setting. Why
+importing prodspec also sets OPENBLAS_NUM_THREADS is told in the
+package docstring.
 """
 
 from __future__ import annotations
@@ -283,14 +275,15 @@ def sample_haar_unitary(dim: int, rng: RngStream, n: int | None = None) -> np.nd
     The first n columns of a Haar unitary are Q of the reduced QR G = QR of
     a dim x n Gaussian G, with the phases of R's diagonal moved into Q
     (Mezzadri 2007). Their top n rows are G[:n] R^-1 times those phases,
-    so for n < dim R alone is needed: G is factored with zgeqrf, X R = G[:n]
-    is solved with ztrsm reading R where zgeqrf left it, and column j of X
-    is scaled by R_jj / abs(R_jj). Q is never formed. Both calls go to the
-    ILP64 OpenBLAS numpy loaded, through ctypes, so they release the
-    interpreter lock. The corner is accurate to about eps * cond(G), which
-    grows as dim approaches n (module docstring). Where _qr_routines() is
-    None, and for the whole unitary, whose Q is the answer and unitary to
-    about eps, Q of np.linalg.qr is formed instead. Runs BLAS on one
+    so for n < dim R alone is needed: G is factored with zgeqrf and
+    X R = G[:n] is solved with ztrsm reading R where zgeqrf left it, so Q
+    is never formed. Both calls go to the ILP64 OpenBLAS numpy loaded,
+    through ctypes, so they release the interpreter lock. The corner is
+    accurate to about eps * cond(G), which grows as dim approaches n
+    (module docstring). Where _qr_routines() is None, and for the whole
+    unitary, whose Q is the answer and unitary to about eps, Q of
+    np.linalg.qr is formed instead and X is its top n rows. Either way
+    column j of X is then scaled by R_jj / abs(R_jj). Runs BLAS on one
     thread, so the factoring does not depend on the thread setting.
     """
     if n is not None and not 1 <= n <= dim:
@@ -300,26 +293,25 @@ def sample_haar_unitary(dim: int, rng: RngStream, n: int | None = None) -> np.nd
     routines = _qr_routines()
     if routines is None or n == dim:
         q, r = np.linalg.qr(g)
-        d = np.diagonal(r)
-        q *= d / np.abs(d)
-        return np.ascontiguousarray(q[:n])
-    zgeqrf, ztrsm = routines
-    # zgeqrf and ztrsm overwrite their inputs, so both work on copies in
-    # Fortran order; each array below lives until the last call
-    corner = np.array(g[:n], order="F")
-    r = np.array(g, order="F")
-    rows, cols, info = ctypes.c_int64(dim), ctypes.c_int64(n), ctypes.c_int64(0)
-    tau = np.empty(n, dtype=complex)
+        corner = np.ascontiguousarray(q[:n])
+    else:
+        zgeqrf, ztrsm = routines
+        # zgeqrf and ztrsm overwrite their inputs, so both work on copies in
+        # Fortran order; each array below lives until the last call
+        corner = np.array(g[:n], order="F")
+        r = np.array(g, order="F")
+        rows, cols, info = ctypes.c_int64(dim), ctypes.c_int64(n), ctypes.c_int64(0)
+        tau = np.empty(n, dtype=complex)
 
-    def factor(work, lwork):
-        zgeqrf(rows, cols, r.ctypes.data, rows, tau.ctypes.data, work.ctypes.data,
-               ctypes.c_int64(lwork), info)
+        def factor(work, lwork):
+            zgeqrf(rows, cols, r.ctypes.data, rows, tau.ctypes.data, work.ctypes.data,
+                   ctypes.c_int64(lwork), info)
 
-    # numpy's workspace, so R is numpy's byte for byte at one BLAS thread
-    _with_numpys_workspace(factor, info, n, "zgeqrf: info {}")
-    one = np.ones(1, dtype=complex)
-    ztrsm(b"R", b"U", b"N", b"N", cols, cols, one.ctypes.data, r.ctypes.data, rows,
-          corner.ctypes.data, cols, 1, 1, 1, 1)
+        # numpy's workspace, so R is numpy's byte for byte at one BLAS thread
+        _with_numpys_workspace(factor, info, n, "zgeqrf: info {}")
+        one = np.ones(1, dtype=complex)
+        ztrsm(b"R", b"U", b"N", b"N", cols, cols, one.ctypes.data, r.ctypes.data, rows,
+              corner.ctypes.data, cols, 1, 1, 1, 1)
     d = np.diagonal(r)
     corner *= d / np.abs(d)
     return corner

@@ -64,29 +64,26 @@ def _log_norm(shape, b):
     return -math.log(shape) - math.fsum(math.log1p(shape / i) for i in range(1, b))
 
 
-def _log_radius_draws(spec: ProductSpec, j, streams, size=None, out=None):
+def _log_radius_draws(spec: ProductSpec, j, streams, out):
     """Half the signed sum of one log draw per factor, factor k from streams[k].
 
     Factor k draws Gamma(shape) if Gaussian and Beta(shape, b) if
-    truncated, with _shape's shape for index (or indices) j. Each term is
-    worked out in place in its draw and summed in factor order, into out
-    when it is given; it is dropped before the next is drawn, so a term
-    holds one array of the draw's size.
+    truncated, with _shape's shape for index (or indices) j, in out's
+    shape. Each term is worked out in place in its draw and summed in
+    factor order into out; it is dropped before the next is drawn, so a
+    term holds one array of out's size. Returns out[()], which turns a 0-d
+    out back into a scalar.
     """
     for k, ((sign, b), rng) in enumerate(zip(_factors(spec), streams)):
         shape = _shape(spec.n, j, sign)
-        term = rng.gamma(shape, size=size) if b is None else rng.beta(shape, b, size=size)
-        term = np.asarray(term)
+        term = rng.gamma(shape, size=out.shape) if b is None else rng.beta(shape, b, size=out.shape)
         np.log(term, out=term)
         term *= 0.5 * sign
-        if out is None:
-            out = term
-        elif k == 0:
+        if k == 0:
             out[...] = term
         else:
             out += term
         del term
-    # [()] turns a single index's 0-d sum back into a scalar
     return out[()]
 
 
@@ -97,37 +94,35 @@ def sample_log_radius_ginibre(spec: ProductSpec, j: int, rng: RngStream, size=No
     exported as sample_log_radius_haar.
     """
     _check_index(spec, j)
-    return _log_radius_draws(spec, float(j), [rng] * spec.m, size)
+    out = np.empty(() if size is None else size)
+    return _log_radius_draws(spec, float(j), [rng] * spec.m, out)
 
 
 sample_log_radius_haar = sample_log_radius_ginibre
 
 
-def sample_radial_spectrum(
-    spec: ProductSpec, rng: RngStream, count: int | None = None
-) -> np.ndarray:
+def sample_radial_spectrum(spec: ProductSpec, rng: RngStream, count: int) -> np.ndarray:
     """Draw the logs of count replicates' n surrogates, index j in column j-1.
 
-    Returns a new array of shape (count, n), or one (n,) row when count is
-    None. Chunk c holds rows [c * rows, (c + 1) * rows), rows = _CHUNK // n
-    or 1, and factor k draws them from rng.substream(k, c), so the first
-    rows are the same whatever count is. map_tasks fills the chunks, each
-    summing its terms in factor order straight into its rows; the bytes
-    do not depend on how many threads run them. The first failed chunk's
-    error, in chunk order, is raised here: no chunk starts after a failure,
-    and the started ones end first.
+    Returns a new array of shape (count, n). Chunk c holds rows
+    [c * rows, (c + 1) * rows), rows = _CHUNK // n or 1, and factor k
+    draws them from rng.substream(k, c), so the first rows are the same
+    whatever count is. map_tasks fills the chunks, each summing its terms
+    in factor order straight into its rows; the bytes do not depend on
+    how many threads run them. The first failed chunk's error, in chunk
+    order, is raised here: no chunk starts after a failure, and the
+    started ones end first.
     """
-    out = np.empty((1 if count is None else count, spec.n))
+    out = np.empty((count, spec.n))
     j = np.arange(1, spec.n + 1, dtype=float)
     rows = max(1, _CHUNK // spec.n)
 
     def fill(c):
-        part = out[c * rows:(c + 1) * rows]
         streams = [rng.substream(k, c) for k in range(spec.m)]
-        _log_radius_draws(spec, j, streams, part.shape, part)
+        _log_radius_draws(spec, j, streams, out[c * rows:(c + 1) * rows])
 
-    map_tasks(fill, -(-len(out) // rows))
-    return out[0] if count is None else out
+    map_tasks(fill, -(-count // rows))
+    return out
 
 
 def _check_t_domain(spec, j, t):

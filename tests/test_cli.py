@@ -75,7 +75,7 @@ def test_flags_alone_build_a_config():
     assert cfg.replicates == 200 and cfg.mode == "scalar" and cfg.gamma == "m"
 
 
-def test_workers_default_to_one_and_a_config_line_or_the_flag_sets_it(tmp_path):
+def test_workers_flag_is_ignored_and_a_config_line_is_an_unknown_key(tmp_path):
     # workers is no setting: the flag is accepted and ignored, a config line
     # is an unknown key, and the class attribute stays 1
     assert "workers" not in {f.name for f in fields(ExperimentConfig)}
@@ -995,6 +995,9 @@ def test_cli_bad_limit_token_is_exit_2(capsys):
         (["--limit", "betas:{tmp}/not-utf8.txt"], "limit: cannot read betas file"),
         (["--gamma", "1e-300"], "gamma"),
         (["--gamma", "0.003"], "gamma"),
+        # the auto law overflows before any draw: its error names gamma
+        (["--gamma", "1e-310"], "error: gamma:"),
+        (["--gamma", "1e-307", "--ensemble", "haar", "--dims", "20"], "error: gamma:"),
         # each asks numpy for about 710 PiB, which it refuses before touching memory
         (["--n", "100000000000000000"], "Unable to allocate"),
         (["--ensemble", "haar", "--dims", "10000000000000000", "--mode", "matrix"],
@@ -1004,7 +1007,8 @@ def test_cli_bad_limit_token_is_exit_2(capsys):
         "ginibre-beta-zero", "ginibre-alpha-above-one", "betas-file-word",
         "betas-file-negative-first", "betas-file-falling", "betas-file-overflow",
         "betas-file-dips", "betas-file-steep", "betas-file-not-utf8",
-        "gamma-overflow", "gamma-underflow", "scalar-size-unallocatable",
+        "gamma-overflow", "gamma-underflow", "gamma-ginibre-auto-limit-overflow",
+        "gamma-haar-auto-limit-overflow", "scalar-size-unallocatable",
         "haar-dims-unallocatable",
     ],
 )
